@@ -66,8 +66,8 @@ def main():
         print(f"\nrandom graph {k}: {n} states, {len(g.edges())} edges,"
               f" transfer {exact:+.9f}")
         for T in horizons:
-            per = pressure_periodic_orbits(g, f, T, cap=10 ** 5).value
-            bow = pressure_bowen(g, f, T, cap=10 ** 5).value
+            per = pressure_periodic_orbits(g, f, T).value
+            bow = pressure_bowen(g, f, T).value
             print(f"  T={T:3d}  orbits {per - exact:+.3e}"
                   f"   bowen {bow - exact:+.3e}")
             if T == args.t_max:

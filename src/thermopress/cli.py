@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .catmap import orbit_damping_report
-from .errors import (ConvergenceError, EnumerationCapError, GraphFormatError,
-                     InvariantViolation, NotIrreducibleError, ZeroMassError)
+from .errors import (ConvergenceError, GraphFormatError, InvariantViolation,
+                     NotIrreducibleError, ZeroMassError)
 from .instances import get_builtin
 from .pressure import (_sig12, pressure_bowen, pressure_periodic_orbits,
                        pressure_transfer)
@@ -244,8 +244,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConvergenceError, ZeroMassError, EnumerationCapError,
-            RuntimeError) as exc:
+    except (ConvergenceError, ZeroMassError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (GraphFormatError, NotIrreducibleError, ValueError, OSError) as exc:

@@ -3,13 +3,16 @@ routes that must agree in the limit:
 
 * transfer: log spectral radius of the weighted transition matrix
   L_ij = allowed[i][j] * exp(f_ij), the reference value;
-* periodic orbits: normalized log sums of exp(Birkhoff sum) over cyclic
-  words of period exactly T;
-* Bowen counts: normalized log sums over admissible words of length T,
-  with a fixed boundary convention so finite-T values are reproducible.
+* periodic orbits: (1/T) log trace(L^T), the sum of exp(Birkhoff sum) over
+  cyclic words of period exactly T;
+* Bowen counts: (1/T) log(1^T L^(T-1) e^b), the sum over admissible words
+  of length T with a fixed closing term b, so finite-T values are
+  reproducible.
 
-All accumulation is done in log space, so large potentials (e.g. beta * a
-with beta in the tens) cannot overflow.
+Both finite-T routes take log-space powers of L; no word is enumerated
+(sft.enumerate_cycles is kept as a test oracle).  All accumulation is done
+in log space, so large potentials (e.g. beta * a with beta in the tens)
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
-from .sft import ENUMERATION_CAP, EdgePotential, MarkovMeasure, TransitionGraph
+from .sft import EdgePotential, MarkovMeasure, TransitionGraph
 
 TRANSFER_TOL = 1e-13
+
+# scaled log-space products below this are recomputed exactly
+_UNDERFLOW = 1e-250
 
 # Bowen sums close each word with the largest outgoing weight of its last
 # state and score separated sets at mesh 1/4; recorded in every report so
@@ -47,16 +53,27 @@ def _lse(values):
 
 
 def _log_matmul(A, B):
-    """Log-space matrix product: out_ij = lse_k(A_ik + B_kj)."""
-    S = A[:, :, None] + B[None, :, :]
-    M = S.max(axis=1)
-    out = np.full(M.shape, -np.inf)
-    finite = np.isfinite(M)
-    if finite.any():
-        with np.errstate(invalid="ignore"):
-            T = np.exp(S - M[:, None, :].repeat(S.shape[1], axis=1))
-        total = np.where(np.isfinite(S), T, 0.0).sum(axis=1)
-        out[finite] = M[finite] + np.log(total[finite])
+    """Log-space matrix product out_ij = lse_k(A_ik + B_kj) in O(n^2) memory.
+
+    Computed as the scaled BLAS product log(exp(A - r) @ exp(B - c)) + r + c,
+    with r the row maxima of A and c the column maxima of B.  Entries with
+    no finite term are -inf, read off the product of the finiteness masks.
+    Entries whose scaled product underflows are recomputed exactly, one row
+    at a time.
+    """
+    finite_a, finite_b = np.isfinite(A), np.isfinite(B)
+    reach = (finite_a.astype(float) @ finite_b.astype(float)) > 0
+    r = A.max(axis=1, keepdims=True)
+    c = B.max(axis=0, keepdims=True)
+    r[~np.isfinite(r)] = 0.0
+    c[~np.isfinite(c)] = 0.0
+    P = np.exp(A - r) @ np.exp(B - c)
+    out = np.full(P.shape, -np.inf)
+    resolved = reach & (P > _UNDERFLOW)
+    with np.errstate(divide="ignore"):
+        out[resolved] = (np.log(P) + r + c)[resolved]
+    for i in np.flatnonzero((reach & ~resolved).any(axis=1)):
+        out[i] = _log_matvec(B.T, A[i])
     return out
 
 
@@ -267,37 +284,23 @@ def pressure_transfer(graph: TransitionGraph, f: EdgePotential,
     return PressureReport("transfer", data.log_rho, tol)
 
 
-def _cycle_log_mass(graph, f, t_max, cap):
-    """Log of sum of exp(Birkhoff sum) over cyclic words, per length T.
-
-    Uses explicit enumeration while n**T fits the cap and log-space powers
-    of the weighted matrix beyond it; the two agree exactly in exact
-    arithmetic since the cycle sum of length T equals trace(L^T).
-    """
-    from .sft import enumerate_cycles  # local import keeps module load light
-
+def _cycle_log_mass(f, t_max):
+    """Log of sum of exp(Birkhoff sum) over cyclic words, per length T: the
+    log of trace(L^T), read off the diagonal of log-space powers of L."""
     F = f.log_matrix()
-    n = graph.n_states
     masses = []
-    M = None
+    M = F
     for T in range(1, t_max + 1):
-        M = F if M is None else _log_matmul(M, F)
-        if n ** T <= cap:
-            sums = [
-                sum(f.values[i, j] for i, j in w.edges())
-                for w in enumerate_cycles(graph, T, cap=cap)
-            ]
-            masses.append(_lse(np.array(sums)) if sums else -np.inf)
-        else:
-            masses.append(_lse(np.diag(M)))
+        if T > 1:
+            M = _log_matmul(M, F)
+        masses.append(_lse(np.diag(M)))
     return masses
 
 
 def pressure_periodic_orbits(graph: TransitionGraph, f: EdgePotential,
-                             t_max: int,
-                             cap: int = ENUMERATION_CAP) -> PressureReport:
+                             t_max: int) -> PressureReport:
     """Pressure from cycle sums P_T = (1/T) log sum over period-T cyclic
-    words of exp(Birkhoff sum), for T = 1..t_max.
+    words of exp(Birkhoff sum) = (1/T) log trace(L^T), for T = 1..t_max.
 
     Lengths with no admissible cycle carry no mass and are omitted from the
     trace; if the final length t_max has no mass (e.g. a periodic graph
@@ -309,7 +312,7 @@ def pressure_periodic_orbits(graph: TransitionGraph, f: EdgePotential,
         raise ValueError("potential lives on a different graph")
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    masses = _cycle_log_mass(graph, f, t_max, cap)
+    masses = _cycle_log_mass(f, t_max)
     trace = [
         (T, mass / T)
         for T, mass in zip(range(1, t_max + 1), masses)
@@ -330,45 +333,25 @@ def _bowen_boundary(f):
     return F.max(axis=1)
 
 
-def pressure_bowen(graph: TransitionGraph, f: EdgePotential, t_max: int,
-                   cap: int = ENUMERATION_CAP) -> PressureReport:
+def pressure_bowen(graph: TransitionGraph, f: EdgePotential,
+                   t_max: int) -> PressureReport:
     """Pressure from separated-set sums over admissible words of length T:
-    the T-1 interior edges plus a closing term, the maximal outgoing weight
-    of the final state.  Trace runs over T = 1..t_max."""
+    the T-1 interior edges plus a closing term b, the maximal outgoing
+    weight of the final state.  The sum is 1^T L^(T-1) e^b, accumulated as
+    the log row vector u = log(1^T L^(T-1)).  Trace runs over T = 1..t_max."""
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    F = f.log_matrix()
+    FT = f.log_matrix().T
     b = _bowen_boundary(f)
-    n = graph.n_states
-    succ = [graph.successors(i) for i in range(n)]
     trace = []
-    u = np.zeros(n)  # log of row vector ones^T L^{T-1}
+    u = np.zeros(graph.n_states)
     for T in range(1, t_max + 1):
         if T > 1:
-            u = _log_matvec(F.T, u)
-        if n ** T <= cap:
-            sums = []
-            word = [0] * T
-
-            def extend(pos, acc):
-                if pos == T:
-                    sums.append(acc + b[word[-1]])
-                    return
-                i = word[pos - 1]
-                for j in succ[i]:
-                    word[pos] = j
-                    extend(pos + 1, acc + f.values[i, j])
-
-            for s in range(n):
-                word[0] = s
-                extend(1, 0.0)
-            z = _lse(np.array(sums))
-        else:
-            z = _lse(u + b)
-        trace.append((T, z / T))
+            u = _log_matvec(FT, u)
+        trace.append((T, _lse(u + b) / T))
     tol = abs(trace[-1][1] - trace[-2][1]) if len(trace) > 1 else np.inf
     return PressureReport("bowen", trace[-1][1], tol, trace,
                           convention=BOWEN_CONVENTION)
@@ -379,11 +362,10 @@ class EquilibriumState:
     """Gibbs-Markov equilibrium state of a potential: the Markov measure
     built from the Perron eigendata of the weighted transition matrix.
 
-    lam is the Perron eigenvalue; log_lambda is its log (the pressure).
+    log_lambda is the log of the Perron eigenvalue (the pressure).
     """
 
     measure: MarkovMeasure
-    lam: float
     log_lambda: float
     right: np.ndarray
     left: np.ndarray
@@ -419,5 +401,4 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential,
         p = p @ P
         p = p / p.sum()
     measure = MarkovMeasure(graph, P, p)
-    return EquilibriumState(measure, float(np.exp(data.log_rho)),
-                            data.log_rho, data.right, data.left)
+    return EquilibriumState(measure, data.log_rho, data.right, data.left)

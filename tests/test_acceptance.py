@@ -115,8 +115,8 @@ def test_criterion_1_pressure_routes():
             g = _random_graph(rng, n)
             f = _potential(rng, g)
             ref = pressure_transfer(g, f).value
-            per = pressure_periodic_orbits(g, f, 40, cap=10 ** 4).value
-            bow = pressure_bowen(g, f, 40, cap=10 ** 4).value
+            per = pressure_periodic_orbits(g, f, 40).value
+            bow = pressure_bowen(g, f, 40).value
             assert abs(per - ref) <= 0.1
             assert abs(bow - ref) <= 0.1
         g = golden_mean_shift()

@@ -1,7 +1,9 @@
 """Three pressure routes against independent linear-algebra oracles."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from thermopress.errors import (
 )
 from thermopress.pressure import (
     PressureReport,
+    _log_matmul,
     equilibrium_state,
     perron,
     pressure_bowen,
@@ -22,6 +25,8 @@ from thermopress.sft import (
     EdgePotential,
     MarkovMeasure,
     TransitionGraph,
+    birkhoff_sum,
+    enumerate_cycles,
     full_shift,
     golden_mean_shift,
     integrate,
@@ -134,6 +139,83 @@ def test_transfer_near_degenerate_top_pair():
     assert rep.value > 0.0  # strictly above log 1: the pair splits upward
 
 
+def _dense_log_matmul(A, B):
+    # reference log-space product through the full n x n x n term tensor
+    S = A[:, :, None] + B[None, :, :]
+    M = S.max(axis=1)
+    out = np.full(M.shape, -np.inf)
+    finite = np.isfinite(M)
+    if finite.any():
+        with np.errstate(invalid="ignore"):
+            T = np.exp(S - M[:, None, :])
+        total = np.where(np.isfinite(S), T, 0.0).sum(axis=1)
+        out[finite] = M[finite] + np.log(total[finite])
+    return out
+
+
+def _random_log_matrix(rng, shape, scale, density):
+    X = rng.uniform(-scale, scale, size=shape)
+    return np.where(rng.random(shape) < density, X, -np.inf)
+
+
+def _assert_log_matmul_matches(A, B):
+    got, want = _log_matmul(A, B), _dense_log_matmul(A, B)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    # relative to the operands: each term A_ik + B_kj carries their rounding
+    size = max(1.0, *(np.abs(X[np.isfinite(X)]).max(initial=0.0)
+                      for X in (A, B)))
+    fin = np.isfinite(want)
+    assert np.abs(got[fin] - want[fin]).max(initial=0.0) <= 1e-12 * size
+
+
+def test_log_matmul_matches_dense_reference():
+    rng = np.random.default_rng(808)
+    for _ in range(60):
+        n, k, m = (int(x) for x in rng.integers(1, 25, size=3))
+        scale = float(10.0 ** rng.uniform(-1, 4))
+        density = float(rng.uniform(0.05, 1.0))
+        A = _random_log_matrix(rng, (n, k), scale, density)
+        B = _random_log_matrix(rng, (k, m), scale, density)
+        if n > 1:
+            A[rng.integers(n)] = -np.inf  # an all -inf row
+        _assert_log_matmul_matches(A, B)
+
+
+def test_log_matmul_disjoint_supports_and_underflow():
+    # A only reaches the first half, B only leaves the second half
+    n = 8
+    A = np.full((n, n), -np.inf)
+    B = np.full((n, n), -np.inf)
+    A[:, : n // 2] = 0.0
+    B[n // 2:, :] = 0.0
+    out = _log_matmul(A, B)
+    assert np.isneginf(out).all()
+    _assert_log_matmul_matches(A, B)
+    # every path pairs a row maximum with a column minimum: the scaled
+    # product underflows to zero, so the rows are recomputed exactly
+    A = np.array([[0.0, -1000.0], [0.0, 0.0]])
+    B = np.array([[-1000.0, -1000.0], [0.0, 0.0]])
+    out = _log_matmul(A, B)
+    assert out[0] == pytest.approx(-1000.0 + math.log(2.0), abs=1e-12)
+    _assert_log_matmul_matches(A, B)
+
+
+def test_log_matmul_memory_is_quadratic():
+    n = 400
+    rng = np.random.default_rng(909)
+    A = _random_log_matrix(rng, (n, n), 1.0, 0.3)
+    B = _random_log_matrix(rng, (n, n), 1.0, 0.3)
+    A[:4, 0], A[:4, 1:] = 0.0, -1e4  # four rows that underflow
+    B[0, :], B[1, :] = -1e4, 0.0
+    tracemalloc.start()
+    try:
+        _log_matmul(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n * n * 8
+
+
 def test_perron_eigenvectors():
     rng = np.random.default_rng(33)
     g, f = _random_instance(rng, 6)
@@ -167,17 +249,16 @@ def test_periodic_golden_mean_length_four():
 
 
 def test_periodic_matches_enumeration_and_trace_powers():
-    # the route must agree with the eigenvalue oracle as T grows, and the
-    # enumerated and matrix-power branches must agree with each other
+    # the log-space trace powers must match brute-force cycle sums over
+    # enumerated cyclic words, and the eigenvalue oracle as T grows
     rng = np.random.default_rng(55)
     g, f = _random_instance(rng, 4)
-    full = pressure_periodic_orbits(g, f, 30)
-    tiny_cap = 4 ** 3  # forces the matrix-power branch from T = 4 on
-    powered = pressure_periodic_orbits(g, f, 30, cap=tiny_cap)
-    for (T1, e1), (T2, e2) in zip(full.trace, powered.trace):
-        assert T1 == T2
-        assert e1 == pytest.approx(e2, abs=1e-10)
-    assert full.value == pytest.approx(_eig_oracle(g, f), abs=0.1)
+    rep = pressure_periodic_orbits(g, f, 30)
+    for T, est in rep.trace[:8]:
+        sums = [birkhoff_sum(f, w) for w in enumerate_cycles(g, T)]
+        want = math.log(math.fsum(math.exp(s) for s in sums)) / T
+        assert est == pytest.approx(want, abs=1e-10)
+    assert rep.value == pytest.approx(_eig_oracle(g, f), abs=0.1)
 
 
 def test_periodic_zero_mass_odd_length():
@@ -233,14 +314,26 @@ def test_bowen_word_count_oracle():
         assert est == pytest.approx(math.log(words) / T, rel=1e-12)
 
 
+def _bowen_brute_force(g, f, T):
+    # explicit sum over admissible words of length T: the T-1 interior
+    # edges plus the largest outgoing weight of the final state
+    closing = [max(f.values[i, j] for j in g.successors(i))
+               for i in range(g.n_states)]
+    terms = []
+    for word in itertools.product(range(g.n_states), repeat=T):
+        edges = list(zip(word, word[1:]))
+        if all(g.allowed[e] for e in edges):
+            terms.append(sum(f.values[e] for e in edges) + closing[word[-1]])
+    return math.log(math.fsum(math.exp(t) for t in terms)) / T
+
+
 def test_bowen_enumeration_matches_matrix_branch():
     rng = np.random.default_rng(77)
     g, f = _random_instance(rng, 4)
-    full = pressure_bowen(g, f, 20)
-    powered = pressure_bowen(g, f, 20, cap=4 ** 3)
-    for (T1, e1), (T2, e2) in zip(full.trace, powered.trace):
-        assert T1 == T2
-        assert e1 == pytest.approx(e2, abs=1e-10)
+    rep = pressure_bowen(g, f, 20)
+    assert [T for T, _ in rep.trace] == list(range(1, 21))
+    for T, est in rep.trace[:7]:
+        assert est == pytest.approx(_bowen_brute_force(g, f, T), abs=1e-10)
 
 
 def test_bowen_requires_t_max_two():
@@ -259,8 +352,8 @@ def test_routes_agree_on_random_instances():
         n = int(rng.integers(2, 7))
         g, f = _random_instance(rng, n)
         ref = pressure_transfer(g, f).value
-        per = pressure_periodic_orbits(g, f, 40, cap=10 ** 5)
-        bow = pressure_bowen(g, f, 40, cap=10 ** 5)
+        per = pressure_periodic_orbits(g, f, 40)
+        bow = pressure_bowen(g, f, 40)
         assert per.value == pytest.approx(ref, abs=0.1)
         assert bow.value == pytest.approx(ref, abs=0.1)
 
@@ -303,6 +396,14 @@ def test_golden_mean_parry_measure():
     assert P[0, 1] == pytest.approx(1.0 / GOLDEN ** 2, abs=1e-12)
     assert P[1, 0] == pytest.approx(1.0, abs=1e-14)
     assert ks_entropy(eq.measure) == pytest.approx(math.log(GOLDEN), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_equilibrium_large_pressure_does_not_overflow():
+    # exp(800 + log 2) overflows a double; only its log is stored
+    g = full_shift(2)
+    eq = equilibrium_state(g, EdgePotential.constant(g, 800.0))
+    assert eq.log_lambda == pytest.approx(800.0 + math.log(2.0), rel=1e-15)
 
 
 def test_full_shift_bernoulli_closed_form():
