@@ -455,13 +455,15 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
         report["decays"] = False
         return report
     curve = thermo_curve(ref.graph, a, phi,
-                         default_schedule(beta_max, beta_step))
+                         default_schedule(beta_max, beta_step),
+                         minimization=result)
     ok, diag = verify_limit(curve, tol=1e-6)
     # a short schedule may stop before the limit is reached; only the
     # bracketing and monotonicity checks signal an actual bug
     if not ok and diag["failed_check"] != "limit-gap":
         raise InvariantViolation(f"pressure curve failed audit: {diag}")
-    beta_star = find_gap_beta(ref.graph, a, phi, beta_max=beta_max)
+    beta_star = find_gap_beta(ref.graph, a, phi, beta_max=beta_max,
+                              minimization=result)
     report["regime"] = "below-threshold"
     report["limit_verified"] = bool(ok)
     report["beta_star"] = beta_star

@@ -36,7 +36,6 @@ def _edge_arrays(graph, values=None):
 
 
 def _scc_labels(graph):
-    n = graph.n_states
     mat = csr_matrix(graph.allowed.astype(np.int8))
     _, labels = connected_components(mat, directed=True, connection="strong")
     return labels
@@ -68,16 +67,11 @@ def _karp_min_mean(nodes, src, dst, w):
         if reach.any():
             np.minimum.at(row, t[reach], d[k - 1, s[reach]] + w[reach])
         d[k] = row
-    best = np.inf
-    for v in range(m):
-        if not np.isfinite(d[m, v]):
-            continue
-        worst = -np.inf
-        for k in range(m):
-            if np.isfinite(d[k, v]):
-                worst = max(worst, (d[m, v] - d[k, v]) / (m - k))
-        best = min(best, worst)
-    return best
+    # an infinite d[k, v] gives -inf, which never wins the max over k
+    cols = np.isfinite(d[m])
+    steps = (m - np.arange(m))[:, None]
+    worst = ((d[m, cols] - d[:m, cols]) / steps).max(axis=0, initial=-np.inf)
+    return worst.min(initial=np.inf)
 
 
 def min_average(graph: TransitionGraph, a: EdgePotential) -> float:
@@ -118,24 +112,31 @@ def _tight_edges(graph, a, a0, slack):
     src, dst, w = _edge_arrays(graph, a.values)
     h = _potentials(graph, a, a0)
     tight = (w - a0) + h[src] - h[dst] <= slack
-    return list(zip(src[tight].tolist(), dst[tight].tolist()))
+    return src[tight], dst[tight]
 
 
-def _edge_subgraph_components(graph, edges):
-    """Cyclic strongly connected node sets of the subgraph on the given
-    edges, plus the edges internal to each."""
+def _edge_subgraph_components(graph, src, dst):
+    """Cyclic strongly connected node sets of the subgraph on the edges
+    (src[k], dst[k]), plus the edges internal to each, in input order."""
     n = graph.n_states
-    sub = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        sub[i, j] = True
-    _, labels = connected_components(
-        csr_matrix(sub.astype(np.int8)), directed=True, connection="strong"
-    )
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    sub = csr_matrix((np.ones(len(src), dtype=bool), (src, dst)), shape=(n, n))
+    sub.sum_duplicates()  # sorted unique indices fix the component labels
+    _, labels = connected_components(sub, directed=True, connection="strong")
     groups = {}
-    for i, j in edges:
+    for i, j in zip(src.tolist(), dst.tolist()):
         if labels[i] == labels[j]:
             groups.setdefault(labels[i], []).append((i, j))
     return [sorted(g) for _, g in sorted(groups.items())]
+
+
+def _critical_groups(graph, a, slack):
+    """The optimal average a0 and the cyclic groups of tight edges: the
+    one min-mean-cycle solve behind undamped_set and minimize."""
+    a0 = min_average(graph, a)
+    groups = _edge_subgraph_components(graph, *_tight_edges(graph, a, a0, slack))
+    return a0, groups
 
 
 def undamped_set(graph: TransitionGraph, a: EdgePotential,
@@ -146,18 +147,8 @@ def undamped_set(graph: TransitionGraph, a: EdgePotential,
     Returned sorted; the subgraph they span carries every minimizing
     invariant measure.
     """
-    a0 = min_average(graph, a)
-    tight = _tight_edges(graph, a, a0, slack)
-    out = []
-    for group in _edge_subgraph_components(graph, tight):
-        out.extend(group)
-    return tuple(sorted(out))
-
-
-def _zero_edges(graph, a):
-    src, dst, w = _edge_arrays(graph, a.values)
-    z = w == 0.0
-    return list(zip(src[z].tolist(), dst[z].tolist()))
+    _, groups = _critical_groups(graph, a, slack)
+    return tuple(sorted(e for g in groups for e in g))
 
 
 def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
@@ -179,7 +170,15 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
             f"minimum average is {a0!r}, not 0: no trajectory avoids the "
             "weight entirely"
         )
-    zero = _zero_edges(graph, a)
+    return _noncontrolled_edges(graph, a)
+
+
+def _noncontrolled_edges(graph, a):
+    """noncontrolled_set without its checks, for a weight already known to
+    be nonnegative with minimum average zero."""
+    src, dst, w = _edge_arrays(graph, a.values)
+    z = w == 0.0
+    zero = list(zip(src[z].tolist(), dst[z].tolist()))
     n = graph.n_states
     fwd = [[] for _ in range(n)]
     bwd = [[] for _ in range(n)]
@@ -187,7 +186,7 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
         fwd[i].append(j)
         bwd[j].append(i)
     seeds = set()
-    for group in _edge_subgraph_components(graph, zero):
+    for group in _edge_subgraph_components(graph, src[z], dst[z]):
         for i, j in group:
             seeds.add(i)
             seeds.add(j)
@@ -219,11 +218,13 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
     pieces of that subgraph."""
     if not phi.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    allowed = set(map(tuple, graph.edges()))
-    for e in edges:
-        if tuple(e) not in allowed:
-            raise ValueError(f"edge {tuple(e)} is not allowed in the graph")
-    groups = _edge_subgraph_components(graph, [tuple(e) for e in edges])
+    edges = [tuple(e) for e in edges]
+    n = graph.n_states
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n and graph.allowed[i, j]):
+            raise ValueError(f"edge {(i, j)} is not allowed in the graph")
+    groups = _edge_subgraph_components(
+        graph, [i for i, _ in edges], [j for _, j in edges])
     if not groups:
         raise ZeroMassError(
             "edge set spans no cycles: no invariant measure lives on it"
@@ -277,9 +278,7 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
              slack: float = SLACK_TOL) -> MinimizationResult:
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
-    a0 = min_average(graph, a)
-    tight = _tight_edges(graph, a, a0, slack)
-    groups = _edge_subgraph_components(graph, tight)
+    a0, groups = _critical_groups(graph, a, slack)
     critical = tuple(sorted(e for g in groups for e in g))
     witness = _witness_cycle(graph, groups)
     wmean = sum(a.values[i, j] for i, j in witness.edges()) / len(witness)
@@ -288,7 +287,7 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
             f"witness mean {wmean!r} deviates from optimum {a0!r}"
         )
     if a.min() >= 0 and abs(a0) <= 1e-12:
-        noncontrolled = noncontrolled_set(graph, a)
+        noncontrolled = _noncontrolled_edges(graph, a)
     else:
         noncontrolled = None
     restricted = None

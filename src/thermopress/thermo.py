@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import ordered_map
 from .errors import InvariantViolation
-from .ergopt import min_average, pressure_on_set, undamped_set
+from .ergopt import MinimizationResult, minimize
 from .pressure import equilibrium_state, pressure_transfer
 from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_entropy
 
@@ -95,13 +94,30 @@ class ThermoCurve:
         return "\n".join(lines) + "\n"
 
 
-def thermo_curve(graph: TransitionGraph, a: EdgePotential,
-                 phi: EdgePotential, betas=None) -> ThermoCurve:
-    """Compute the damped pressure curve over the schedule (default
-    0..40 in steps of 1/2), one equilibrium state per point.
+def _minimum_and_limit(graph, a, phi, minimization):
+    """The optimal average a0 and the pressure of phi on the critical edge
+    set, read off the given minimization or computed by
+    minimize(graph, a, phi)."""
+    if minimization is None:
+        minimization = minimize(graph, a, phi)
+    if minimization.restricted_pressure is None:
+        raise ValueError(
+            "minimization carries no restricted pressure: pass "
+            "minimize(graph, a, phi)"
+        )
+    return minimization.value, minimization.restricted_pressure
 
-    Points are independent, so they are mapped over a thread pool sized
-    by THERMOPRESS_THREADS.
+
+def thermo_curve(graph: TransitionGraph, a: EdgePotential,
+                 phi: EdgePotential, betas=None, *,
+                 minimization: MinimizationResult | None = None) -> ThermoCurve:
+    """Compute the damped pressure curve over the schedule (default
+    0..40 in steps of 1/2), one equilibrium state per point, in schedule
+    order.
+
+    minimization is the result of minimize(graph, a, phi) for these same
+    arguments; it supplies a0 and the limit target.  When omitted, that
+    call is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
@@ -110,9 +126,7 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     betas = [float(b) for b in betas]
     if any(b < 0 for b in betas):
         raise ValueError("damping strengths must be nonnegative")
-    a0 = min_average(graph, a)
-    critical = undamped_set(graph, a)
-    limit_target = pressure_on_set(graph, phi, critical)
+    a0, limit_target = _minimum_and_limit(graph, a, phi, minimization)
     pressure_phi = pressure_transfer(graph, phi).value
 
     def point(beta):
@@ -124,8 +138,7 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
             integrate(phi, eq.measure),
         )
 
-    rows = ordered_map(point, betas)
-    values, avgs, ents, phis = map(np.array, zip(*rows))
+    values, avgs, ents, phis = map(np.array, zip(*map(point, betas)))
     return ThermoCurve(np.array(betas), values, avgs, ents, phis,
                        limit_target, pressure_phi, a0)
 
@@ -224,7 +237,8 @@ def measure_convergence(curve: ThermoCurve, tol: float = 1e-6) -> dict:
 
 def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
                   phi: EdgePotential, beta_max: float = 80.0,
-                  xtol: float = 1e-6):
+                  xtol: float = 1e-6, *,
+                  minimization: MinimizationResult | None = None):
     """Least damping strength at which the raw pressure Pr(phi - beta a)
     turns negative, located by bisection to within xtol.
 
@@ -234,12 +248,16 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     0.0 if the pressure is already negative at beta = 0, None if still
     nonnegative at beta_max; otherwise the upper bisection endpoint, so
     the returned strength is re-verified to give negative pressure.
+
+    minimization is the result of minimize(graph, a, phi) for these same
+    arguments and supplies the restricted pressure; when omitted, that
+    call is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
     if beta_max < 0:
         raise ValueError("beta_max must be nonnegative")
-    target = pressure_on_set(graph, phi, undamped_set(graph, a))
+    _, target = _minimum_and_limit(graph, a, phi, minimization)
     if target >= 0:
         raise ValueError(
             f"restricted pressure {target!r} is nonnegative: the damped "

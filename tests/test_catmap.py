@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thermopress import ergopt
 from thermopress.catmap import (
     GOLDEN,
     PARTITION_MATRIX,
@@ -314,6 +315,20 @@ def test_report_below_threshold():
     assert beta == pytest.approx(0.50504952669, abs=1e-5)
     assert rep["pressure_at_beta_star"] < 0
     assert rep["final_pressure"] == pytest.approx(-LAMBDA / 2, abs=1e-9)
+
+
+def test_report_solves_min_mean_cycle_once(monkeypatch):
+    calls = []
+    karp = ergopt._karp_min_mean
+
+    def counting(*args):
+        calls.append(args)
+        return karp(*args)
+
+    monkeypatch.setattr(ergopt, "_karp_min_mean", counting)
+    rep = orbit_damping_report(2.0 ** -3, beta_max=10.0)
+    assert rep["regime"] == "below-threshold"
+    assert len(calls) == 1
 
 
 def test_report_above_threshold():

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -11,13 +10,10 @@ import pytest
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def run_cli(*args, cwd=None, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "thermopress", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd,
     )
 
 
@@ -247,14 +243,13 @@ def test_wave_seed_changes_data_not_spectrum(tmp_path):
     assert (d1 / "energy.csv").read_bytes() != (d2 / "energy.csv").read_bytes()
 
 
-def test_thermo_identical_across_thread_counts(tmp_path):
-    d1 = tmp_path / "t1"
-    d2 = tmp_path / "t4"
-    for d, threads in ((d1, "1"), (d2, "4")):
+def test_thermo_rerun_is_byte_identical(tmp_path):
+    d1 = tmp_path / "first"
+    d2 = tmp_path / "second"
+    for d in (d1, d2):
         d.mkdir()
         r = run_cli("thermo", "--builtin", "golden-mean", "--beta-max", "20",
-                    "--out", str(d),
-                    env_extra={"THERMOPRESS_THREADS": threads})
+                    "--out", str(d))
         assert r.returncode == 0
     for name in ("thermo_curve.csv", "verify.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

@@ -86,6 +86,19 @@ def _random_graph(rng, n, density=0.4):
     return TransitionGraph(A)
 
 
+def _bipartite_graph(rng, n, density=0.4):
+    # period 2: every edge joins an even state to an odd one, so walks of
+    # a fixed length from a state reach only one parity class
+    A = np.zeros((n, n), dtype=bool)
+    evens = rng.permutation(np.arange(0, n, 2))
+    odds = rng.permutation(np.arange(1, n, 2))
+    ring = np.ravel(np.column_stack([evens, odds]))
+    A[ring, np.roll(ring, -1)] = True
+    parity = np.arange(n) % 2
+    A |= (rng.random((n, n)) < density) & (parity[:, None] != parity[None, :])
+    return TransitionGraph(A)
+
+
 def _dyadic_potential(rng, graph, zero_frac=0.3):
     # weights are multiples of 1/64, so cycle means are correctly rounded
     # from exact sums and the oracle comparison can demand equality
@@ -107,6 +120,11 @@ def test_min_average_exact_on_dyadic_instances():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         g = _random_graph(rng, n)
+        a = _dyadic_potential(rng, g)
+        assert min_average(g, a) == _brute_min_mean(g, a)
+    # periodic graphs leave some d[m, v] of Karp's table infinite
+    for n in (2, 4, 6, 8):
+        g = _bipartite_graph(rng, n)
         a = _dyadic_potential(rng, g)
         assert min_average(g, a) == _brute_min_mean(g, a)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from thermopress.errors import InvariantViolation
-from thermopress.ergopt import pressure_on_set, undamped_set
+from thermopress.ergopt import minimize, pressure_on_set, undamped_set
 from thermopress.instances import (
     full2_instance,
+    get_builtin,
     golden_mean_instance,
     two_loops_path_instance,
 )
@@ -317,16 +318,32 @@ def test_find_gap_beta_validation():
 
 
 # ---------------------------------------------------------------------------
-# determinism across thread counts
+# a minimization passed down gives the same results as one computed inside
 
 
-def test_curve_identical_across_thread_counts(monkeypatch):
-    g, a, phi = full2_instance()
+@pytest.mark.parametrize("name", ["full2", "two-loops-path", "catmap"])
+def test_passed_minimization_changes_nothing(name):
+    g, a, phi = get_builtin(name)
+    result = minimize(g, a, phi)
     betas = default_schedule(8.0, 0.5)
-    monkeypatch.setenv("THERMOPRESS_THREADS", "1")
-    seq = thermo_curve(g, a, phi, betas)
-    monkeypatch.setenv("THERMOPRESS_THREADS", "4")
-    par = thermo_curve(g, a, phi, betas)
-    assert np.array_equal(seq.values, par.values)
-    assert np.array_equal(seq.eq_averages, par.eq_averages)
-    assert np.array_equal(seq.eq_entropies, par.eq_entropies)
+    own = thermo_curve(g, a, phi, betas)
+    passed = thermo_curve(g, a, phi, betas, minimization=result)
+    for field in ("betas", "values", "eq_averages", "eq_entropies",
+                  "eq_phi_averages"):
+        assert np.array_equal(getattr(own, field), getattr(passed, field))
+    for field in ("limit_target", "pressure_phi", "a0"):
+        assert getattr(own, field) == getattr(passed, field)
+
+    def gap(**kw):
+        try:
+            return find_gap_beta(g, a, phi, beta_max=20.0, **kw)
+        except ValueError as exc:
+            return str(exc)
+
+    assert gap() == gap(minimization=result)
+
+
+def test_minimization_without_phi_is_rejected():
+    g, a, phi = full2_instance()
+    with pytest.raises(ValueError, match="restricted pressure"):
+        thermo_curve(g, a, phi, (0.0,), minimization=minimize(g, a))
