@@ -108,10 +108,10 @@ def _potentials(graph, a, a0):
     return h
 
 
-def _tight_edges(graph, a, a0, slack):
+def _tight_edges(graph, a, a0):
     src, dst, w = _edge_arrays(graph, a.values)
     h = _potentials(graph, a, a0)
-    tight = (w - a0) + h[src] - h[dst] <= slack
+    tight = (w - a0) + h[src] - h[dst] <= SLACK_TOL
     return src[tight], dst[tight]
 
 
@@ -131,23 +131,22 @@ def _edge_subgraph_components(graph, src, dst):
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
-def _critical_groups(graph, a, slack):
+def _critical_groups(graph, a):
     """The optimal average a0 and the cyclic groups of tight edges: the
     one min-mean-cycle solve behind undamped_set and minimize."""
     a0 = min_average(graph, a)
-    groups = _edge_subgraph_components(graph, *_tight_edges(graph, a, a0, slack))
+    groups = _edge_subgraph_components(graph, *_tight_edges(graph, a, a0))
     return a0, groups
 
 
-def undamped_set(graph: TransitionGraph, a: EdgePotential,
-                 slack: float = SLACK_TOL) -> tuple:
+def undamped_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
     """Edges lying on cycles that achieve the minimum mean weight: tight
     edges of the shortest-path potentials, restricted to the cyclic part.
 
     Returned sorted; the subgraph they span carries every minimizing
     invariant measure.
     """
-    _, groups = _critical_groups(graph, a, slack)
+    _, groups = _critical_groups(graph, a)
     return tuple(sorted(e for g in groups for e in g))
 
 
@@ -274,15 +273,14 @@ class MinimizationResult:
 
 
 def minimize(graph: TransitionGraph, a: EdgePotential,
-             phi: EdgePotential | None = None,
-             slack: float = SLACK_TOL) -> MinimizationResult:
+             phi: EdgePotential | None = None) -> MinimizationResult:
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
-    a0, groups = _critical_groups(graph, a, slack)
+    a0, groups = _critical_groups(graph, a)
     critical = tuple(sorted(e for g in groups for e in g))
     witness = _witness_cycle(graph, groups)
     wmean = sum(a.values[i, j] for i, j in witness.edges()) / len(witness)
-    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * slack:
+    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * SLACK_TOL:
         raise InvariantViolation(
             f"witness mean {wmean!r} deviates from optimum {a0!r}"
         )

@@ -26,6 +26,8 @@ from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
 
 TRANSFER_TOL = 1e-13
+# steps of the plain power stage before the squaring stage takes over
+PLAIN_BUDGET = 5000
 
 # scaled log-space products below this are recomputed exactly
 _UNDERFLOW = 1e-250
@@ -103,7 +105,7 @@ class PerronData:
     iterations: int
 
 
-def _plain_power_stage(W, tol, budget):
+def _plain_power_stage(W):
     """Shifted power iteration on W + I with Collatz-Wielandt brackets.
 
     Returns (converged, log(rho(W)+1) bracket midpoint, x, z, iterations).
@@ -113,7 +115,7 @@ def _plain_power_stage(W, tol, budget):
     x = np.ones(n)
     z = np.ones(n)
     WT = W.T
-    for it in range(1, budget + 1):
+    for it in range(1, PLAIN_BUDGET + 1):
         yx = W @ x + x
         yz = WT @ z + z
         rx = yx / x
@@ -124,20 +126,24 @@ def _plain_power_stage(W, tol, budget):
         hi = min(rx.max(), rz.max())
         # brackets from both sides enclose rho(W) + 1
         width = rx.max() - rx.min() + rz.max() - rz.min()
-        if width <= tol * hi:
+        if width <= TRANSFER_TOL * hi:
             return True, 0.5 * (lo + hi), x, z, it
-    return False, 0.5 * (lo + hi), x, z, budget
+    return False, 0.5 * (lo + hi), x, z, PLAIN_BUDGET
 
 
-def _squared_power_stage(H, tol, *, max_squarings=64, inner=60):
+def _squared_power_stage(H, *, max_squarings=64, inner=60):
     """Exact log-space repeated squaring of H = log(W + I), interleaved with
     Collatz-Wielandt iterations.  Handles spectra where the second eigenvalue
-    nearly ties the Perron root: squaring amplifies the gap geometrically.
+    nearly ties the Perron root, and roots too small for the +I shift to
+    resolve: squaring amplifies the gap geometrically.  Each square is
+    centered on its largest entry, so the log eigenvectors carry rounding
+    relative to O(1) entries rather than to 2^k log(rho(W)+1).
 
     Returns (log rho(W+I), right log-vector, left log-vector, relative
     enclosure width, squarings)."""
     n = H.shape[0]
     power = 1
+    shift = 0.0  # the uncentered log power is H + shift
     for k in range(max_squarings + 1):
         x = np.zeros(n)
         z = np.zeros(n)
@@ -152,28 +158,32 @@ def _squared_power_stage(H, tol, *, max_squarings=64, inner=60):
             lo = max(dx.min(), dz.min())
             hi = min(dx.max(), dz.max())
             width = max(dx.max() - dx.min(), dz.max() - dz.min())
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi) + shift
             # mid approximates power * log(rho(W)+1) >= 0; relative criterion
-            if mid > 0 and width <= tol * mid:
+            if mid > 0 and width <= TRANSFER_TOL * mid:
                 return mid / power, x, z, width / max(mid, 1e-300), k
         if k < max_squarings:
             H = _log_matmul(H, H)
+            top = H.max()
+            H = H - top
+            shift = 2.0 * shift + top
             power *= 2
     raise ConvergenceError(
         f"Perron solver failed to converge after {max_squarings} squarings"
     )
 
 
-def perron(log_weights: np.ndarray, tol: float = TRANSFER_TOL,
-           max_iter: int = 10 ** 6) -> PerronData:
+def perron(log_weights: np.ndarray) -> PerronData:
     """Perron root and eigenvectors of exp(log_weights) elementwise, with
     -inf marking forbidden entries.  Deterministic all-ones start.
 
-    Power iteration (with a +I shift and two-sided Collatz-Wielandt
-    brackets) is the primary route; when the bracket stalls, e.g. for
-    nearly degenerate Perron pairs at large inverse temperature, the solver
-    switches to exact log-space repeated squaring, which reaches the same
-    tolerance regardless of the spectral gap.
+    One decision: shifted power iteration on W + I (two-sided
+    Collatz-Wielandt brackets, PLAIN_BUDGET steps) is returned when it
+    converges with rho(W) >= 0.01, W being the matrix scaled so its largest
+    entry is 1.  Otherwise -- a stalled bracket, e.g. a nearly degenerate
+    Perron pair at large inverse temperature, or a root so small that the
+    +1 shift swamps its digits -- exact log-space repeated squaring of
+    log(W + I) reaches TRANSFER_TOL regardless of the spectral gap.
     """
     F = np.asarray(log_weights, dtype=float)
     n = F.shape[0]
@@ -182,44 +192,26 @@ def perron(log_weights: np.ndarray, tol: float = TRANSFER_TOL,
         raise ValueError("matrix has no allowed entries")
     fmax = F[finite].max()
     G = np.where(finite, F - fmax, -np.inf)
-    offset = fmax
-
-    budget = min(5000, max_iter)
-    total_it = 0
-    for attempt in range(2):
-        W = np.where(finite, np.exp(G), 0.0)
-        ok, mid, x, z, it = _plain_power_stage(W, tol, budget)
-        total_it += it
-        if ok:
-            rho_w = mid - 1.0
-            if rho_w >= 0.01 or attempt == 1:
-                if rho_w <= 0:
-                    break  # conditioning loss near the +1 shift; go exact
-                log_rho = offset + np.log(rho_w)
-                return PerronData(log_rho, x / x.sum(), z / z.sum(),
-                                  tol * mid, total_it)
-            # recenter so rho is O(1), then re-run for full precision
-            crude = np.log(rho_w)
-            offset += crude
-            G = np.where(finite, G - crude, -np.inf)
-        else:
-            break
+    W = np.where(finite, np.exp(G), 0.0)
+    ok, mid, x, z, it = _plain_power_stage(W)
+    rho_w = mid - 1.0
+    if ok and rho_w >= 0.01:
+        return PerronData(fmax + np.log(rho_w), x / x.sum(), z / z.sum(),
+                          TRANSFER_TOL * mid, it)
 
     # exact fallback: square log(W + I) until the gap is overwhelming
     H = G.copy()
     d = np.arange(n)
     H[d, d] = np.logaddexp(G[d, d], 0.0)
-    log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(H, tol)
-    if total_it + squarings > max_iter:
-        raise ConvergenceError(f"Perron solver exceeded max_iter={max_iter}")
-    rho_w = np.expm1(log_shifted)  # = rho(W), relative accuracy ~ tol
+    log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(H)
+    rho_w = np.expm1(log_shifted)  # rho(W) to relative TRANSFER_TOL
     if rho_w <= 0:
         raise ConvergenceError("spectral radius underflowed to zero")
-    log_rho = offset + np.log(rho_w)
     right = np.exp(x_log - x_log.max())
     left = np.exp(z_log - z_log.max())
-    return PerronData(log_rho, right / right.sum(), left / left.sum(),
-                      relw * abs(log_shifted) + tol, total_it + squarings)
+    return PerronData(fmax + np.log(rho_w), right / right.sum(),
+                      left / left.sum(),
+                      relw * abs(log_shifted) + TRANSFER_TOL, it + squarings)
 
 
 @dataclass(frozen=True)
@@ -273,15 +265,14 @@ def _require_irreducible(graph):
         )
 
 
-def pressure_transfer(graph: TransitionGraph, f: EdgePotential,
-                      tol: float = TRANSFER_TOL,
-                      max_iter: int = 10 ** 6) -> PressureReport:
+def pressure_transfer(graph: TransitionGraph,
+                      f: EdgePotential) -> PressureReport:
     """Pressure as log spectral radius of L_ij = allowed[i][j] e^{f_ij}."""
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    data = perron(f.log_matrix(), tol=tol, max_iter=max_iter)
-    return PressureReport("transfer", data.log_rho, tol)
+    data = perron(f.log_matrix())
+    return PressureReport("transfer", data.log_rho, TRANSFER_TOL)
 
 
 def _cycle_log_mass(f, t_max):
@@ -371,9 +362,8 @@ class EquilibriumState:
     left: np.ndarray
 
 
-def equilibrium_state(graph: TransitionGraph, f: EdgePotential,
-                      tol: float = TRANSFER_TOL,
-                      max_iter: int = 10 ** 6) -> EquilibriumState:
+def equilibrium_state(graph: TransitionGraph,
+                      f: EdgePotential) -> EquilibriumState:
     """Equilibrium state via P_ij = e^{f_ij} r_j / (lambda r_i) and
     p_i proportional to l_i r_i, from the Perron data of the transfer
     matrix.  Rows are renormalized after the eigenvector solve; the
@@ -381,9 +371,10 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential,
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    data = perron(f.log_matrix(), tol=tol, max_iter=max_iter)
+    F = f.log_matrix()
+    data = perron(F)
     logr = np.log(data.right)
-    logP = f.log_matrix() + logr[None, :] - logr[:, None] - data.log_rho
+    logP = F + logr[None, :] - logr[:, None] - data.log_rho
     P = np.where(graph.allowed, np.exp(logP), 0.0)
     rowsums = P.sum(axis=1)
     defect = np.abs(rowsums - 1.0).max()

@@ -22,6 +22,9 @@ ENUMERATION_CAP = 10_000_000
 
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# stopping step and step limit of MarkovMeasure.from_transitions
+STATIONARY_STEP_TOL = 1e-13
+STATIONARY_MAX_STEPS = 200_000
 
 
 def _frozen_array(values, dtype):
@@ -245,7 +248,7 @@ class MarkovMeasure:
         object.__setattr__(self, "stationary", _frozen_array(p, float))
 
     @classmethod
-    def from_transitions(cls, graph, P, tol=1e-13, max_iter=200_000):
+    def from_transitions(cls, graph, P):
         """Stationary distribution by averaged power iteration on P^T.
 
         P must be row-stochastic with a unique stationary vector (e.g.
@@ -253,11 +256,11 @@ class MarkovMeasure:
         """
         P = np.asarray(P, dtype=float)
         p = np.full(graph.n_states, 1.0 / graph.n_states)
-        for _ in range(max_iter):
+        for _ in range(STATIONARY_MAX_STEPS):
             # (P + I)/2 damps periodicity without moving the fixed point
             nxt = 0.5 * (p @ P + p)
             nxt /= nxt.sum()
-            if np.abs(nxt - p).max() <= tol:
+            if np.abs(nxt - p).max() <= STATIONARY_STEP_TOL:
                 p = nxt
                 break
             p = nxt

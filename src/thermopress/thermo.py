@@ -22,6 +22,8 @@ from .pressure import equilibrium_state, pressure_transfer
 from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_entropy
 
 SANDWICH_TOL = 1e-9
+# width of the final bisection bracket of find_gap_beta
+GAP_XTOL = 1e-6
 
 
 def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
@@ -236,11 +238,10 @@ def measure_convergence(curve: ThermoCurve, tol: float = 1e-6) -> dict:
 
 
 def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
-                  phi: EdgePotential, beta_max: float = 80.0,
-                  xtol: float = 1e-6, *,
+                  phi: EdgePotential, beta_max: float = 80.0, *,
                   minimization: MinimizationResult | None = None):
     """Least damping strength at which the raw pressure Pr(phi - beta a)
-    turns negative, located by bisection to within xtol.
+    turns negative, located by bisection to within GAP_XTOL.
 
     A crossing can exist only when the pressure of phi restricted to the
     critical edge set, the limit of the curve, is itself negative; that
@@ -273,7 +274,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     if beta_max == 0 or g(beta_max) >= 0:
         return None
     lo, hi = 0.0, beta_max
-    while hi - lo > xtol:
+    while hi - lo > GAP_XTOL:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0:
             hi = mid

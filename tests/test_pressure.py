@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermopress import pressure
 from thermopress.errors import (
     NotIrreducibleError,
     ZeroMassError,
@@ -123,20 +124,38 @@ def test_transfer_requires_irreducible():
         pressure_transfer(g, EdgePotential.constant(g, 0.0))
 
 
-def test_transfer_near_degenerate_top_pair():
-    # two unit loops joined by heavily penalized bridges: the spectral gap
-    # collapses and plain power iteration cannot resolve the split, so the
-    # squaring stage must carry it
+def test_transfer_near_degenerate_top_pair(monkeypatch):
+    # two unit loops joined by heavily penalized bridges: the split
+    # 1 +- e^-25 stalls the plain power bracket, so the squaring stage must
+    # carry it; the bridges differ, so the all-ones start is not already
+    # the Perron vector
+    calls = []
+    squared = pressure._squared_power_stage
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return squared(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "_squared_power_stage", counting)
     g = full_shift(2)
-    penalty = -30.0
     f = EdgePotential.from_edges(
-        g, {(0, 0): 0.0, (0, 1): penalty, (1, 0): penalty, (1, 1): 0.0}
+        g, {(0, 0): 0.0, (0, 1): -20.0, (1, 0): -30.0, (1, 1): 0.0}
     )
     rep = pressure_transfer(g, f)
-    L = np.array([[1.0, math.exp(penalty)], [math.exp(penalty), 1.0]])
-    want = float(np.log(max(abs(np.linalg.eigvals(L)))))
-    assert rep.value == pytest.approx(want, abs=1e-12)
+    assert len(calls) == 1
+    assert rep.value == pytest.approx(math.log1p(math.exp(-25.0)), abs=1e-14)
     assert rep.value > 0.0  # strictly above log 1: the pair splits upward
+
+    # eigenvalues e^-s +- e^(-s/2): after scaling the largest entry to 1
+    # the root is 0.004-0.007, too small for the +1 shift to resolve
+    for s in (10.0, 11.0):
+        f = EdgePotential.from_edges(
+            g, {(0, 0): -s, (0, 1): 0.0, (1, 0): -s, (1, 1): -s}
+        )
+        want = math.log(math.exp(-s) + math.exp(-s / 2))
+        assert pressure_transfer(g, f).value == pytest.approx(want, abs=1e-12)
+        eq = equilibrium_state(g, f)
+        assert eq.log_lambda == pytest.approx(want, abs=1e-12)
 
 
 def _dense_log_matmul(A, B):
@@ -404,6 +423,24 @@ def test_equilibrium_large_pressure_does_not_overflow():
     g = full_shift(2)
     eq = equilibrium_state(g, EdgePotential.constant(g, 800.0))
     assert eq.log_lambda == pytest.approx(800.0 + math.log(2.0), rel=1e-15)
+
+
+def test_equilibrium_tied_loops_across_damping():
+    # two undamped self-loops of equal weight, joined through damped
+    # edges: as beta grows the top two eigenvalues tie and the squaring
+    # stage runs; its eigenvectors must still give stochastic rows
+    edges = [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 0.0), (1, 2, 1.0),
+             (2, 2, 0.0), (2, 0, 1.0)]
+    A = np.zeros((3, 3), dtype=bool)
+    for i, j, _ in edges:
+        A[i, j] = True
+    g = TransitionGraph(A)
+    a = EdgePotential.from_edges(g, {(i, j): w for i, j, w in edges})
+    phi = EdgePotential.constant(g, 0.0)
+    for beta in np.arange(0.0, 40.25, 0.5):
+        f = phi - float(beta) * a
+        eq = equilibrium_state(g, f)
+        assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
 
 
 def test_full_shift_bernoulli_closed_form():
