@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
@@ -28,6 +29,12 @@ from .sft import EdgePotential, MarkovMeasure, TransitionGraph
 TRANSFER_TOL = 1e-13
 # steps of the plain power stage before the squaring stage takes over
 PLAIN_BUDGET = 5000
+# smallest rho(W) (largest entry of W scaled to 1) the plain stage returns
+MIN_PLAIN_ROOT = 0.01
+# the plain stage projects its contraction only once the bracket's
+# relative width is below STALL_GUARD, measured over STALL_WINDOW steps
+STALL_GUARD = 1e-3
+STALL_WINDOW = 50
 
 # scaled log-space products below this are recomputed exactly
 _UNDERFLOW = 1e-250
@@ -101,20 +108,39 @@ class PerronData:
     log_rho: float
     right: np.ndarray
     left: np.ndarray
-    enclosure: float  # width of the final Collatz-Wielandt bracket on log rho
+    enclosure: float  # final Collatz-Wielandt bracket on log rho, + rounding
     iterations: int
+    stage: str  # "power" or "squaring": the stage whose result this is
 
 
-def _plain_power_stage(W):
-    """Shifted power iteration on W + I with Collatz-Wielandt brackets.
+def _stalled(steps_left, width, earlier, window, target):
+    """Whether a bracket that narrowed from width `earlier` to `width`
+    over `window` steps, contracting geometrically at that rate, stays
+    above `target` for the next `steps_left` steps."""
+    if width >= earlier:
+        return True
+    rate = np.log(width / earlier) / window  # log contraction per step
+    return np.log(target / width) / rate > steps_left
 
-    Returns (converged, log(rho(W)+1) bracket midpoint, x, z, iterations).
-    The +I shift keeps the iteration convergent on periodic matrices.
+
+def _plain_power_stage(W, WT):
+    """Shifted power iteration on W + I with Collatz-Wielandt brackets;
+    W is a sparse matrix and WT its transpose, one matvec each per step.
+
+    Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
+    being the final bracket.  The +I shift keeps the iteration convergent
+    on periodic matrices.  The stage stops early, unconverged, once the
+    bracket shows rho(W) < MIN_PLAIN_ROOT, or once it is narrower than
+    STALL_GUARD and its contraction over the last STALL_WINDOW steps
+    projects past the rest of PLAIN_BUDGET.  Wider brackets can sit on a
+    plateau before they contract, so they are never projected.
     """
     n = W.shape[0]
     x = np.ones(n)
     z = np.ones(n)
-    WT = W.T
+    # best relative width seen by each step, for the contraction measure
+    best = np.empty(PLAIN_BUDGET + 1)
+    best[0] = np.inf
     for it in range(1, PLAIN_BUDGET + 1):
         yx = W @ x + x
         yz = WT @ z + z
@@ -122,13 +148,22 @@ def _plain_power_stage(W):
         rz = yz / z
         x = yx / yx.max()
         z = yz / yz.max()
-        lo = max(rx.min(), rz.min())
-        hi = min(rx.max(), rz.max())
+        rx_lo, rx_hi, rz_lo, rz_hi = rx.min(), rx.max(), rz.min(), rz.max()
         # brackets from both sides enclose rho(W) + 1
-        width = rx.max() - rx.min() + rz.max() - rz.min()
+        lo = max(rx_lo, rz_lo)
+        hi = min(rx_hi, rz_hi)
+        width = rx_hi - rx_lo + rz_hi - rz_lo
         if width <= TRANSFER_TOL * hi:
-            return True, 0.5 * (lo + hi), x, z, it
-    return False, 0.5 * (lo + hi), x, z, PLAIN_BUDGET
+            return True, lo, hi, x, z, it
+        if hi < 1.0 + MIN_PLAIN_ROOT:
+            break
+        best[it] = min(width / hi, best[it - 1])
+        if (best[it] < STALL_GUARD and it > STALL_WINDOW
+                and _stalled(PLAIN_BUDGET - it, best[it],
+                             best[it - STALL_WINDOW], STALL_WINDOW,
+                             TRANSFER_TOL)):
+            break
+    return False, lo, hi, x, z, it
 
 
 def _squared_power_stage(H, *, max_squarings=64, inner=60):
@@ -137,7 +172,9 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
     nearly ties the Perron root, and roots too small for the +I shift to
     resolve: squaring amplifies the gap geometrically.  Each square is
     centered on its largest entry, so the log eigenvectors carry rounding
-    relative to O(1) entries rather than to 2^k log(rho(W)+1).
+    relative to O(1) entries rather than to 2^k log(rho(W)+1).  A level
+    squares again as soon as the contraction of its last sweep projects
+    past its `inner` sweeps.
 
     Returns (log rho(W+I), right log-vector, left log-vector, relative
     enclosure width, squarings)."""
@@ -148,7 +185,8 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
         x = np.zeros(n)
         z = np.zeros(n)
         HT = H.T
-        for _ in range(inner):
+        width = np.inf
+        for sweep in range(1, inner + 1):
             yx = _log_matvec(H, x)
             yz = _log_matvec(HT, z)
             dx = yx - x
@@ -157,11 +195,16 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
             z = yz - yz.max()
             lo = max(dx.min(), dz.min())
             hi = min(dx.max(), dz.max())
+            previous = width
             width = max(dx.max() - dx.min(), dz.max() - dz.min())
             mid = 0.5 * (lo + hi) + shift
             # mid approximates power * log(rho(W)+1) >= 0; relative criterion
             if mid > 0 and width <= TRANSFER_TOL * mid:
                 return mid / power, x, z, width / max(mid, 1e-300), k
+            if (k < max_squarings and mid > 0 and sweep > 1
+                    and _stalled(inner - sweep, width, previous, 1,
+                                 TRANSFER_TOL * mid)):
+                break
         if k < max_squarings:
             H = _log_matmul(H, H)
             top = H.max()
@@ -178,31 +221,42 @@ def perron(log_weights: np.ndarray) -> PerronData:
     -inf marking forbidden entries.  Deterministic all-ones start.
 
     One decision: shifted power iteration on W + I (two-sided
-    Collatz-Wielandt brackets, PLAIN_BUDGET steps) is returned when it
-    converges with rho(W) >= 0.01, W being the matrix scaled so its largest
-    entry is 1.  Otherwise -- a stalled bracket, e.g. a nearly degenerate
-    Perron pair at large inverse temperature, or a root so small that the
-    +1 shift swamps its digits -- exact log-space repeated squaring of
-    log(W + I) reaches TRANSFER_TOL regardless of the spectral gap.
+    Collatz-Wielandt brackets, at most PLAIN_BUDGET sparse steps) is
+    returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being the
+    matrix scaled so its largest entry is 1.  Otherwise -- a stalled
+    bracket, e.g. a nearly degenerate Perron pair at large inverse
+    temperature, or a root so small that the +1 shift swamps its digits --
+    exact log-space repeated squaring of log(W + I) reaches TRANSFER_TOL
+    regardless of the spectral gap.
     """
     F = np.asarray(log_weights, dtype=float)
     n = F.shape[0]
     finite = np.isfinite(F)
-    if not finite.any():
+    rows, cols = np.nonzero(finite)
+    if not rows.size:
         raise ValueError("matrix has no allowed entries")
-    fmax = F[finite].max()
-    G = np.where(finite, F - fmax, -np.inf)
-    W = np.where(finite, np.exp(G), 0.0)
-    ok, mid, x, z, it = _plain_power_stage(W)
-    rho_w = mid - 1.0
-    if ok and rho_w >= 0.01:
-        return PerronData(fmax + np.log(rho_w), x / x.sum(), z / z.sum(),
-                          TRANSFER_TOL * mid, it)
+    entries = F[rows, cols]
+    fmax = entries.max()
+    W = csr_matrix((np.exp(entries - fmax), (rows, cols)), shape=(n, n))
+    ok, lo, hi, x, z, it = _plain_power_stage(W, W.T.tocsr())
+    rho_w = 0.5 * (lo + hi) - 1.0
+    if ok and rho_w >= MIN_PLAIN_ROOT:
+        log_rho = fmax + np.log(rho_w)
+        # the measured bracket [lo - 1, hi - 1] on rho(W) in log form, plus
+        # the rounding of its ratios (each sums at most `terms` products),
+        # of the scaled entries of W and of log_rho itself
+        terms = np.diff(W.indptr).max() + 1
+        rounding = np.finfo(float).eps * (
+            (terms + 2) * hi / (lo - 1.0) + 1.0 + fmax - entries.min()
+            + abs(fmax) + abs(log_rho))
+        return PerronData(log_rho, x / x.sum(), z / z.sum(),
+                          np.log((hi - 1.0) / (lo - 1.0)) + rounding, it,
+                          "power")
 
     # exact fallback: square log(W + I) until the gap is overwhelming
-    H = G.copy()
+    H = np.where(finite, F - fmax, -np.inf)
     d = np.arange(n)
-    H[d, d] = np.logaddexp(G[d, d], 0.0)
+    H[d, d] = np.logaddexp(H[d, d], 0.0)
     log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(H)
     rho_w = np.expm1(log_shifted)  # rho(W) to relative TRANSFER_TOL
     if rho_w <= 0:
@@ -211,7 +265,8 @@ def perron(log_weights: np.ndarray) -> PerronData:
     left = np.exp(z_log - z_log.max())
     return PerronData(fmax + np.log(rho_w), right / right.sum(),
                       left / left.sum(),
-                      relw * abs(log_shifted) + TRANSFER_TOL, it + squarings)
+                      relw * abs(log_shifted) + TRANSFER_TOL, it + squarings,
+                      "squaring")
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,11 @@ def _minimum_and_limit(graph, a, phi, minimization):
     return minimization.value, minimization.restricted_pressure
 
 
+def _damped(phi, a, beta):
+    """The potential phi - beta * a, built as one EdgePotential."""
+    return EdgePotential(phi.graph, phi.values - beta * a.values)
+
+
 def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                  phi: EdgePotential, betas=None, *,
                  minimization: MinimizationResult | None = None) -> ThermoCurve:
@@ -132,7 +137,7 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     pressure_phi = pressure_transfer(graph, phi).value
 
     def point(beta):
-        eq = equilibrium_state(graph, phi - beta * a)
+        eq = equilibrium_state(graph, _damped(phi, a, beta))
         return (
             eq.log_lambda + beta * a0,
             integrate(a, eq.measure),
@@ -267,7 +272,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
         )
 
     def g(beta):
-        return pressure_transfer(graph, phi - beta * a).value
+        return pressure_transfer(graph, _damped(phi, a, beta)).value
 
     if g(0.0) < 0:
         return 0.0

@@ -5,14 +5,17 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermopress import pressure
 from thermopress.errors import (
     NotIrreducibleError,
     ZeroMassError,
 )
+from thermopress.instances import catmap_instance, two_loops_path_instance
 from thermopress.pressure import (
     PressureReport,
     _log_matmul,
@@ -244,6 +247,126 @@ def test_perron_eigenvectors():
     assert np.allclose(L @ data.right, lam * data.right, atol=1e-9)
     assert np.allclose(data.left @ L, lam * data.left, atol=1e-9)
     assert (data.right > 0).all() and (data.left > 0).all()
+
+
+def _mp_log_rho(F, digits=60):
+    """log of the Perron root of exp(F), -inf marking forbidden entries:
+    the dense eigenpair of np.linalg.eig, refined by Newton's method on
+    (A - lam) v = 0, sum(v) = 1 in `digits`-digit arithmetic; mpmath's
+    own eigensolver where Newton does not settle on the Perron pair (a
+    near-tied pair)."""
+    with mpmath.workdps(digits):
+        n = F.shape[0]
+        A = mpmath.matrix(n, n)
+        for i, j in zip(*np.nonzero(np.isfinite(F))):
+            A[i, j] = mpmath.exp(mpmath.mpf(float(F[i, j])))
+        vals, vecs = np.linalg.eig(np.exp(F))
+        k = int(np.argmax(vals.real))
+        lam = mpmath.mpf(float(vals[k].real))
+        v = mpmath.matrix(list(vecs[:, k].real / vecs[:, k].real.sum()))
+        for _ in range(3):  # quadratic convergence from double precision
+            J = mpmath.matrix(n + 1, n + 1)
+            rhs = mpmath.matrix(n + 1, 1)
+            Av = A * v
+            for i in range(n):
+                for j in range(n):
+                    J[i, j] = A[i, j] - (lam if i == j else 0)
+                J[i, n] = -v[i]
+                J[n, i] = 1
+                rhs[i] = lam * v[i] - Av[i]
+            rhs[n] = 1 - sum(v)
+            step = mpmath.lu_solve(J, rhs)
+            v += step[:n, 0]
+            lam += step[n]
+        # unconverged, or converged to a root with a vector that is not
+        # positive (only the Perron vector is): solve the whole spectrum
+        if abs(step[n]) > mpmath.mpf(10) ** (-digits // 2) or min(v) <= 0:
+            lam = max(abs(e) for e in mpmath.eig(A, left=False, right=False))
+        return mpmath.log(lam)
+
+
+def test_perron_enclosure_covers_high_precision_error():
+    # the reported enclosure is a measured bound: the error against a
+    # 60-digit root never exceeds it, also for roots rho(W) < 0.1, where
+    # the plain stage's bracket on rho(W) + 1 understates the one on log rho
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        _, f = _random_instance(rng, int(rng.integers(3, 8)), -6.0, 6.0)
+        F = f.log_matrix()
+        data = perron(F)
+        err = abs(mpmath.mpf(float(data.log_rho)) - _mp_log_rho(F))
+        assert err <= data.enclosure, (F, err, data)
+
+
+def _recording_perron(monkeypatch):
+    """Patch pressure.perron to keep every PerronData it returns, and
+    _plain_power_stage to count its steps; returns (solves, steps)."""
+    solves, steps = [], []
+    perron_, plain = pressure.perron, pressure._plain_power_stage
+
+    def recording(F):
+        solves.append(perron_(F))
+        return solves[-1]
+
+    def counting(*args):
+        out = plain(*args)
+        steps.append(out[-1])
+        return out
+
+    monkeypatch.setattr(pressure, "perron", recording)
+    monkeypatch.setattr(pressure, "_plain_power_stage", counting)
+    return solves, steps
+
+
+def _damping_sweep(graph, a, phi):
+    betas = np.arange(0.0, 30.25, 0.5)
+    return betas, [equilibrium_state(graph, phi - float(b) * a) for b in betas]
+
+
+def test_stalled_bracket_hands_off_early(monkeypatch):
+    # from beta = 15.5 the loops' split is too small for the plain stage to
+    # converge within PLAIN_BUDGET; running the whole budget on each of
+    # those points cost 181,772 plain steps over this sweep
+    solves, steps = _recording_perron(monkeypatch)
+    g, a, phi = two_loops_path_instance()
+    betas, states = _damping_sweep(g, a, phi)
+    assert sum(steps) < 181_772 // 2
+    for beta, data, eq in zip(betas, solves, states):
+        assert data.stage == ("squaring" if beta >= 15.5 else "power"), beta
+        f = phi - float(beta) * a
+        assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
+
+
+def test_catmap_plateau_stays_in_power_stage(monkeypatch):
+    # catmap brackets sit near relative width 1 for hundreds of steps at
+    # large beta before they converge; a stall test that fired there would
+    # send every point to the O(n^3) squaring stage
+    solves, _ = _recording_perron(monkeypatch)
+    g, a, phi = catmap_instance(4)
+    _damping_sweep(g, a, phi)
+    assert len(solves) == 61
+    assert all(data.stage == "power" for data in solves)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 300), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_perron_matches_dense_eigvals(n, extra, seed):
+    # a Hamiltonian cycle plus `extra` random successors per state
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n), dtype=bool)
+    perm = rng.permutation(n)
+    A[perm, np.roll(perm, -1)] = True
+    for i in range(n):
+        A[i, rng.choice(n, size=extra)] = True
+    F = np.where(A, rng.uniform(-1.0, 1.0, (n, n)), -np.inf)
+    data = perron(F)
+    L = np.exp(F)
+    want = float(np.log(np.abs(np.linalg.eigvals(L)).max()))
+    assert data.log_rho == pytest.approx(want, abs=1e-10)
+    lam = math.exp(data.log_rho)
+    scale = np.abs(L @ data.right).max()
+    assert np.abs(L @ data.right - lam * data.right).max() <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
