@@ -4,13 +4,11 @@ that realizes them, and a damped wave equation whose spectrum shows the
 resulting decay rates.
 """
 
-from .errors import (ConvergenceError, EnumerationCapError, GraphFormatError,
-                     InvariantViolation, NotIrreducibleError,
-                     ThermopressError, ZeroMassError)
+from .errors import (ConvergenceError, GraphFormatError, InvariantViolation,
+                     NotIrreducibleError, ThermopressError, ZeroMassError)
 from .sft import (CyclicWord, EdgePotential, MarkovMeasure, TransitionGraph,
-                  birkhoff_sum, enumerate_cycles, full_shift,
-                  golden_mean_shift, integrate, ks_entropy, load_system,
-                  save_system)
+                  full_shift, golden_mean_shift, integrate, ks_entropy,
+                  load_system, save_system)
 from .pressure import (EquilibriumState, PressureReport, equilibrium_state,
                        perron, pressure_bowen, pressure_periodic_orbits,
                        pressure_transfer)
@@ -31,12 +29,11 @@ from .instances import get_builtin
 __version__ = "0.1.0"
 
 __all__ = [
-    "ThermopressError", "GraphFormatError", "EnumerationCapError",
-    "NotIrreducibleError", "ConvergenceError", "ZeroMassError",
-    "InvariantViolation",
+    "ThermopressError", "GraphFormatError", "NotIrreducibleError",
+    "ConvergenceError", "ZeroMassError", "InvariantViolation",
     "TransitionGraph", "EdgePotential", "CyclicWord", "MarkovMeasure",
-    "enumerate_cycles", "birkhoff_sum", "ks_entropy", "integrate",
-    "full_shift", "golden_mean_shift", "load_system", "save_system",
+    "ks_entropy", "integrate", "full_shift", "golden_mean_shift",
+    "load_system", "save_system",
     "PressureReport", "EquilibriumState", "perron", "pressure_transfer",
     "pressure_periodic_orbits", "pressure_bowen", "equilibrium_state",
     "MinimizationResult", "min_average", "undamped_set", "noncontrolled_set",

@@ -357,9 +357,7 @@ def damping_from_orbit(coding: MarkovCoding, orbit, epsilon: float,
                for t in range(p)}
     zero_source = np.array([w[:order] in windows for w in ref.words])
     graph = ref.graph
-    vals = np.where(zero_source[:, None] & graph.allowed, 0.0, strength)
-    vals = np.where(graph.allowed, vals, 0.0)
-    return EdgePotential(graph, vals)
+    return EdgePotential(graph, np.where(zero_source[graph.src], 0.0, strength))
 
 
 def half_expansion_rate(torus_map: ToralMap) -> float:

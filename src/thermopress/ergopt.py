@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import InvariantViolation, ZeroMassError
 from .pressure import perron
@@ -28,22 +28,15 @@ from .sft import CyclicWord, EdgePotential, TransitionGraph
 SLACK_TOL = 1e-9
 
 
-def _edge_arrays(graph, values=None):
-    src, dst = np.nonzero(graph.allowed)
-    if values is None:
-        return src, dst
-    return src, dst, values[src, dst]
-
-
 def _scc_labels(graph):
-    mat = csr_matrix(graph.allowed.astype(np.int8))
-    _, labels = connected_components(mat, directed=True, connection="strong")
+    _, labels = connected_components(graph.adjacency(), directed=True,
+                                     connection="strong")
     return labels
 
 
 def _cyclic_components(graph, labels):
     """Component ids that contain at least one edge (hence a cycle)."""
-    src, dst = _edge_arrays(graph)
+    src, dst = graph.src, graph.dst
     internal = labels[src] == labels[dst]
     return sorted(set(labels[src[internal]].tolist()))
 
@@ -80,7 +73,7 @@ def min_average(graph: TransitionGraph, a: EdgePotential) -> float:
     if not a.graph.same_graph(graph):
         raise ValueError("weight lives on a different graph")
     labels = _scc_labels(graph)
-    src, dst, w = _edge_arrays(graph, a.values)
+    src, dst, w = graph.src, graph.dst, a.values
     best = np.inf
     for comp in _cyclic_components(graph, labels):
         mask = (labels[src] == comp) & (labels[dst] == comp)
@@ -95,8 +88,8 @@ def _potentials(graph, a, a0):
     """Shortest-path potentials for the reduced weight a - a0, by n rounds
     of Bellman-Ford from an implicit super-source."""
     n = graph.n_states
-    src, dst, w = _edge_arrays(graph, a.values)
-    wr = w - a0
+    src, dst = graph.src, graph.dst
+    wr = a.values - a0
     h = np.zeros(n)
     for _ in range(n):
         cand = np.full(n, np.inf)
@@ -109,9 +102,9 @@ def _potentials(graph, a, a0):
 
 
 def _tight_edges(graph, a, a0):
-    src, dst, w = _edge_arrays(graph, a.values)
+    src, dst = graph.src, graph.dst
     h = _potentials(graph, a, a0)
-    tight = (w - a0) + h[src] - h[dst] <= SLACK_TOL
+    tight = (a.values - a0) + h[src] - h[dst] <= SLACK_TOL
     return src[tight], dst[tight]
 
 
@@ -175,39 +168,25 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
 def _noncontrolled_edges(graph, a):
     """noncontrolled_set without its checks, for a weight already known to
     be nonnegative with minimum average zero."""
-    src, dst, w = _edge_arrays(graph, a.values)
-    z = w == 0.0
-    zero = list(zip(src[z].tolist(), dst[z].tolist()))
+    zero = a.values == 0.0
+    src, dst = graph.src[zero], graph.dst[zero]
+    seeds = np.unique([v for group in _edge_subgraph_components(graph, src, dst)
+                       for e in group for v in e]).astype(np.intp)
     n = graph.n_states
-    fwd = [[] for _ in range(n)]
-    bwd = [[] for _ in range(n)]
-    for i, j in zero:
-        fwd[i].append(j)
-        bwd[j].append(i)
-    seeds = set()
-    for group in _edge_subgraph_components(graph, src[z], dst[z]):
-        for i, j in group:
-            seeds.add(i)
-            seeds.add(j)
 
-    def closure(adj, start):
-        seen = set(start)
-        stack = list(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def reached(tails, heads):
+        # states reachable from a zero-cycle state along the given edges:
+        # one traversal from an extra state n with an edge to every seed
+        tails = np.concatenate([tails, np.full(seeds.size, n)])
+        heads = np.concatenate([heads, seeds])
+        adj = csr_matrix((np.ones(tails.size), (tails, heads)),
+                         shape=(n + 1, n + 1))
+        mask = np.zeros(n + 1, dtype=bool)
+        mask[breadth_first_order(adj, n, return_predecessors=False)] = True
+        return mask
 
-    from_cycles = closure(fwd, seeds)
-    to_cycles = closure(bwd, seeds)
-    out = [
-        (i, j) for i, j in zero
-        if i in from_cycles and j in to_cycles
-    ]
-    return tuple(sorted(out))
+    keep = reached(src, dst)[src] & reached(dst, src)[dst]
+    return tuple(zip(src[keep].tolist(), dst[keep].tolist()))
 
 
 def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
@@ -230,12 +209,15 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
         )
     best = -np.inf
     for group in groups:
-        nodes = sorted({i for i, _ in group} | {j for _, j in group})
-        relabel = {v: k for k, v in enumerate(nodes)}
-        F = np.full((len(nodes), len(nodes)), -np.inf)
-        for i, j in group:
-            F[relabel[i], relabel[j]] = phi.values[i, j]
-        best = max(best, perron(F).log_rho)
+        # sorted edges keep row-major order under the monotone relabeling
+        src, dst = np.array(group).T
+        nodes, local = np.unique(np.concatenate([src, dst]),
+                                 return_inverse=True)
+        allowed = np.zeros((nodes.size, nodes.size), dtype=bool)
+        allowed[local[:src.size], local[src.size:]] = True
+        piece = EdgePotential(TransitionGraph(allowed), [
+            phi.values[graph.edge_id(i, j)] for i, j in group])
+        best = max(best, perron(piece).log_rho)
     return float(best)
 
 
@@ -279,7 +261,7 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
     a0, groups = _critical_groups(graph, a)
     critical = tuple(sorted(e for g in groups for e in g))
     witness = _witness_cycle(graph, groups)
-    wmean = sum(a.values[i, j] for i, j in witness.edges()) / len(witness)
+    wmean = sum(a.values[graph.edge_id(*e)] for e in witness.edges()) / len(witness)
     if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * SLACK_TOL:
         raise InvariantViolation(
             f"witness mean {wmean!r} deviates from optimum {a0!r}"

@@ -15,10 +15,6 @@ class GraphFormatError(ThermopressError):
         self.line = line
 
 
-class EnumerationCapError(ThermopressError):
-    """Word enumeration would exceed the configured cap."""
-
-
 class NotIrreducibleError(ThermopressError):
     """Operation requires a strongly connected transition graph."""
 

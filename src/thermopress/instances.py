@@ -14,14 +14,14 @@ from .sft import EdgePotential, TransitionGraph, full_shift, golden_mean_shift
 def full2_instance():
     """Full 2-shift, damping 1 everywhere except the 1 -> 1 loop."""
     graph = full_shift(2)
-    a = EdgePotential(graph, np.array([[1.0, 1.0], [1.0, 0.0]]))
+    a = EdgePotential(graph, np.array([[1.0, 1.0], [1.0, 0.0]])[graph.allowed])
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 
 def golden_mean_instance():
     """Golden-mean shift, damping on the single edge 0 -> 1."""
     graph = golden_mean_shift()
-    a = EdgePotential(graph, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    a = EdgePotential(graph, np.array([[0.0, 1.0], [0.0, 0.0]])[graph.allowed])
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 
@@ -37,7 +37,7 @@ def two_loops_path_instance():
         allowed[i, j] = True
         vals[i, j] = w
     graph = TransitionGraph(allowed)
-    a = EdgePotential(graph, vals)
+    a = EdgePotential(graph, vals[allowed])
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 

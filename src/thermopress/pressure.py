@@ -9,10 +9,9 @@ routes that must agree in the limit:
   of length T with a fixed closing term b, so finite-T values are
   reproducible.
 
-Both finite-T routes take log-space powers of L; no word is enumerated
-(sft.enumerate_cycles is kept as a test oracle).  All accumulation is done
-in log space, so large potentials (e.g. beta * a with beta in the tens)
-cannot overflow.
+Both finite-T routes take log-space powers of the dense log matrix of L;
+no word is enumerated.  All accumulation is done in log space, so large
+potentials (e.g. beta * a with beta in the tens) cannot overflow.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
@@ -102,8 +100,8 @@ def _log_matvec(A, x):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Perron eigendata of a nonnegative irreducible matrix given in log
-    form: log of the spectral radius plus positive left/right vectors."""
+    """Perron eigendata of a transfer matrix: log of the spectral radius
+    plus positive left/right vectors."""
 
     log_rho: float
     right: np.ndarray
@@ -216,28 +214,22 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
     )
 
 
-def perron(log_weights: np.ndarray) -> PerronData:
-    """Perron root and eigenvectors of exp(log_weights) elementwise, with
-    -inf marking forbidden entries.  Deterministic all-ones start.
+def perron(f: EdgePotential) -> PerronData:
+    """Perron root and eigenvectors of the transfer matrix L_ij = e^{f_ij}
+    on the edges of f's graph.  Deterministic all-ones start.
 
     One decision: shifted power iteration on W + I (two-sided
-    Collatz-Wielandt brackets, at most PLAIN_BUDGET sparse steps) is
-    returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being the
-    matrix scaled so its largest entry is 1.  Otherwise -- a stalled
-    bracket, e.g. a nearly degenerate Perron pair at large inverse
-    temperature, or a root so small that the +1 shift swamps its digits --
-    exact log-space repeated squaring of log(W + I) reaches TRANSFER_TOL
-    regardless of the spectral gap.
+    Collatz-Wielandt brackets, at most PLAIN_BUDGET sparse steps, W built
+    from the graph's CSR edge arrays) is returned when it converges with
+    rho(W) >= MIN_PLAIN_ROOT, W being L scaled so its largest entry is 1.
+    Otherwise -- a stalled bracket, e.g. a nearly degenerate Perron pair
+    at large inverse temperature, or a root so small that the +1 shift
+    swamps its digits -- exact log-space repeated squaring of the dense
+    log(W + I) reaches TRANSFER_TOL regardless of the spectral gap.
     """
-    F = np.asarray(log_weights, dtype=float)
-    n = F.shape[0]
-    finite = np.isfinite(F)
-    rows, cols = np.nonzero(finite)
-    if not rows.size:
-        raise ValueError("matrix has no allowed entries")
-    entries = F[rows, cols]
-    fmax = entries.max()
-    W = csr_matrix((np.exp(entries - fmax), (rows, cols)), shape=(n, n))
+    graph = f.graph
+    fmax = f.max()
+    W = graph.adjacency(np.exp(f.values - fmax))
     ok, lo, hi, x, z, it = _plain_power_stage(W, W.T.tocsr())
     rho_w = 0.5 * (lo + hi) - 1.0
     if ok and rho_w >= MIN_PLAIN_ROOT:
@@ -245,17 +237,17 @@ def perron(log_weights: np.ndarray) -> PerronData:
         # the measured bracket [lo - 1, hi - 1] on rho(W) in log form, plus
         # the rounding of its ratios (each sums at most `terms` products),
         # of the scaled entries of W and of log_rho itself
-        terms = np.diff(W.indptr).max() + 1
+        terms = np.diff(graph.indptr).max() + 1
         rounding = np.finfo(float).eps * (
-            (terms + 2) * hi / (lo - 1.0) + 1.0 + fmax - entries.min()
+            (terms + 2) * hi / (lo - 1.0) + 1.0 + fmax - f.min()
             + abs(fmax) + abs(log_rho))
         return PerronData(log_rho, x / x.sum(), z / z.sum(),
                           np.log((hi - 1.0) / (lo - 1.0)) + rounding, it,
                           "power")
 
     # exact fallback: square log(W + I) until the gap is overwhelming
-    H = np.where(finite, F - fmax, -np.inf)
-    d = np.arange(n)
+    H = f.log_matrix() - fmax
+    d = np.arange(graph.n_states)
     H[d, d] = np.logaddexp(H[d, d], 0.0)
     log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(H)
     rho_w = np.expm1(log_shifted)  # rho(W) to relative TRANSFER_TOL
@@ -322,12 +314,13 @@ def _require_irreducible(graph):
 
 def pressure_transfer(graph: TransitionGraph,
                       f: EdgePotential) -> PressureReport:
-    """Pressure as log spectral radius of L_ij = allowed[i][j] e^{f_ij}."""
+    """Pressure as log spectral radius of L_ij = allowed[i][j] e^{f_ij};
+    the tolerance is the enclosure the Perron solve measured."""
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    data = perron(f.log_matrix())
-    return PressureReport("transfer", data.log_rho, TRANSFER_TOL)
+    data = perron(f)
+    return PressureReport("transfer", data.log_rho, data.enclosure)
 
 
 def _cycle_log_mass(f, t_max):
@@ -426,25 +419,24 @@ def equilibrium_state(graph: TransitionGraph,
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    F = f.log_matrix()
-    data = perron(F)
+    data = perron(f)
     logr = np.log(data.right)
-    logP = F + logr[None, :] - logr[:, None] - data.log_rho
-    P = np.where(graph.allowed, np.exp(logP), 0.0)
-    rowsums = P.sum(axis=1)
+    src, dst = graph.src, graph.dst
+    P = np.exp(f.values + logr[dst] - logr[src] - data.log_rho)
+    rowsums = graph.row_sums(P)
     defect = np.abs(rowsums - 1.0).max()
     if defect > 1e-10:
         raise ConvergenceError(
             f"equilibrium rows off stochastic by {defect:.3e} (> 1e-10)"
         )
-    P = P / rowsums[:, None]
+    P = P / rowsums[src]
     p = data.left * data.right
     p = p / p.sum()
     # polish stationarity to well inside the measure's validation tolerance
     for _ in range(200):
-        if np.abs(p @ P - p).max() <= 1e-13:
+        pP = graph.column_sums(p[src] * P)
+        if np.abs(pP - p).max() <= 1e-13:
             break
-        p = p @ P
-        p = p / p.sum()
+        p = pP / pP.sum()
     measure = MarkovMeasure(graph, P, p)
     return EquilibriumState(measure, data.log_rho, data.right, data.left)

@@ -1,10 +1,11 @@
 """Subshifts of finite type: transition graphs, edge potentials, cyclic
 words, and Markov measures, together with the exact operations everything
-else builds on (cycle enumeration, Birkhoff sums, entropy, integrals).
+else builds on (entropy, integrals).
 
 Conventions: a potential assigns one real weight (nats per time step) to
-every allowed edge; all objects are immutable after construction and all
-operations here are pure functions of their arguments.
+every allowed edge, stored per edge in the graph's row-major (CSR) edge
+order; all objects are immutable after construction and all operations
+here are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EnumerationCapError, GraphFormatError
-
-# Default cap on n_states**T for explicit word enumeration.
-ENUMERATION_CAP = 10_000_000
+from .errors import GraphFormatError
 
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-# stopping step and step limit of MarkovMeasure.from_transitions
-STATIONARY_STEP_TOL = 1e-13
-STATIONARY_MAX_STEPS = 200_000
 
 
 def _frozen_array(values, dtype):
@@ -39,11 +34,16 @@ class TransitionGraph:
 
     ``allowed[i, j]`` is True when the transition i -> j is admissible.
     Every state must have at least one outgoing and one incoming edge;
-    construction fails otherwise.  ``irreducible`` records strong
-    connectivity and is computed once at construction.
+    construction fails otherwise.  The edge arrays ``src``/``dst`` (edge k
+    runs src[k] -> dst[k], in row-major order) and ``indptr`` (the edges
+    leaving i are indptr[i]:indptr[i+1]) and ``irreducible`` (strong
+    connectivity) are computed once at construction.
     """
 
     allowed: np.ndarray
+    src: np.ndarray = field(init=False)
+    dst: np.ndarray = field(init=False)
+    indptr: np.ndarray = field(init=False)
     irreducible: bool = field(init=False)
 
     def __post_init__(self):
@@ -59,9 +59,13 @@ class TransitionGraph:
         no_in = np.flatnonzero(~allowed.any(axis=0))
         if no_in.size:
             raise ValueError(f"states without incoming edges: {no_in.tolist()}")
-        object.__setattr__(self, "allowed", _frozen_array(allowed, bool))
+        src, dst = np.nonzero(allowed)
+        indptr = np.searchsorted(src, np.arange(allowed.shape[0] + 1))
+        for name, arr in (("allowed", allowed), ("src", src), ("dst", dst),
+                          ("indptr", indptr)):
+            object.__setattr__(self, name, _frozen_array(arr, arr.dtype))
         n_comp, _ = connected_components(
-            csr_matrix(allowed), directed=True, connection="strong"
+            self.adjacency(), directed=True, connection="strong"
         )
         object.__setattr__(self, "irreducible", bool(n_comp == 1))
 
@@ -71,15 +75,35 @@ class TransitionGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(self.allowed.sum())
+        return len(self.dst)
+
+    def adjacency(self, weights=None) -> csr_matrix:
+        """Sparse n x n matrix with the per-edge weights (ones if None)."""
+        if weights is None:
+            weights = np.ones(self.n_edges, dtype=np.int8)
+        return csr_matrix((weights, self.dst, self.indptr), shape=self.allowed.shape)
+
+    def edge_id(self, i: int, j: int) -> int:
+        """Position of the edge (i, j) in the edge arrays."""
+        if not self.allowed[i, j]:
+            raise KeyError(f"edge ({i}, {j}) is forbidden")
+        lo = self.indptr[i]
+        return int(lo + np.searchsorted(self.dst[lo:self.indptr[i + 1]], j))
+
+    def row_sums(self, x) -> np.ndarray:
+        """sum_j x_ij per state i, for per-edge values x."""
+        return np.bincount(self.src, weights=x, minlength=self.n_states)
+
+    def column_sums(self, x) -> np.ndarray:
+        """sum_i x_ij per state j, for per-edge values x."""
+        return np.bincount(self.dst, weights=x, minlength=self.n_states)
 
     def edges(self) -> list[tuple[int, int]]:
         """All allowed (i, j) pairs in lexicographic order."""
-        ii, jj = np.nonzero(self.allowed)
-        return list(zip(ii.tolist(), jj.tolist()))
+        return list(zip(self.src.tolist(), self.dst.tolist()))
 
     def successors(self, i: int) -> list[int]:
-        return np.flatnonzero(self.allowed[i]).tolist()
+        return self.dst[self.indptr[i]:self.indptr[i + 1]].tolist()
 
     def same_graph(self, other: "TransitionGraph") -> bool:
         return self is other or (
@@ -105,8 +129,9 @@ def golden_mean_shift() -> TransitionGraph:
 class EdgePotential:
     """A real weight on every allowed edge of a graph.
 
-    Values on forbidden pairs are stored as 0 but are not part of the
-    potential; querying a forbidden edge raises.  Supports the vector
+    ``values[k]`` is the weight of edge k of the graph's edge arrays, so
+    forbidden pairs carry no value and querying one raises; a dense
+    matrix converts as ``dense[graph.allowed]``.  Supports the vector
     operations needed for one-parameter families: f + g, -f, beta * f,
     f + const.
     """
@@ -116,46 +141,43 @@ class EdgePotential:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.graph.allowed.shape:
+        if vals.shape != (self.graph.n_edges,):
             raise ValueError("potential shape does not match graph")
-        if not np.isfinite(vals[self.graph.allowed]).all():
+        if not np.isfinite(vals).all():
             raise ValueError("potential must be finite on allowed edges")
-        vals = np.where(self.graph.allowed, vals, 0.0)
         object.__setattr__(self, "values", _frozen_array(vals, float))
 
     def value(self, i: int, j: int) -> float:
-        if not self.graph.allowed[i, j]:
-            raise KeyError(f"edge ({i}, {j}) is forbidden")
-        return float(self.values[i, j])
+        return float(self.values[self.graph.edge_id(i, j)])
 
     def log_matrix(self) -> np.ndarray:
         """Dense matrix of edge weights with -inf on forbidden pairs."""
-        return np.where(self.graph.allowed, self.values, -np.inf)
+        out = np.full(self.graph.allowed.shape, -np.inf)
+        out[self.graph.src, self.graph.dst] = self.values
+        return out
 
     def min(self) -> float:
-        return float(self.values[self.graph.allowed].min())
+        return float(self.values.min())
 
     def max(self) -> float:
-        return float(self.values[self.graph.allowed].max())
+        return float(self.values.max())
 
     @classmethod
     def constant(cls, graph: TransitionGraph, c: float) -> "EdgePotential":
-        return cls(graph, np.full(graph.allowed.shape, float(c)))
+        return cls(graph, np.full(graph.n_edges, float(c)))
 
     @classmethod
     def from_edges(cls, graph, edge_values: dict) -> "EdgePotential":
         """Build from {(i, j): value}; every allowed edge must appear."""
-        vals = np.zeros(graph.allowed.shape)
-        seen = np.zeros(graph.allowed.shape, dtype=bool)
+        vals = np.zeros(graph.n_edges)
+        seen = np.zeros(graph.n_edges, dtype=bool)
         for (i, j), v in edge_values.items():
-            if not graph.allowed[i, j]:
-                raise KeyError(f"edge ({i}, {j}) is forbidden")
-            vals[i, j] = v
-            seen[i, j] = True
-        missing = graph.allowed & ~seen
-        if missing.any():
-            i, j = np.argwhere(missing)[0]
-            raise ValueError(f"no value given for allowed edge ({i}, {j})")
+            k = graph.edge_id(i, j)
+            vals[k], seen[k] = v, True
+        if not seen.all():
+            k = np.argmin(seen)
+            raise ValueError(f"no value given for allowed edge "
+                             f"({graph.src[k]}, {graph.dst[k]})")
         return cls(graph, vals)
 
     def _check_same_graph(self, other):
@@ -214,8 +236,8 @@ class CyclicWord:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """Shift-invariant Markov measure: a row-stochastic transition matrix
-    supported on allowed edges plus its stationary distribution.
+    """Shift-invariant Markov measure: transition probabilities stored per
+    edge, in the graph's edge order, plus their stationary distribution.
 
     Rows may be degenerate (all zero) only on states of zero stationary
     mass.  Stationarity ``p P = p`` is validated to STATIONARY_TOL.
@@ -226,86 +248,23 @@ class MarkovMeasure:
     stationary: np.ndarray
 
     def __post_init__(self):
+        g = self.graph
         P = np.asarray(self.transitions, dtype=float)
         p = np.asarray(self.stationary, dtype=float)
-        n = self.graph.n_states
-        if P.shape != (n, n) or p.shape != (n,):
+        if P.shape != (g.n_edges,) or p.shape != (g.n_states,):
             raise ValueError("measure shape does not match graph")
         if (P < 0).any() or (p < 0).any():
             raise ValueError("probabilities must be nonnegative")
-        if (P[~self.graph.allowed] != 0).any():
-            raise ValueError("transition mass on a forbidden edge")
         if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
             raise ValueError("stationary vector must sum to 1")
-        rowsums = P.sum(axis=1)
-        bad = np.abs(rowsums - 1.0) > STOCHASTIC_TOL
+        bad = np.abs(g.row_sums(P) - 1.0) > STOCHASTIC_TOL
         # degenerate rows are tolerated only where the state carries no mass
         if (bad & (p > STOCHASTIC_TOL)).any():
             raise ValueError("rows of P must sum to 1 on charged states")
-        if np.abs(p @ P - p).max() > STATIONARY_TOL:
+        if np.abs(g.column_sums(p[g.src] * P) - p).max() > STATIONARY_TOL:
             raise ValueError("stationary vector fails p P = p")
         object.__setattr__(self, "transitions", _frozen_array(P, float))
         object.__setattr__(self, "stationary", _frozen_array(p, float))
-
-    @classmethod
-    def from_transitions(cls, graph, P):
-        """Stationary distribution by averaged power iteration on P^T.
-
-        P must be row-stochastic with a unique stationary vector (e.g.
-        irreducible on its support).
-        """
-        P = np.asarray(P, dtype=float)
-        p = np.full(graph.n_states, 1.0 / graph.n_states)
-        for _ in range(STATIONARY_MAX_STEPS):
-            # (P + I)/2 damps periodicity without moving the fixed point
-            nxt = 0.5 * (p @ P + p)
-            nxt /= nxt.sum()
-            if np.abs(nxt - p).max() <= STATIONARY_STEP_TOL:
-                p = nxt
-                break
-            p = nxt
-        return cls(graph, P, p)
-
-
-def enumerate_cycles(graph: TransitionGraph, length: int,
-                     cap: int = ENUMERATION_CAP) -> list[CyclicWord]:
-    """All cyclically admissible words of exactly the given length.
-
-    Each rotation is listed once per starting index, so the count equals
-    trace(A**length) for the 0-1 adjacency A.  Raises EnumerationCapError
-    when n_states**length exceeds the cap.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    n = graph.n_states
-    if n ** length > cap:
-        raise EnumerationCapError(
-            f"enumeration too large: {n}**{length} exceeds cap {cap}"
-        )
-    succ = [graph.successors(i) for i in range(n)]
-    out = []
-    word = [0] * length
-
-    def extend(pos, start):
-        if pos == length:
-            if graph.allowed[word[-1], start]:
-                out.append(CyclicWord(graph, tuple(word)))
-            return
-        for j in succ[word[pos - 1]]:
-            word[pos] = j
-            extend(pos + 1, start)
-
-    for s in range(n):
-        word[0] = s
-        extend(1, s)
-    return out
-
-
-def birkhoff_sum(f: EdgePotential, word: CyclicWord) -> float:
-    """Sum of f over the cycle's edges, wrap-around included."""
-    if not f.graph.same_graph(word.graph):
-        raise ValueError("potential and word live on different graphs")
-    return float(sum(f.values[i, j] for i, j in word.edges()))
 
 
 def ks_entropy(mu: MarkovMeasure) -> float:
@@ -313,7 +272,7 @@ def ks_entropy(mu: MarkovMeasure) -> float:
     P = mu.transitions
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
-    h = -float(mu.stationary @ plogp.sum(axis=1))
+    h = -float(mu.stationary @ mu.graph.row_sums(plogp))
     # roundoff can leave a tiny negative residue on deterministic measures
     return max(h, 0.0)
 
@@ -322,7 +281,7 @@ def integrate(f: EdgePotential, mu: MarkovMeasure) -> float:
     """Edge average sum_{ij} p_i P_ij f_ij."""
     if not f.graph.same_graph(mu.graph):
         raise ValueError("potential and measure live on different graphs")
-    return float(mu.stationary @ (mu.transitions * f.values).sum(axis=1))
+    return float(mu.stationary @ mu.graph.row_sums(mu.transitions * f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +332,17 @@ def load_system(path) -> tuple[TransitionGraph, EdgePotential, EdgePotential]:
     if not entries:
         raise GraphFormatError("no edges given")
     allowed = np.zeros((n, n), dtype=bool)
-    a_vals = np.zeros((n, n))
-    phi_vals = np.zeros((n, n))
-    for lineno, i, j, a_val, phi_val in entries:
+    for lineno, i, j, _, _ in entries:
         if allowed[i, j]:
             raise GraphFormatError(f"duplicate edge ({i}, {j})", line=lineno)
         allowed[i, j] = True
-        a_vals[i, j] = a_val
-        phi_vals[i, j] = phi_val
     try:
         graph = TransitionGraph(allowed)
     except ValueError as exc:
         raise GraphFormatError(str(exc))
+    entries.sort(key=lambda e: (e[1], e[2]))  # the graph's edge order
+    a_vals = [e[3] for e in entries]
+    phi_vals = [e[4] for e in entries]
     return graph, EdgePotential(graph, a_vals), EdgePotential(graph, phi_vals)
 
 
@@ -392,5 +350,5 @@ def save_system(path, graph: TransitionGraph, a: EdgePotential,
                 phi: EdgePotential) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{graph.n_states}\n")
-        for i, j in graph.edges():
-            fh.write(f"{i} {j} {float(a.values[i, j])!r} {float(phi.values[i, j])!r}\n")
+        for (i, j), a_val, phi_val in zip(graph.edges(), a.values, phi.values):
+            fh.write(f"{i} {j} {float(a_val)!r} {float(phi_val)!r}\n")

@@ -1,0 +1,88 @@
+"""Brute-force oracles for the tests: explicit enumeration of cyclic
+words with their Birkhoff sums, and Markov measures built from a dense
+transition matrix by plain power iteration.  None of this is on a
+library path; the library computes the same quantities from matrix
+powers and Perron vectors."""
+
+import numpy as np
+
+from thermopress import sft
+from thermopress.errors import ThermopressError
+from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
+
+# Default cap on n_states**T for explicit word enumeration.
+ENUMERATION_CAP = 10_000_000
+# stopping step and step limit of MarkovMeasure.from_transitions
+STATIONARY_STEP_TOL = 1e-13
+STATIONARY_MAX_STEPS = 200_000
+
+
+class EnumerationCapError(ThermopressError):
+    """Word enumeration would exceed the configured cap."""
+
+
+class MarkovMeasure(sft.MarkovMeasure):
+    """sft.MarkovMeasure plus a constructor from a dense matrix."""
+
+    @classmethod
+    def from_transitions(cls, graph, P):
+        """Stationary distribution by averaged power iteration on P^T.
+
+        P is a dense row-stochastic n x n matrix with a unique stationary
+        vector (e.g. irreducible on its support) and no mass on forbidden
+        pairs; the measure keeps P[graph.allowed].
+        """
+        P = np.asarray(P, dtype=float)
+        if (P[~graph.allowed] != 0).any():
+            raise ValueError("transition mass on a forbidden edge")
+        p = np.full(graph.n_states, 1.0 / graph.n_states)
+        for _ in range(STATIONARY_MAX_STEPS):
+            # (P + I)/2 damps periodicity without moving the fixed point
+            nxt = 0.5 * (p @ P + p)
+            nxt /= nxt.sum()
+            if np.abs(nxt - p).max() <= STATIONARY_STEP_TOL:
+                p = nxt
+                break
+            p = nxt
+        return cls(graph, P[graph.allowed], p)
+
+
+def enumerate_cycles(graph: TransitionGraph, length: int,
+                     cap: int = ENUMERATION_CAP) -> list[CyclicWord]:
+    """All cyclically admissible words of exactly the given length.
+
+    Each rotation is listed once per starting index, so the count equals
+    trace(A**length) for the 0-1 adjacency A.  Raises EnumerationCapError
+    when n_states**length exceeds the cap.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    n = graph.n_states
+    if n ** length > cap:
+        raise EnumerationCapError(
+            f"enumeration too large: {n}**{length} exceeds cap {cap}"
+        )
+    succ = [graph.successors(i) for i in range(n)]
+    out = []
+    word = [0] * length
+
+    def extend(pos, start):
+        if pos == length:
+            if graph.allowed[word[-1], start]:
+                out.append(CyclicWord(graph, tuple(word)))
+            return
+        for j in succ[word[pos - 1]]:
+            word[pos] = j
+            extend(pos + 1, start)
+
+    for s in range(n):
+        word[0] = s
+        extend(1, s)
+    return out
+
+
+def birkhoff_sum(f: EdgePotential, word: CyclicWord) -> float:
+    """Sum of f over the cycle's edges, wrap-around included."""
+    if not f.graph.same_graph(word.graph):
+        raise ValueError("potential and word live on different graphs")
+    return float(sum(f.values[f.graph.edge_id(i, j)] for i, j in word.edges()))

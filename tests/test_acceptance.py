@@ -35,7 +35,6 @@ from thermopress.pressure import (
 )
 from thermopress.sft import (
     EdgePotential,
-    MarkovMeasure,
     TransitionGraph,
     golden_mean_shift,
     integrate,
@@ -48,6 +47,8 @@ from thermopress.wave import (
     fit_decay_rate,
     spectrum_gap,
 )
+
+from .oracles import MarkovMeasure
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -100,7 +101,7 @@ def _simple_cycles(graph):
 def _cycle_mean(a, cyc):
     total = 0.0
     for k in range(len(cyc)):
-        total += a.values[cyc[k], cyc[(k + 1) % len(cyc)]]
+        total += a.value(cyc[k], cyc[(k + 1) % len(cyc)])
     return total / len(cyc)
 
 
@@ -191,7 +192,7 @@ def _critical_set_invariants(g, a):
     if a.min() >= 0 and a0 == 0.0:
         # the weight vanishes identically on the critical set
         for i, j in K:
-            assert a.values[i, j] == 0.0
+            assert a.value(i, j) == 0.0
         assert kset <= set(noncontrolled_set(g, a))
 
 

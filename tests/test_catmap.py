@@ -237,7 +237,7 @@ def test_damping_zero_set_matches_window_rule():
     for i, j in ref.graph.edges():
         word = ref.word_of_state(i)
         expected = 0.0 if word[:3] == (0, 0, 0) else 0.8
-        assert a.values[i, j] == expected
+        assert a.value(i, j) == expected
     assert a.min() == 0.0
     assert a.max() == 0.8
 

@@ -1,6 +1,5 @@
 """Smoke test: every demo script runs to completion on small arguments."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,13 +22,9 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_runs(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{name}.py"), *DEMOS[name]],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

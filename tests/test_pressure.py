@@ -27,15 +27,14 @@ from thermopress.pressure import (
 )
 from thermopress.sft import (
     EdgePotential,
-    MarkovMeasure,
     TransitionGraph,
-    birkhoff_sum,
-    enumerate_cycles,
     full_shift,
     golden_mean_shift,
     integrate,
     ks_entropy,
 )
+
+from .oracles import MarkovMeasure, birkhoff_sum, enumerate_cycles
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -54,7 +53,7 @@ def _random_instance(rng, n, lo=-1.0, hi=1.0):
 
 def _eig_oracle(g, f):
     # dense spectral radius of the weighted matrix, computed independently
-    L = np.where(g.allowed, np.exp(f.values), 0.0)
+    L = np.exp(f.log_matrix())
     return float(np.log(max(abs(np.linalg.eigvals(L)))))
 
 
@@ -113,7 +112,7 @@ def test_transfer_midpoint_convexity():
     rng = np.random.default_rng(9)
     for _ in range(10):
         g, f = _random_instance(rng, 4)
-        vals = rng.uniform(-1, 1, size=f.values.shape)
+        vals = rng.uniform(-1, 1, size=g.allowed.shape)
         h = EdgePotential.from_edges(g, {e: float(vals[e]) for e in g.edges()})
         mid = (f + h) * 0.5
         lhs = pressure_transfer(g, mid).value
@@ -241,8 +240,8 @@ def test_log_matmul_memory_is_quadratic():
 def test_perron_eigenvectors():
     rng = np.random.default_rng(33)
     g, f = _random_instance(rng, 6)
-    data = perron(f.log_matrix())
-    L = np.where(g.allowed, np.exp(f.values), 0.0)
+    data = perron(f)
+    L = np.exp(f.log_matrix())
     lam = math.exp(data.log_rho)
     assert np.allclose(L @ data.right, lam * data.right, atol=1e-9)
     assert np.allclose(data.left @ L, lam * data.left, atol=1e-9)
@@ -293,9 +292,12 @@ def test_perron_enclosure_covers_high_precision_error():
     for _ in range(300):
         _, f = _random_instance(rng, int(rng.integers(3, 8)), -6.0, 6.0)
         F = f.log_matrix()
-        data = perron(F)
-        err = abs(mpmath.mpf(float(data.log_rho)) - _mp_log_rho(F))
+        data = perron(f)
+        exact = _mp_log_rho(F)
+        err = abs(mpmath.mpf(float(data.log_rho)) - exact)
         assert err <= data.enclosure, (F, err, data)
+        rep = pressure_transfer(f.graph, f)
+        assert abs(mpmath.mpf(rep.value) - exact) <= rep.tolerance, (F, rep)
 
 
 def _recording_perron(monkeypatch):
@@ -304,8 +306,8 @@ def _recording_perron(monkeypatch):
     solves, steps = [], []
     perron_, plain = pressure.perron, pressure._plain_power_stage
 
-    def recording(F):
-        solves.append(perron_(F))
+    def recording(f):
+        solves.append(perron_(f))
         return solves[-1]
 
     def counting(*args):
@@ -348,19 +350,27 @@ def test_catmap_plateau_stays_in_power_stage(monkeypatch):
     assert all(data.stage == "power" for data in solves)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(3, 300), extra=st.integers(0, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_sparse_perron_matches_dense_eigvals(n, extra, seed):
+def _cycle_plus_successors(rng, n, extra):
     # a Hamiltonian cycle plus `extra` random successors per state
-    rng = np.random.default_rng(seed)
     A = np.zeros((n, n), dtype=bool)
     perm = rng.permutation(n)
     A[perm, np.roll(perm, -1)] = True
     for i in range(n):
         A[i, rng.choice(n, size=extra)] = True
+    return A
+
+
+_irreducible_graphs = dict(n=st.integers(3, 300), extra=st.integers(0, 3),
+                           seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**_irreducible_graphs)
+def test_sparse_perron_matches_dense_eigvals(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    A = _cycle_plus_successors(rng, n, extra)
     F = np.where(A, rng.uniform(-1.0, 1.0, (n, n)), -np.inf)
-    data = perron(F)
+    data = perron(EdgePotential(TransitionGraph(A), F[A]))
     L = np.exp(F)
     want = float(np.log(np.abs(np.linalg.eigvals(L)).max()))
     assert data.log_rho == pytest.approx(want, abs=1e-10)
@@ -459,13 +469,13 @@ def test_bowen_word_count_oracle():
 def _bowen_brute_force(g, f, T):
     # explicit sum over admissible words of length T: the T-1 interior
     # edges plus the largest outgoing weight of the final state
-    closing = [max(f.values[i, j] for j in g.successors(i))
+    closing = [max(f.value(i, j) for j in g.successors(i))
                for i in range(g.n_states)]
     terms = []
     for word in itertools.product(range(g.n_states), repeat=T):
         edges = list(zip(word, word[1:]))
         if all(g.allowed[e] for e in edges):
-            terms.append(sum(f.values[e] for e in edges) + closing[word[-1]])
+            terms.append(sum(f.value(*e) for e in edges) + closing[word[-1]])
     return math.log(math.fsum(math.exp(t) for t in terms)) / T
 
 
@@ -533,7 +543,7 @@ def test_golden_mean_parry_measure():
     # entropy, whose transition probability 0 -> 0 is 1/golden
     g = golden_mean_shift()
     eq = equilibrium_state(g, EdgePotential.constant(g, 0.0))
-    P = eq.measure.transitions
+    P = dict(zip(g.edges(), eq.measure.transitions))
     assert P[0, 0] == pytest.approx(1.0 / GOLDEN, abs=1e-12)
     assert P[0, 1] == pytest.approx(1.0 / GOLDEN ** 2, abs=1e-12)
     assert P[1, 0] == pytest.approx(1.0, abs=1e-14)
@@ -566,6 +576,53 @@ def test_equilibrium_tied_loops_across_damping():
         assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**_irreducible_graphs)
+def test_edge_equilibrium_matches_dense_formulas(n, extra, seed):
+    # the per-edge measure, entropy and average against the dense n x n
+    # formulas P = diag(1/r) L diag(r) / lambda, p ~ l * r and
+    # h = -sum_ij p_i P_ij log P_ij, on the state's own Perron data (the
+    # solver is checked against eigvals above).  Rows are renormalized as
+    # equilibrium_state does: the formula's row defect is the eigenvector
+    # error, up to 4e-12 on 300-state pure cycles, whose equilibrium is
+    # P = 1 exactly; np.linalg.eig's vectors miss it by as much there
+    rng = np.random.default_rng(seed)
+    A = _cycle_plus_successors(rng, n, extra)
+    g = TransitionGraph(A)
+    f = EdgePotential(g, rng.uniform(-1.0, 1.0, g.n_edges))
+    eq = equilibrium_state(g, f)
+    r, left = eq.right, eq.left
+    L = np.exp(f.log_matrix())
+    P = np.diag(1.0 / r) @ L @ np.diag(r) / math.exp(eq.log_lambda)
+    P /= P.sum(axis=1, keepdims=True)
+    p = left * r / (left * r).sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(P > 0, P * np.log(P), 0.0)
+    h = -(p[:, None] * plogp).sum()
+    average = (p[:, None] * P * np.where(A, f.log_matrix(), 0.0)).sum()
+    mu = eq.measure
+    assert np.abs(mu.transitions - P[A]).max() <= 1e-12
+    assert np.abs(mu.stationary - p).max() <= 1e-12
+    assert ks_entropy(mu) == pytest.approx(h, abs=1e-12)
+    assert integrate(f, mu) == pytest.approx(average, abs=1e-12)
+
+
+def test_damped_point_memory_is_per_edge():
+    # one schedule point of the refine-7 cat-map sweep (2584 states, 6765
+    # edges) stays in O(edges) memory: below one n x n byte mask
+    g, a, phi = catmap_instance(7)
+    tracemalloc.start()
+    try:
+        f = phi - 10.0 * a
+        eq = equilibrium_state(g, f)
+        ks_entropy(eq.measure)
+        integrate(a, eq.measure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_states ** 2
+
+
 def test_full_shift_bernoulli_closed_form():
     # potential depending only on the target symbol gives the Bernoulli
     # measure p_j = e^{g_j} / sum e^{g}, with pressure log sum e^{g}
@@ -580,7 +637,8 @@ def test_full_shift_bernoulli_closed_form():
     want = np.exp(gvals) / Z
     assert np.allclose(eq.measure.stationary, want, atol=1e-11)
     for i in range(3):
-        assert np.allclose(eq.measure.transitions[i], want, atol=1e-11)
+        assert np.allclose(eq.measure.transitions.reshape(3, 3)[i], want,
+                           atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

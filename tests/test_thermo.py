@@ -145,7 +145,7 @@ def test_two_loops_path_limit():
 
 def test_thermo_curve_rejects_negative_damping():
     g = full_shift(2)
-    a = EdgePotential(g, np.array([[0.0, -0.2], [0.0, 0.0]]))
+    a = EdgePotential(g, np.array([[0.0, -0.2], [0.0, 0.0]])[g.allowed])
     phi = EdgePotential.constant(g, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         thermo_curve(g, a, phi)
@@ -310,7 +310,7 @@ def test_find_gap_beta_out_of_reach():
 def test_find_gap_beta_validation():
     g, a, _ = golden_mean_instance()
     phi = EdgePotential.constant(g, -0.1)
-    neg = EdgePotential(g, np.array([[0.0, -1.0], [0.0, 0.0]]))
+    neg = EdgePotential(g, np.array([[0.0, -1.0], [0.0, 0.0]])[g.allowed])
     with pytest.raises(ValueError):
         find_gap_beta(g, neg, phi)
     with pytest.raises(ValueError):
