@@ -30,7 +30,7 @@ def random_instance(rng, n):
     for k in range(n):
         A[order[k], order[(k + 1) % n]] = True
     A |= rng.random((n, n)) < 0.4
-    g = TransitionGraph(A)
+    g = TransitionGraph(A.shape[0], *np.nonzero(A))
     f = EdgePotential.from_edges(
         g, {e: float(rng.uniform(-1.0, 1.0)) for e in g.edges()}
     )

@@ -54,7 +54,7 @@ def main():
         for i in range(n):
             A[order[i], order[(i + 1) % n]] = True
         A |= rng.random((n, n)) < 0.4
-        g = TransitionGraph(A)
+        g = TransitionGraph(A.shape[0], *np.nonzero(A))
         a = EdgePotential.from_edges(
             g, {e: 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 1.5))
                 for e in g.edges()})

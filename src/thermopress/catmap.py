@@ -247,9 +247,8 @@ class MarkovCoding:
 
     def __init__(self, torus_map=None):
         self.torus_map = torus_map or ToralMap()
-        B = np.array(PARTITION_MATRIX, dtype=bool)
-        self.graph = TransitionGraph(B)
         self._refinements = {}
+        self.graph = self.refine(0).graph
 
     def cell_map(self, point) -> int:
         """Rectangle index of a torus point, boundary-exact for rational
@@ -278,22 +277,21 @@ class MarkovCoding:
         if order < 0:
             raise ValueError("order must be >= 0")
         if order not in self._refinements:
-            B = np.array(PARTITION_MATRIX, dtype=bool)
             words = [(s,) for s in range(3)]
             for _ in range(order):
                 words = [w + (t,) for w in words for t in range(3)
-                         if B[w[-1], t]]
+                         if PARTITION_MATRIX[w[-1]][t]]
             words.sort()
+            # u -> u[1:] + (t,): row-major, as words are sorted and t rises
             index = {w: i for i, w in enumerate(words)}
-            n = len(words)
-            allowed = np.zeros((n, n), dtype=bool)
+            src, dst = [], []
             for i, w in enumerate(words):
                 for t in range(3):
-                    if B[w[-1], t]:
-                        allowed[i, index[w[1:] + (t,)]] = True
-            graph = TransitionGraph(allowed)
+                    if PARTITION_MATRIX[w[-1]][t]:
+                        src.append(i)
+                        dst.append(index[w[1:] + (t,)])
             self._refinements[order] = SymbolicRefinement(
-                self, order, words, graph
+                self, order, words, TransitionGraph(len(words), src, dst)
             )
         return self._refinements[order]
 

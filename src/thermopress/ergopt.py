@@ -196,13 +196,14 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
     pieces of that subgraph."""
     if not phi.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    edges = [tuple(e) for e in edges]
-    n = graph.n_states
+    ids = {}  # edge -> its position in the graph's edge arrays
     for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n and graph.allowed[i, j]):
-            raise ValueError(f"edge {(i, j)} is not allowed in the graph")
-    groups = _edge_subgraph_components(
-        graph, [i for i, _ in edges], [j for _, j in edges])
+        try:
+            ids[i, j] = graph.edge_id(i, j)
+        except KeyError:
+            raise ValueError(f"edge {(i, j)} is not allowed in the graph") from None
+    k = np.array(list(ids.values()), dtype=np.intp)
+    groups = _edge_subgraph_components(graph, graph.src[k], graph.dst[k])
     if not groups:
         raise ZeroMassError(
             "edge set spans no cycles: no invariant measure lives on it"
@@ -213,10 +214,9 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
         src, dst = np.array(group).T
         nodes, local = np.unique(np.concatenate([src, dst]),
                                  return_inverse=True)
-        allowed = np.zeros((nodes.size, nodes.size), dtype=bool)
-        allowed[local[:src.size], local[src.size:]] = True
-        piece = EdgePotential(TransitionGraph(allowed), [
-            phi.values[graph.edge_id(i, j)] for i, j in group])
+        piece = EdgePotential(
+            TransitionGraph(nodes.size, local[:src.size], local[src.size:]),
+            phi.values[[ids[e] for e in group]])
         best = max(best, perron(piece).log_rho)
     return float(best)
 
@@ -293,9 +293,9 @@ def parse_edge_set(text: str, graph: TransitionGraph) -> tuple:
         if len(parts) != 2:
             raise ValueError(f"line {ln}: expected 'i j', got {raw!r}")
         i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < graph.n_states and 0 <= j < graph.n_states):
-            raise ValueError(f"line {ln}: state out of range")
-        if not graph.allowed[i, j]:
-            raise ValueError(f"line {ln}: edge ({i}, {j}) not allowed")
+        try:
+            graph.edge_id(i, j)
+        except KeyError:
+            raise ValueError(f"line {ln}: edge ({i}, {j}) not allowed") from None
         edges.append((i, j))
     return tuple(sorted(edges))

@@ -4,8 +4,6 @@ weight and phi the base potential."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .catmap import (build_cat_map, damping_from_orbit,
                      expansion_potential, periodic_itinerary)
 from .sft import EdgePotential, TransitionGraph, full_shift, golden_mean_shift
@@ -14,14 +12,14 @@ from .sft import EdgePotential, TransitionGraph, full_shift, golden_mean_shift
 def full2_instance():
     """Full 2-shift, damping 1 everywhere except the 1 -> 1 loop."""
     graph = full_shift(2)
-    a = EdgePotential(graph, np.array([[1.0, 1.0], [1.0, 0.0]])[graph.allowed])
+    a = EdgePotential(graph, [1.0, 1.0, 1.0, 0.0])  # edges 00, 01, 10, 11
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 
 def golden_mean_instance():
     """Golden-mean shift, damping on the single edge 0 -> 1."""
     graph = golden_mean_shift()
-    a = EdgePotential(graph, np.array([[0.0, 1.0], [0.0, 0.0]])[graph.allowed])
+    a = EdgePotential(graph, [0.0, 1.0, 0.0])  # edges 00, 01, 10
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 
@@ -30,14 +28,10 @@ def two_loops_path_instance():
     damped: the minimizing cycles are the loops, but the connecting path
     is invisible to the damping as well, so the zero set is strictly
     larger than the union of minimizing cycles."""
-    allowed = np.zeros((3, 3), dtype=bool)
-    vals = np.zeros((3, 3))
-    for i, j, w in [(0, 0, 0.0), (0, 1, 0.0), (1, 2, 0.0),
-                    (2, 2, 0.0), (2, 0, 0.7)]:
-        allowed[i, j] = True
-        vals[i, j] = w
-    graph = TransitionGraph(allowed)
-    a = EdgePotential(graph, vals[allowed])
+    src, dst, vals = zip((0, 0, 0.0), (0, 1, 0.0), (1, 2, 0.0),
+                         (2, 0, 0.7), (2, 2, 0.0))
+    graph = TransitionGraph(3, src, dst)
+    a = EdgePotential(graph, vals)
     return graph, a, EdgePotential.constant(graph, 0.0)
 
 

@@ -2,7 +2,7 @@
 routes that must agree in the limit:
 
 * transfer: log spectral radius of the weighted transition matrix
-  L_ij = allowed[i][j] * exp(f_ij), the reference value;
+  L_ij = exp(f_ij) on edges (0 off them), the reference value;
 * periodic orbits: (1/T) log trace(L^T), the sum of exp(Birkhoff sum) over
   cyclic words of period exactly T;
 * Bowen counts: (1/T) log(1^T L^(T-1) e^b), the sum over admissible words
@@ -314,8 +314,8 @@ def _require_irreducible(graph):
 
 def pressure_transfer(graph: TransitionGraph,
                       f: EdgePotential) -> PressureReport:
-    """Pressure as log spectral radius of L_ij = allowed[i][j] e^{f_ij};
-    the tolerance is the enclosure the Perron solve measured."""
+    """Pressure as log spectral radius of L_ij = e^{f_ij} on edges (0 off
+    them); the tolerance is the enclosure the Perron solve measured."""
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")

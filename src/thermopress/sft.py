@@ -10,13 +10,14 @@ here are pure functions of their arguments.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GraphFormatError
+from .errors import ConvergenceError, GraphFormatError
 
 STOCHASTIC_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -30,48 +31,49 @@ def _frozen_array(values, dtype):
 
 @dataclass(frozen=True, eq=False)
 class TransitionGraph:
-    """Finite directed graph over states 0..n-1 given by a 0-1 matrix.
-
-    ``allowed[i, j]`` is True when the transition i -> j is admissible.
-    Every state must have at least one outgoing and one incoming edge;
-    construction fails otherwise.  The edge arrays ``src``/``dst`` (edge k
-    runs src[k] -> dst[k], in row-major order) and ``indptr`` (the edges
-    leaving i are indptr[i]:indptr[i+1]) and ``irreducible`` (strong
-    connectivity) are computed once at construction.
+    """Directed graph on states 0..n_states-1, given by its edge arrays:
+    edge k runs src[k] -> dst[k], in strictly increasing row-major order
+    (by source, then target), and these arrays are the only copy of the
+    edge set.  Every state needs an outgoing and an incoming edge.
+    ``indptr`` (the edges leaving i are indptr[i]:indptr[i+1]) and
+    ``irreducible`` (strong connectivity) are computed at construction.
     """
 
-    allowed: np.ndarray
-    src: np.ndarray = field(init=False)
-    dst: np.ndarray = field(init=False)
+    n_states: int
+    src: np.ndarray
+    dst: np.ndarray
     indptr: np.ndarray = field(init=False)
     irreducible: bool = field(init=False)
 
     def __post_init__(self):
-        allowed = np.asarray(self.allowed)
-        if allowed.ndim != 2 or allowed.shape[0] != allowed.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        if allowed.shape[0] < 1:
+        n = int(self.n_states)
+        src = np.asarray(self.src, dtype=np.intp)
+        dst = np.asarray(self.dst, dtype=np.intp)
+        if n < 1:
             raise ValueError("graph needs at least one state")
-        allowed = allowed.astype(bool)
-        no_out = np.flatnonzero(~allowed.any(axis=1))
-        if no_out.size:
-            raise ValueError(f"states without outgoing edges: {no_out.tolist()}")
-        no_in = np.flatnonzero(~allowed.any(axis=0))
-        if no_in.size:
-            raise ValueError(f"states without incoming edges: {no_in.tolist()}")
-        src, dst = np.nonzero(allowed)
-        indptr = np.searchsorted(src, np.arange(allowed.shape[0] + 1))
-        for name, arr in (("allowed", allowed), ("src", src), ("dst", dst),
-                          ("indptr", indptr)):
-            object.__setattr__(self, name, _frozen_array(arr, arr.dtype))
-        n_comp, _ = connected_components(
-            self.adjacency(), directed=True, connection="strong"
-        )
+        if src.size != dst.size:
+            raise ValueError(f"{src.size} edge sources but {dst.size} targets")
+        # every state needs an outgoing edge; checked before any O(n) work
+        if n > src.size:
+            raise ValueError(f"{n} states but only {src.size} edges: every "
+                             "state needs an outgoing edge")
+        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
+            raise ValueError(f"edge state out of range for n={n}")
+        bad = np.flatnonzero(np.diff(src * n + dst) <= 0)
+        if bad.size:  # one check catches both unsorted and repeated edges
+            raise ValueError(f"edge {bad[0] + 1} breaks the strictly "
+                             "increasing row-major edge order")
+        for what, ends in (("outgoing", src), ("incoming", dst)):
+            dead = np.flatnonzero(np.bincount(ends, minlength=n) == 0)
+            if dead.size:
+                raise ValueError(f"{dead.size} states without {what} edges, "
+                                 f"first {dead[:10].tolist()}")
+        indptr = np.searchsorted(src, np.arange(n + 1))
+        object.__setattr__(self, "n_states", n)
+        for name, arr in (("src", src), ("dst", dst), ("indptr", indptr)):
+            object.__setattr__(self, name, _frozen_array(arr, np.intp))
+        n_comp, _ = connected_components(self.adjacency(), connection="strong")
         object.__setattr__(self, "irreducible", bool(n_comp == 1))
-
-    @property
-    def n_states(self) -> int:
-        return self.allowed.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -81,14 +83,18 @@ class TransitionGraph:
         """Sparse n x n matrix with the per-edge weights (ones if None)."""
         if weights is None:
             weights = np.ones(self.n_edges, dtype=np.int8)
-        return csr_matrix((weights, self.dst, self.indptr), shape=self.allowed.shape)
+        n = self.n_states
+        return csr_matrix((weights, self.dst, self.indptr), shape=(n, n))
 
     def edge_id(self, i: int, j: int) -> int:
-        """Position of the edge (i, j) in the edge arrays."""
-        if not self.allowed[i, j]:
-            raise KeyError(f"edge ({i}, {j}) is forbidden")
-        lo = self.indptr[i]
-        return int(lo + np.searchsorted(self.dst[lo:self.indptr[i + 1]], j))
+        """Position of the edge (i, j) in the edge arrays; KeyError when
+        (i, j) is not an edge, including any state outside 0..n-1."""
+        if 0 <= i < self.n_states and 0 <= j < self.n_states:
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            k = lo + np.searchsorted(self.dst[lo:hi], j)
+            if k < hi and self.dst[k] == j:
+                return int(k)
+        raise KeyError(f"edge ({i}, {j}) is forbidden")
 
     def row_sums(self, x) -> np.ndarray:
         """sum_j x_ij per state i, for per-edge values x."""
@@ -108,7 +114,8 @@ class TransitionGraph:
     def same_graph(self, other: "TransitionGraph") -> bool:
         return self is other or (
             self.n_states == other.n_states
-            and bool(np.array_equal(self.allowed, other.allowed))
+            and bool(np.array_equal(self.src, other.src))
+            and bool(np.array_equal(self.dst, other.dst))
         )
 
     def __repr__(self):
@@ -117,12 +124,12 @@ class TransitionGraph:
 
 def full_shift(n_symbols: int) -> TransitionGraph:
     """Full shift on n_symbols: every transition allowed."""
-    return TransitionGraph(np.ones((n_symbols, n_symbols), dtype=bool))
+    return TransitionGraph(n_symbols, *np.divmod(np.arange(n_symbols**2), n_symbols))
 
 
 def golden_mean_shift() -> TransitionGraph:
-    """Two states, forbidden word 11: adjacency [[1, 1], [1, 0]]."""
-    return TransitionGraph(np.array([[True, True], [True, False]]))
+    """Two states, forbidden word 11: edges 0->0, 0->1 and 1->0."""
+    return TransitionGraph(2, [0, 0, 1], [0, 1, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +137,9 @@ class EdgePotential:
     """A real weight on every allowed edge of a graph.
 
     ``values[k]`` is the weight of edge k of the graph's edge arrays, so
-    forbidden pairs carry no value and querying one raises; a dense
-    matrix converts as ``dense[graph.allowed]``.  Supports the vector
-    operations needed for one-parameter families: f + g, -f, beta * f,
-    f + const.
+    forbidden pairs carry no value and querying one raises KeyError.
+    Supports the vector operations needed for one-parameter families:
+    f + g, -f, beta * f, f + const.
     """
 
     graph: TransitionGraph
@@ -151,8 +157,13 @@ class EdgePotential:
         return float(self.values[self.graph.edge_id(i, j)])
 
     def log_matrix(self) -> np.ndarray:
-        """Dense matrix of edge weights with -inf on forbidden pairs."""
-        out = np.full(self.graph.allowed.shape, -np.inf)
+        """Dense matrix of edge weights with -inf on forbidden pairs; the
+        one entry to the dense routes, so it refuses (ConvergenceError)
+        rather than try 8 n^2 bytes beyond physical memory."""
+        n = self.graph.n_states
+        if 8 * n * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConvergenceError(f"a dense {n} x {n} log matrix exceeds memory")
+        out = np.full((n, n), -np.inf)
         out[self.graph.src, self.graph.dst] = self.values
         return out
 
@@ -217,13 +228,11 @@ class CyclicWord:
         states = tuple(int(s) for s in self.states)
         if len(states) < 1:
             raise ValueError("cyclic word must have length >= 1")
-        n = self.graph.n_states
-        for s in states:
-            if not 0 <= s < n:
-                raise ValueError(f"state {s} out of range")
         for i, j in zip(states, states[1:] + states[:1]):
-            if not self.graph.allowed[i, j]:
-                raise ValueError(f"transition ({i}, {j}) is forbidden")
+            try:
+                self.graph.edge_id(i, j)
+            except KeyError:
+                raise ValueError(f"transition ({i}, {j}) is forbidden") from None
         object.__setattr__(self, "states", states)
 
     def __len__(self):
@@ -298,6 +307,7 @@ def load_system(path) -> tuple[TransitionGraph, EdgePotential, EdgePotential]:
         lines = fh.readlines()
     n = None
     entries = []
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -326,23 +336,20 @@ def load_system(path) -> tuple[TransitionGraph, EdgePotential, EdgePotential]:
             raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}", line=lineno)
         if not (np.isfinite(a_val) and np.isfinite(phi_val)):
             raise GraphFormatError("edge weights must be finite", line=lineno)
+        if (i, j) in seen:
+            raise GraphFormatError(f"duplicate edge ({i}, {j})", line=lineno)
+        seen.add((i, j))
         entries.append((lineno, i, j, a_val, phi_val))
     if n is None:
         raise GraphFormatError("empty input: no state count found")
     if not entries:
         raise GraphFormatError("no edges given")
-    allowed = np.zeros((n, n), dtype=bool)
-    for lineno, i, j, _, _ in entries:
-        if allowed[i, j]:
-            raise GraphFormatError(f"duplicate edge ({i}, {j})", line=lineno)
-        allowed[i, j] = True
+    entries.sort(key=lambda e: (e[1], e[2]))  # the graph's edge order
+    _, src, dst, a_vals, phi_vals = zip(*entries)
     try:
-        graph = TransitionGraph(allowed)
+        graph = TransitionGraph(n, src, dst)
     except ValueError as exc:
         raise GraphFormatError(str(exc))
-    entries.sort(key=lambda e: (e[1], e[2]))  # the graph's edge order
-    a_vals = [e[3] for e in entries]
-    phi_vals = [e[4] for e in entries]
     return graph, EdgePotential(graph, a_vals), EdgePotential(graph, phi_vals)
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: explicit enumeration of cyclic
-words with their Birkhoff sums, and Markov measures built from a dense
-transition matrix by plain power iteration.  None of this is on a
+words with their Birkhoff sums, Markov measures built from a dense
+transition matrix by plain power iteration, and the conversions between
+a graph and its dense 0-1 adjacency matrix.  None of this is on a
 library path; the library computes the same quantities from matrix
 powers and Perron vectors."""
 
@@ -17,6 +18,19 @@ STATIONARY_STEP_TOL = 1e-13
 STATIONARY_MAX_STEPS = 200_000
 
 
+def graph_from_mask(A) -> TransitionGraph:
+    """The graph whose edges are the True entries of a square 0-1 matrix."""
+    A = np.asarray(A, dtype=bool)
+    return TransitionGraph(A.shape[0], *np.nonzero(A))
+
+
+def mask_of_graph(graph) -> np.ndarray:
+    """Dense 0-1 adjacency matrix of a graph; inverse of graph_from_mask."""
+    A = np.zeros((graph.n_states, graph.n_states), dtype=bool)
+    A[graph.src, graph.dst] = True
+    return A
+
+
 class EnumerationCapError(ThermopressError):
     """Word enumeration would exceed the configured cap."""
 
@@ -30,10 +44,10 @@ class MarkovMeasure(sft.MarkovMeasure):
 
         P is a dense row-stochastic n x n matrix with a unique stationary
         vector (e.g. irreducible on its support) and no mass on forbidden
-        pairs; the measure keeps P[graph.allowed].
+        pairs; the measure keeps P on the graph's edges, in edge order.
         """
         P = np.asarray(P, dtype=float)
-        if (P[~graph.allowed] != 0).any():
+        if (P[~mask_of_graph(graph)] != 0).any():
             raise ValueError("transition mass on a forbidden edge")
         p = np.full(graph.n_states, 1.0 / graph.n_states)
         for _ in range(STATIONARY_MAX_STEPS):
@@ -44,7 +58,7 @@ class MarkovMeasure(sft.MarkovMeasure):
                 p = nxt
                 break
             p = nxt
-        return cls(graph, P[graph.allowed], p)
+        return cls(graph, P[graph.src, graph.dst], p)
 
 
 def enumerate_cycles(graph: TransitionGraph, length: int,
@@ -63,12 +77,13 @@ def enumerate_cycles(graph: TransitionGraph, length: int,
             f"enumeration too large: {n}**{length} exceeds cap {cap}"
         )
     succ = [graph.successors(i) for i in range(n)]
+    allowed = mask_of_graph(graph)
     out = []
     word = [0] * length
 
     def extend(pos, start):
         if pos == length:
-            if graph.allowed[word[-1], start]:
+            if allowed[word[-1], start]:
                 out.append(CyclicWord(graph, tuple(word)))
             return
         for j in succ[word[pos - 1]]:

@@ -1,6 +1,7 @@
 """Torus automorphism coding, refinements, orbit damping, decay report."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,31 @@ def test_refinement_state_counts():
         assert ref.n_states == count
         assert all(len(w) == order + 1 for w in ref.words)
     assert coding.refine(4).graph.n_edges == 377
+
+
+def test_refined_edges_follow_overlap_rule():
+    # brute force over all pairs of words: u -> v is an edge iff v shifts
+    # u by one symbol that the partition matrix allows after u's last
+    _, coding = build_cat_map()
+    for order in range(6):
+        words = coding.refine(order).words
+        expected = [(u, v) for u, wu in enumerate(words)
+                    for v, wv in enumerate(words)
+                    if wu[1:] == wv[:-1] and PARTITION_MATRIX[wu[-1]][wv[-1]]]
+        assert coding.refine(order).graph.edges() == expected, order
+
+
+def test_refine_memory_is_per_edge():
+    # order 9 has 17711 states and 46368 edges; an n x n bool mask of the
+    # edge set alone would take 314 MB
+    tracemalloc.start()
+    try:
+        ref = MarkovCoding().refine(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ref.n_states, ref.graph.n_edges) == (17711, 46368)
+    assert peak < 32 * 2**20
 
 
 def test_refinement_preserves_entropy():

@@ -62,6 +62,18 @@ def test_pressure_malformed_input(tmp_path):
     assert "line 3" in r.stderr
 
 
+def test_pressure_input_with_too_many_states(tmp_path):
+    # the declared state count is checked against the edges before any
+    # array of that size is allocated
+    src = tmp_path / "huge.txt"
+    src.write_text("1000000000\n0 0 1.0 0.0\n")
+    r = run_cli("pressure", "--input", str(src), "--out", str(tmp_path))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("error:") and len(lines[0]) < 200
+
+
 def test_pressure_zero_mass_exit_code(tmp_path):
     # two-state swap has no odd-length cycles, so the periodic route has
     # nothing to sum at T = 5

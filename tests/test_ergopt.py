@@ -26,12 +26,11 @@ from thermopress.instances import (
 from thermopress.pressure import pressure_transfer
 from thermopress.sft import (
     EdgePotential,
-    TransitionGraph,
     full_shift,
     golden_mean_shift,
 )
 
-from .oracles import birkhoff_sum
+from .oracles import birkhoff_sum, graph_from_mask, mask_of_graph
 
 
 def _simple_cycles(graph):
@@ -84,7 +83,7 @@ def _random_graph(rng, n, density=0.4):
     for k in range(n):
         A[perm[k], perm[(k + 1) % n]] = True
     A |= rng.random((n, n)) < density
-    return TransitionGraph(A)
+    return graph_from_mask(A)
 
 
 def _bipartite_graph(rng, n, density=0.4):
@@ -97,7 +96,7 @@ def _bipartite_graph(rng, n, density=0.4):
     A[ring, np.roll(ring, -1)] = True
     parity = np.arange(n) % 2
     A |= (rng.random((n, n)) < density) & (parity[:, None] != parity[None, :])
-    return TransitionGraph(A)
+    return graph_from_mask(A)
 
 
 def _dyadic_potential(rng, graph, zero_frac=0.3):
@@ -145,8 +144,8 @@ def test_min_average_generic_weights():
 def test_min_average_reducible_graph():
     # two loops, one-way bridge: both loops count, bridge edge does not
     A = np.array([[1, 1], [0, 1]], dtype=bool)
-    g = TransitionGraph(A)
-    a = EdgePotential(g, np.array([[0.3, 9.9], [0.0, 0.1]])[g.allowed])
+    g = graph_from_mask(A)
+    a = EdgePotential(g, np.array([[0.3, 9.9], [0.0, 0.1]])[mask_of_graph(g)])
     assert min_average(g, a) == pytest.approx(0.1, abs=1e-15)
 
 
@@ -168,7 +167,7 @@ def test_undamped_set_exhaustive_small_graphs():
         for bits in itertools.product([0, 1], repeat=n * n):
             A = np.array(bits, dtype=bool).reshape(n, n)
             try:
-                g = TransitionGraph(A)
+                g = graph_from_mask(A)
             except ValueError:
                 continue
             for _ in range(3):
@@ -277,7 +276,7 @@ def test_two_loops_path_strict_inclusion():
 
 def test_noncontrolled_rejects_negative_weight():
     g = golden_mean_shift()
-    a = EdgePotential(g, np.array([[-0.1, 0.0], [0.0, 0.0]])[g.allowed])
+    a = EdgePotential(g, np.array([[-0.1, 0.0], [0.0, 0.0]])[mask_of_graph(g)])
     with pytest.raises(ValueError):
         noncontrolled_set(g, a)
 
@@ -314,7 +313,7 @@ def test_pressure_on_subset_is_monotone():
 
 def test_pressure_on_single_loop():
     g = golden_mean_shift()
-    phi = EdgePotential(g, np.array([[0.25, 0.0], [0.0, 0.0]])[g.allowed])
+    phi = EdgePotential(g, np.array([[0.25, 0.0], [0.0, 0.0]])[mask_of_graph(g)])
     assert pressure_on_set(g, phi, [(0, 0)]) == pytest.approx(0.25, abs=1e-12)
 
 

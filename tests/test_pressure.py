@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermopress import pressure
 from thermopress.errors import (
+    ConvergenceError,
     NotIrreducibleError,
     ZeroMassError,
 )
@@ -33,8 +34,15 @@ from thermopress.sft import (
     integrate,
     ks_entropy,
 )
+from thermopress.thermo import _damped
 
-from .oracles import MarkovMeasure, birkhoff_sum, enumerate_cycles
+from .oracles import (
+    MarkovMeasure,
+    birkhoff_sum,
+    enumerate_cycles,
+    graph_from_mask,
+    mask_of_graph,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -45,7 +53,7 @@ def _random_instance(rng, n, lo=-1.0, hi=1.0):
     for k in range(n):
         A[perm[k], perm[(k + 1) % n]] = True
     A |= rng.random((n, n)) < 0.4
-    g = TransitionGraph(A)
+    g = graph_from_mask(A)
     vals = rng.uniform(lo, hi, size=(n, n))
     f = EdgePotential.from_edges(g, {e: float(vals[e]) for e in g.edges()})
     return g, f
@@ -85,7 +93,7 @@ def test_transfer_matches_eigenvalue_oracle():
 
 
 def test_transfer_single_state():
-    g = TransitionGraph(np.array([[True]]))
+    g = graph_from_mask(np.array([[True]]))
     f = EdgePotential.constant(g, -0.7)
     assert pressure_transfer(g, f).value == pytest.approx(-0.7, abs=1e-14)
 
@@ -112,7 +120,7 @@ def test_transfer_midpoint_convexity():
     rng = np.random.default_rng(9)
     for _ in range(10):
         g, f = _random_instance(rng, 4)
-        vals = rng.uniform(-1, 1, size=g.allowed.shape)
+        vals = rng.uniform(-1, 1, size=mask_of_graph(g).shape)
         h = EdgePotential.from_edges(g, {e: float(vals[e]) for e in g.edges()})
         mid = (f + h) * 0.5
         lhs = pressure_transfer(g, mid).value
@@ -121,7 +129,7 @@ def test_transfer_midpoint_convexity():
 
 
 def test_transfer_requires_irreducible():
-    g = TransitionGraph(np.array([[1, 1], [0, 1]], dtype=bool))
+    g = graph_from_mask(np.array([[1, 1], [0, 1]], dtype=bool))
     with pytest.raises(NotIrreducibleError):
         pressure_transfer(g, EdgePotential.constant(g, 0.0))
 
@@ -350,6 +358,38 @@ def test_catmap_plateau_stays_in_power_stage(monkeypatch):
     assert all(data.stage == "power" for data in solves)
 
 
+def test_catmap_power_stage_has_margin_under_stall_guard(monkeypatch):
+    # the order-6 cat-map brackets stay wide until they collapse, so a ten
+    # times looser guard (which would hand the two-loops-path plateaus on
+    # near step 200) leaves these solves untouched
+    g, a, phi = catmap_instance(6)
+    reference = [perron(_damped(phi, a, beta)) for beta in (0, 10, 30, 50)]
+    assert [data.iterations for data in reference] == [32, 142, 344, 546]
+    monkeypatch.setattr(pressure, "STALL_GUARD", 1e-2)
+    for beta, ref in zip((0, 10, 30, 50), reference):
+        data = perron(_damped(phi, a, beta))
+        assert data.stage == ref.stage == "power", beta
+        assert data.iterations == ref.iterations, beta
+        assert data.log_rho == ref.log_rho, beta
+
+
+def test_dense_routes_refuse_graphs_too_large_for_memory():
+    # a 10^6-state cycle is cheap as edge arrays, but its dense log matrix
+    # would need 8 TB; rho(W) ~ e^-50 < MIN_PLAIN_ROOT sends perron to the
+    # squaring stage after ~100 plain steps (at e^-5 the bracket needs
+    # ~2500 steps to show it), and neither route may try the allocation
+    n = 10**6
+    states = np.arange(n)
+    g = TransitionGraph(n, states, (states + 1) % n)
+    values = np.full(n, -50.0)
+    values[0] = 0.0
+    f = EdgePotential(g, values)
+    with pytest.raises(ConvergenceError, match="1000000"):
+        perron(f)
+    with pytest.raises(ConvergenceError, match="1000000"):
+        pressure_periodic_orbits(g, f, 2)
+
+
 def _cycle_plus_successors(rng, n, extra):
     # a Hamiltonian cycle plus `extra` random successors per state
     A = np.zeros((n, n), dtype=bool)
@@ -370,7 +410,7 @@ def test_sparse_perron_matches_dense_eigvals(n, extra, seed):
     rng = np.random.default_rng(seed)
     A = _cycle_plus_successors(rng, n, extra)
     F = np.where(A, rng.uniform(-1.0, 1.0, (n, n)), -np.inf)
-    data = perron(EdgePotential(TransitionGraph(A), F[A]))
+    data = perron(EdgePotential(graph_from_mask(A), F[A]))
     L = np.exp(F)
     want = float(np.log(np.abs(np.linalg.eigvals(L)).max()))
     assert data.log_rho == pytest.approx(want, abs=1e-10)
@@ -414,7 +454,7 @@ def test_periodic_matches_enumeration_and_trace_powers():
 
 
 def test_periodic_zero_mass_odd_length():
-    g = TransitionGraph(np.array([[0, 1], [1, 0]], dtype=bool))
+    g = graph_from_mask(np.array([[0, 1], [1, 0]], dtype=bool))
     f = EdgePotential.constant(g, 0.0)
     with pytest.raises(ZeroMassError):
         pressure_periodic_orbits(g, f, 5)
@@ -471,10 +511,11 @@ def _bowen_brute_force(g, f, T):
     # edges plus the largest outgoing weight of the final state
     closing = [max(f.value(i, j) for j in g.successors(i))
                for i in range(g.n_states)]
+    allowed = mask_of_graph(g)
     terms = []
     for word in itertools.product(range(g.n_states), repeat=T):
         edges = list(zip(word, word[1:]))
-        if all(g.allowed[e] for e in edges):
+        if all(allowed[e] for e in edges):
             terms.append(sum(f.value(*e) for e in edges) + closing[word[-1]])
     return math.log(math.fsum(math.exp(t) for t in terms)) / T
 
@@ -532,7 +573,7 @@ def test_no_measure_beats_pressure():
         n = int(rng.integers(2, 6))
         g, f = _random_instance(rng, n)
         pr = pressure_transfer(g, f).value
-        P = np.where(g.allowed, rng.random((n, n)) + 0.02, 0.0)
+        P = np.where(mask_of_graph(g), rng.random((n, n)) + 0.02, 0.0)
         P /= P.sum(axis=1, keepdims=True)
         mu = MarkovMeasure.from_transitions(g, P)
         assert ks_entropy(mu) + integrate(f, mu) <= pr + 1e-9
@@ -567,7 +608,7 @@ def test_equilibrium_tied_loops_across_damping():
     A = np.zeros((3, 3), dtype=bool)
     for i, j, _ in edges:
         A[i, j] = True
-    g = TransitionGraph(A)
+    g = graph_from_mask(A)
     a = EdgePotential.from_edges(g, {(i, j): w for i, j, w in edges})
     phi = EdgePotential.constant(g, 0.0)
     for beta in np.arange(0.0, 40.25, 0.5):
@@ -588,7 +629,7 @@ def test_edge_equilibrium_matches_dense_formulas(n, extra, seed):
     # P = 1 exactly; np.linalg.eig's vectors miss it by as much there
     rng = np.random.default_rng(seed)
     A = _cycle_plus_successors(rng, n, extra)
-    g = TransitionGraph(A)
+    g = graph_from_mask(A)
     f = EdgePotential(g, rng.uniform(-1.0, 1.0, g.n_edges))
     eq = equilibrium_state(g, f)
     r, left = eq.right, eq.left

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermopress.errors import GraphFormatError
+from thermopress.instances import two_loops_path_instance
 from thermopress.sft import (
     CyclicWord,
     EdgePotential,
@@ -23,6 +24,8 @@ from .oracles import (
     MarkovMeasure,
     birkhoff_sum,
     enumerate_cycles,
+    graph_from_mask,
+    mask_of_graph,
 )
 
 
@@ -34,7 +37,7 @@ def _random_irreducible(rng, n):
     for k in range(n):
         A[perm[k], perm[(k + 1) % n]] = True
     extra = rng.random((n, n)) < 0.4
-    return TransitionGraph(A | extra)
+    return graph_from_mask(A | extra)
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +46,54 @@ def _random_irreducible(rng, n):
 
 def test_graph_marks_reducible():
     A = np.array([[1, 1], [0, 1]], dtype=bool)
-    assert TransitionGraph(A).irreducible is False
+    assert graph_from_mask(A).irreducible is False
     assert golden_mean_shift().irreducible is True
 
 
 def test_graph_rejects_dead_states():
     with pytest.raises(ValueError):
-        TransitionGraph(np.array([[1, 1], [0, 0]], dtype=bool))  # no out at 1
+        graph_from_mask(np.array([[1, 1], [0, 0]], dtype=bool))  # no out at 1
     with pytest.raises(ValueError):
-        TransitionGraph(np.array([[0, 1], [0, 1]], dtype=bool))  # no in at 0
+        graph_from_mask(np.array([[0, 1], [0, 1]], dtype=bool))  # no in at 0
 
 
-def test_graph_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        TransitionGraph(np.ones((2, 3), dtype=bool))
+def test_graph_rejects_bad_edge_arrays():
+    with pytest.raises(ValueError, match="targets"):
+        TransitionGraph(2, [0, 1], [1])  # length mismatch
+    with pytest.raises(ValueError, match="out of range"):
+        TransitionGraph(2, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        TransitionGraph(2, [-1, 0, 1], [1, 1, 0])
+    with pytest.raises(ValueError, match="row-major"):
+        TransitionGraph(2, [1, 0], [0, 1])  # unsorted
+    with pytest.raises(ValueError, match="row-major"):
+        TransitionGraph(2, [0, 0, 1], [1, 1, 0])  # duplicate edge (0, 1)
+
+
+def test_graph_rejects_more_states_than_edges():
+    # checked before anything of size n_states is allocated
+    with pytest.raises(ValueError, match="1000000000 states but only 1 edges"):
+        TransitionGraph(10**9, [0], [0])
+
+
+def test_graph_names_at_most_ten_dead_states():
+    # every edge enters state 0, so states 1..29 have no incoming edge
+    with pytest.raises(ValueError) as err:
+        TransitionGraph(30, np.arange(30), np.zeros(30, dtype=int))
+    assert str(err.value) == ("29 states without incoming edges, "
+                              "first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")
+
+
+def test_edge_id_rejects_states_out_of_range():
+    # negative indices must not wrap around to other rows or edges
+    _, a, _ = two_loops_path_instance()
+    with pytest.raises(KeyError):
+        a.value(-3, 0)
+    with pytest.raises(KeyError):
+        a.value(-1, 0)
+    with pytest.raises(KeyError):
+        full_shift(2).edge_id(0, -1)
+    assert a.value(2, 0) == 0.7
 
 
 def test_graph_edges_sorted():
@@ -160,13 +197,13 @@ def _trace_identity_holds(graph, rng, lengths=(1, 2, 3, 4, 5)):
     f = EdgePotential.from_edges(
         graph, {e: float(vals[e]) for e in graph.edges()}
     )
-    M = np.where(graph.allowed, np.exp(vals), 0.0)
+    M = np.where(mask_of_graph(graph), np.exp(vals), 0.0)
     for T in lengths:
         words = enumerate_cycles(graph, T)
         lhs = sum(np.exp(birkhoff_sum(f, w)) for w in words)
         rhs = np.trace(np.linalg.matrix_power(M, T))
         assert len(words) == round(
-            np.trace(np.linalg.matrix_power(graph.allowed.astype(float), T))
+            np.trace(np.linalg.matrix_power(mask_of_graph(graph).astype(float), T))
         )
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -179,7 +216,7 @@ def test_trace_identity_exhaustive_small():
         for bits in itertools.product([0, 1], repeat=n * n):
             A = np.array(bits, dtype=bool).reshape(n, n)
             try:
-                g = TransitionGraph(A)
+                g = graph_from_mask(A)
             except ValueError:
                 continue
             _trace_identity_holds(g, rng)
@@ -228,7 +265,7 @@ def test_stationary_vector_is_stationary():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         g = _random_irreducible(rng, n)
-        P = np.where(g.allowed, rng.random((n, n)) + 0.05, 0.0)
+        P = np.where(mask_of_graph(g), rng.random((n, n)) + 0.05, 0.0)
         P /= P.sum(axis=1, keepdims=True)
         mu = MarkovMeasure.from_transitions(g, P)
         assert np.allclose(mu.stationary @ P, mu.stationary, atol=1e-9)
@@ -251,16 +288,16 @@ def test_entropy_bounded_by_log_spectral_radius():
     for _ in range(25):
         n = int(rng.integers(2, 7))
         g = _random_irreducible(rng, n)
-        P = np.where(g.allowed, rng.random((n, n)) + 0.01, 0.0)
+        P = np.where(mask_of_graph(g), rng.random((n, n)) + 0.01, 0.0)
         P /= P.sum(axis=1, keepdims=True)
         mu = MarkovMeasure.from_transitions(g, P)
-        rho = max(abs(np.linalg.eigvals(g.allowed.astype(float))))
+        rho = max(abs(np.linalg.eigvals(mask_of_graph(g).astype(float))))
         assert ks_entropy(mu) <= np.log(rho) + 1e-9
 
 
 def test_entropy_deterministic_cycle_is_zero():
     A = np.array([[0, 1], [1, 0]], dtype=bool)
-    g = TransitionGraph(A)
+    g = graph_from_mask(A)
     P = A.astype(float)
     mu = MarkovMeasure.from_transitions(g, P)
     assert ks_entropy(mu) == 0.0

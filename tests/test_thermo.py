@@ -15,7 +15,7 @@ from thermopress.instances import (
     two_loops_path_instance,
 )
 from thermopress.pressure import pressure_transfer
-from thermopress.sft import EdgePotential, TransitionGraph, full_shift
+from thermopress.sft import EdgePotential, full_shift
 from thermopress.thermo import (
     ThermoCurve,
     default_schedule,
@@ -24,6 +24,8 @@ from thermopress.thermo import (
     thermo_curve,
     verify_limit,
 )
+
+from .oracles import graph_from_mask, mask_of_graph
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -34,7 +36,7 @@ def _random_damped_instance(rng, n, zero_frac=0.5):
     for k in range(n):
         A[perm[k], perm[(k + 1) % n]] = True
     A |= rng.random((n, n)) < 0.4
-    g = TransitionGraph(A)
+    g = graph_from_mask(A)
     avals = {}
     for e in g.edges():
         avals[e] = 0.0 if rng.random() < zero_frac else float(rng.uniform(0.1, 1.5))
@@ -145,7 +147,7 @@ def test_two_loops_path_limit():
 
 def test_thermo_curve_rejects_negative_damping():
     g = full_shift(2)
-    a = EdgePotential(g, np.array([[0.0, -0.2], [0.0, 0.0]])[g.allowed])
+    a = EdgePotential(g, np.array([[0.0, -0.2], [0.0, 0.0]])[mask_of_graph(g)])
     phi = EdgePotential.constant(g, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         thermo_curve(g, a, phi)
@@ -310,7 +312,7 @@ def test_find_gap_beta_out_of_reach():
 def test_find_gap_beta_validation():
     g, a, _ = golden_mean_instance()
     phi = EdgePotential.constant(g, -0.1)
-    neg = EdgePotential(g, np.array([[0.0, -1.0], [0.0, 0.0]])[g.allowed])
+    neg = EdgePotential(g, np.array([[0.0, -1.0], [0.0, 0.0]])[mask_of_graph(g)])
     with pytest.raises(ValueError):
         find_gap_beta(g, neg, phi)
     with pytest.raises(ValueError):
