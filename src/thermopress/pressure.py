@@ -121,9 +121,10 @@ def _stalled(steps_left, width, earlier, window, target):
     return np.log(target / width) / rate > steps_left
 
 
-def _plain_power_stage(W, WT):
-    """Shifted power iteration on W + I with Collatz-Wielandt brackets;
-    W is a sparse matrix and WT its transpose, one matvec each per step.
+def _plain_power_stage(W, WT, x, z):
+    """Shifted power iteration on W + I with Collatz-Wielandt brackets,
+    from positive right and left vectors x and z; W is a sparse matrix
+    and WT its transpose, one matvec each per step.
 
     Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
     being the final bracket.  The +I shift keeps the iteration convergent
@@ -133,9 +134,6 @@ def _plain_power_stage(W, WT):
     projects past the rest of PLAIN_BUDGET.  Wider brackets can sit on a
     plateau before they contract, so they are never projected.
     """
-    n = W.shape[0]
-    x = np.ones(n)
-    z = np.ones(n)
     # best relative width seen by each step, for the contraction measure
     best = np.empty(PLAIN_BUDGET + 1)
     best[0] = np.inf
@@ -214,9 +212,13 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
     )
 
 
-def perron(f: EdgePotential) -> PerronData:
+def perron(f: EdgePotential, *, start=None) -> PerronData:
     """Perron root and eigenvectors of the transfer matrix L_ij = e^{f_ij}
-    on the edges of f's graph.  Deterministic all-ones start.
+    on the edges of f's graph.  The power stage starts from start.right
+    and start.left (a PerronData or EquilibriumState of a nearby potential
+    on the same graph) when both are finite, strictly positive and of
+    length n, and from all-ones vectors otherwise; the brackets enclose
+    rho from any positive start, so only the step count depends on it.
 
     One decision: shifted power iteration on W + I (two-sided
     Collatz-Wielandt brackets, at most PLAIN_BUDGET sparse steps, W built
@@ -230,7 +232,12 @@ def perron(f: EdgePotential) -> PerronData:
     graph = f.graph
     fmax = f.max()
     W = graph.adjacency(np.exp(f.values - fmax))
-    ok, lo, hi, x, z, it = _plain_power_stage(W, W.T.tocsr())
+    x = z = np.ones(graph.n_states)
+    if start is not None and all(
+            v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
+            for v in (start.right, start.left)):
+        x, z = start.right, start.left
+    ok, lo, hi, x, z, it = _plain_power_stage(W, W.T.tocsr(), x, z)
     rho_w = 0.5 * (lo + hi) - 1.0
     if ok and rho_w >= MIN_PLAIN_ROOT:
         log_rho = fmax + np.log(rho_w)
@@ -410,16 +417,16 @@ class EquilibriumState:
     left: np.ndarray
 
 
-def equilibrium_state(graph: TransitionGraph,
-                      f: EdgePotential) -> EquilibriumState:
+def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
+                      start=None) -> EquilibriumState:
     """Equilibrium state via P_ij = e^{f_ij} r_j / (lambda r_i) and
     p_i proportional to l_i r_i, from the Perron data of the transfer
-    matrix.  Rows are renormalized after the eigenvector solve; the
-    pre-normalization defect must be below 1e-10."""
+    matrix (start is passed to perron).  Rows are renormalized after the
+    eigenvector solve; the pre-normalization defect must be below 1e-10."""
     _require_irreducible(graph)
     if not f.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    data = perron(f)
+    data = perron(f, start=start)
     logr = np.log(data.right)
     src, dst = graph.src, graph.dst
     P = np.exp(f.values + logr[dst] - logr[src] - data.log_rho)

@@ -36,6 +36,19 @@ def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
     return tuple(n * step for n in range(count + 1))
 
 
+def _check_schedule(betas):
+    """Raise unless the 1-d array betas is finite, nonempty, strictly
+    increasing and nonnegative."""
+    if len(betas) == 0:
+        raise ValueError("schedule is empty")
+    if not np.isfinite(betas).all():
+        raise ValueError("betas must be finite")
+    if (np.diff(betas) <= 0).any():
+        raise ValueError("betas must be strictly increasing")
+    if betas[0] < 0:
+        raise ValueError("damping strengths must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ThermoCurve:
     """Pressure curve over a damping schedule, with the equilibrium
@@ -63,15 +76,9 @@ class ThermoCurve:
             if arr.ndim != 1 or not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be a finite 1-d array")
             arrays[name] = arr
-        m = len(arrays["betas"])
-        if m == 0:
-            raise ValueError("schedule is empty")
-        if any(len(v) != m for v in arrays.values()):
+        _check_schedule(arrays["betas"])
+        if any(len(v) != len(arrays["betas"]) for v in arrays.values()):
             raise ValueError("curve arrays must share one length")
-        if (np.diff(arrays["betas"]) <= 0).any():
-            raise ValueError("betas must be strictly increasing")
-        if arrays["betas"][0] < 0:
-            raise ValueError("betas must be nonnegative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
         for name in ("limit_target", "pressure_phi", "a0"):
@@ -120,7 +127,8 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                  minimization: MinimizationResult | None = None) -> ThermoCurve:
     """Compute the damped pressure curve over the schedule (default
     0..40 in steps of 1/2), one equilibrium state per point, in schedule
-    order.
+    order; each point's Perron solve starts from the previous point's
+    vectors.  The schedule is checked before anything is solved.
 
     minimization is the result of minimize(graph, a, phi) for these same
     arguments; it supplies a0 and the limit target.  When omitted, that
@@ -130,23 +138,17 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
         raise ValueError("damping must be nonnegative")
     if betas is None:
         betas = default_schedule()
-    betas = [float(b) for b in betas]
-    if any(b < 0 for b in betas):
-        raise ValueError("damping strengths must be nonnegative")
+    betas = np.array([float(b) for b in betas])
+    _check_schedule(betas)
     a0, limit_target = _minimum_and_limit(graph, a, phi, minimization)
     pressure_phi = pressure_transfer(graph, phi).value
-
-    def point(beta):
-        eq = equilibrium_state(graph, _damped(phi, a, beta))
-        return (
-            eq.log_lambda + beta * a0,
-            integrate(a, eq.measure),
-            ks_entropy(eq.measure),
-            integrate(phi, eq.measure),
-        )
-
-    values, avgs, ents, phis = map(np.array, zip(*map(point, betas)))
-    return ThermoCurve(np.array(betas), values, avgs, ents, phis,
+    rows, eq = [], None
+    for beta in betas:
+        eq = equilibrium_state(graph, _damped(phi, a, beta), start=eq)
+        rows.append((eq.log_lambda + beta * a0, integrate(a, eq.measure),
+                     ks_entropy(eq.measure), integrate(phi, eq.measure)))
+    values, avgs, ents, phis = map(np.array, zip(*rows))
+    return ThermoCurve(betas, values, avgs, ents, phis,
                        limit_target, pressure_phi, a0)
 
 

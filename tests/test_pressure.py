@@ -1,5 +1,6 @@
 """Three pressure routes against independent linear-algebra oracles."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -34,7 +35,8 @@ from thermopress.sft import (
     integrate,
     ks_entropy,
 )
-from thermopress.thermo import _damped
+from thermopress.ergopt import minimize
+from thermopress.thermo import _damped, default_schedule, thermo_curve
 
 from .oracles import (
     MarkovMeasure,
@@ -314,8 +316,8 @@ def _recording_perron(monkeypatch):
     solves, steps = [], []
     perron_, plain = pressure.perron, pressure._plain_power_stage
 
-    def recording(f):
-        solves.append(perron_(f))
+    def recording(f, *args, **kw):
+        solves.append(perron_(f, *args, **kw))
         return solves[-1]
 
     def counting(*args):
@@ -371,6 +373,93 @@ def test_catmap_power_stage_has_margin_under_stall_guard(monkeypatch):
         assert data.stage == ref.stage == "power", beta
         assert data.iterations == ref.iterations, beta
         assert data.log_rho == ref.log_rho, beta
+
+
+def test_warm_sweep_stays_in_power_stage(monkeypatch):
+    # each thermo_curve point starts from the previous point's vectors; a
+    # warm bracket starts narrow, and must not set off the stall
+    # projection that would send a point to the O(n^3) squaring stage.
+    # The all-ones starts of the same sweep take about 30 000 steps.
+    g, a, phi = catmap_instance(6)
+    minimization = minimize(g, a, phi)
+    solves, steps = _recording_perron(monkeypatch)
+    curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
+                         minimization=minimization)
+    assert len(curve) == 101 and len(solves) == 102  # Pr(phi), then the sweep
+    assert all(data.stage == "power" for data in solves)
+    assert sum(steps) < 12_000
+
+
+def test_warm_start_enclosure_covers_high_precision_error():
+    # a start from a nearby potential's vectors changes the step count,
+    # not the bound: the bracket encloses the root from any positive start
+    rng = np.random.default_rng(0)
+    perturb = np.random.default_rng(1)
+    for _ in range(300):
+        _, f1 = _random_instance(rng, int(rng.integers(3, 8)), -6.0, 6.0)
+        f2 = EdgePotential(f1.graph, f1.values
+                           + perturb.uniform(-0.5, 0.5, f1.values.shape))
+        data = perron(f2, start=perron(f1))
+        exact = _mp_log_rho(f2.log_matrix())
+        err = abs(mpmath.mpf(float(data.log_rho)) - exact)
+        assert err <= data.enclosure, (f2.log_matrix(), err, data)
+
+
+def test_unusable_start_is_a_cold_solve():
+    rng = np.random.default_rng(4)
+    g, f = _random_instance(rng, 12)
+    cold = perron(f)
+    n = g.n_states
+    bad = []
+    for k, v in ((0, 0.0), (3, -0.25), (5, np.nan), (7, np.inf)):
+        vec = np.full(n, 1.0 / n)
+        vec[k] = v
+        bad += [dataclasses.replace(cold, right=vec),
+                dataclasses.replace(cold, left=vec)]
+    bad.append(dataclasses.replace(cold, right=np.ones(n + 1),
+                                   left=np.ones(n + 1)))
+    bad.append(dataclasses.replace(cold, right=np.ones(n - 1)))
+    for start in bad:
+        warm = perron(f, start=start)
+        assert warm.log_rho == cold.log_rho
+        assert warm.enclosure == cold.enclosure
+        assert (warm.iterations, warm.stage) == (cold.iterations, cold.stage)
+        assert np.array_equal(warm.right, cold.right)
+        assert np.array_equal(warm.left, cold.left)
+
+
+def _tied_loops_instance(rng, n):
+    # a Hamiltonian cycle plus two random successors per state, and two
+    # undamped self-loops sharing one base potential: at large beta the
+    # top two eigenvalues of the damped matrix tie
+    A = np.zeros((n, n), dtype=bool)
+    perm = rng.permutation(n)
+    A[perm, np.roll(perm, -1)] = True
+    for i in range(n):
+        A[i, rng.choice(n, size=2, replace=False)] = True
+    loops = rng.choice(n, size=2, replace=False)
+    A[loops, loops] = True
+    g = graph_from_mask(A)
+    damping = rng.uniform(0.5, 1.5, (n, n))
+    base = rng.uniform(-1.0, 0.5, (n, n))
+    damping[loops, loops] = 0.0
+    base[loops, loops] = rng.uniform(-1.0, 0.0)
+    mask = mask_of_graph(g)
+    return g, EdgePotential(g, damping[mask]), EdgePotential(g, base[mask])
+
+
+def test_warm_and_cold_enclosures_intersect_on_tied_loops():
+    rng = np.random.default_rng(30)
+    for n in (27, 30, 33):
+        g, a, phi = _tied_loops_instance(rng, n)
+        previous = None
+        for beta in np.arange(0.0, 30.25, 0.5):
+            f = _damped(phi, a, beta)
+            cold = perron(f)
+            warm = perron(f, start=previous)
+            assert (abs(warm.log_rho - cold.log_rho)
+                    <= warm.enclosure + cold.enclosure), (n, beta)
+            previous = warm
 
 
 def test_dense_routes_refuse_graphs_too_large_for_memory():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from thermopress import ergopt, pressure, thermo
 from thermopress.errors import InvariantViolation
 from thermopress.ergopt import minimize, pressure_on_set, undamped_set
 from thermopress.instances import (
+    catmap_instance,
     full2_instance,
     get_builtin,
     golden_mean_instance,
@@ -157,6 +159,32 @@ def test_thermo_curve_rejects_negative_beta():
     g, a, phi = full2_instance()
     with pytest.raises(ValueError):
         thermo_curve(g, a, phi, (-1.0, 0.0))
+
+
+@pytest.mark.parametrize("betas, message", [
+    ([], "empty"),
+    ([1.0, 0.5, 0.0], "strictly increasing"),
+    ([0.0, 0.0], "strictly increasing"),
+    ([-1.0, 0.0], "nonnegative"),
+    ([0.0, float("nan")], "finite"),
+])
+def test_thermo_curve_checks_schedule_before_solving(monkeypatch, betas,
+                                                     message):
+    g, a, phi = catmap_instance(6)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(pressure, "perron", counting("perron", pressure.perron))
+    monkeypatch.setattr(ergopt, "perron", counting("perron", ergopt.perron))
+    monkeypatch.setattr(thermo, "minimize", counting("minimize", thermo.minimize))
+    with pytest.raises(ValueError, match=message):
+        thermo_curve(g, a, phi, betas)
+    assert calls == []
 
 
 def test_curve_csv_shape():
