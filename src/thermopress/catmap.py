@@ -409,10 +409,10 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     Builds the refinement matching epsilon, the orbit-window damping, and
     the expansion potential, then checks whether the critical edge set is
     exactly the orbit.  If it is (epsilon below the isolation threshold),
-    runs the damped pressure curve, audits it, and bisects for the
-    strength where the pressure turns negative.  Otherwise reports the
-    above-threshold regime, which is a finding, not an error.  All values
-    are plain JSON types.
+    runs the damped pressure curve, audits it, and finds the strength
+    where the pressure turns negative (find_gap_beta: warm-started Newton
+    with certified signs).  Otherwise reports the above-threshold regime,
+    which is a finding, not an error.  All values are plain JSON types.
     """
     tmap, coding = build_cat_map()
     order = refinement_for_scale(epsilon)

@@ -16,18 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConvergenceError, InvariantViolation
 from .ergopt import MinimizationResult, minimize
-from .pressure import equilibrium_state, pressure_transfer
+from .pressure import (_require_irreducible, equilibrium_state, perron,
+                       pressure_transfer)
 from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_entropy
 
 SANDWICH_TOL = 1e-9
-# width of the final bisection bracket of find_gap_beta
+# bracket width of find_gap_beta's warm-started, certified Newton search
 GAP_XTOL = 1e-6
 
 
 def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
     """Evenly spaced damping strengths 0, step, 2*step, ..., beta_max."""
+    for name, value in (("beta_max", beta_max), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0 or beta_max < 0:
         raise ValueError("need step > 0 and beta_max >= 0")
     count = int(round(beta_max / step))
@@ -152,8 +156,10 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                        limit_target, pressure_phi, a0)
 
 
-_CHECKS = ("lower-bracket", "upper-bracket", "monotone", "average-floor",
-           "limit-gap")
+def _check_tol(tol):
+    """Raise unless the audit tolerance tol is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def verify_limit(curve: ThermoCurve, tol: float = 1e-6):
@@ -164,8 +170,9 @@ def verify_limit(curve: ThermoCurve, tol: float = 1e-6):
     within tol of the limit target.
 
     Returns (ok, diagnostics); diagnostics pins the first failing check
-    and always carries the extreme margins.
+    and always carries the extreme margins.  tol must be finite and > 0.
     """
+    _check_tol(tol)
     lower_margin = float((curve.values - curve.limit_target).min())
     upper_margin = float((curve.pressure_phi - curve.values).min())
     steps = np.diff(curve.values)
@@ -224,6 +231,7 @@ def measure_convergence(curve: ThermoCurve, tol: float = 1e-6) -> dict:
 
     at every point (it underlies the curve's bracketing), raising
     InvariantViolation if it is breached beyond 1e-9 * (1 + beta)."""
+    _check_tol(tol)
     margin = (curve.eq_entropies + curve.eq_phi_averages) - curve.values
     slack = SANDWICH_TOL * (1.0 + curve.betas)
     if (margin < -slack).any():
@@ -248,14 +256,24 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
                   phi: EdgePotential, beta_max: float = 80.0, *,
                   minimization: MinimizationResult | None = None):
     """Least damping strength at which the raw pressure Pr(phi - beta a)
-    turns negative, located by bisection to within GAP_XTOL.
+    turns negative, located by warm-started Newton steps with certified
+    signs: a point is negative only when Pr + enclosure < 0 and
+    nonnegative only when Pr - enclosure >= 0, with the enclosure its
+    Perron solve measured, and each solve starts from the previous one.
 
-    A crossing can exist only when the pressure of phi restricted to the
-    critical edge set, the limit of the curve, is itself negative; that
-    precondition is checked first and its violation is an error.  Returns
-    0.0 if the pressure is already negative at beta = 0, None if still
-    nonnegative at beta_max; otherwise the upper bisection endpoint, so
-    the returned strength is re-verified to give negative pressure.
+    The pressure is convex in beta with slope minus the equilibrium
+    average of a, so Newton steps from lo = 0 stay left of the root; each
+    stops GAP_XTOL/4 short of it, and once a step is below GAP_XTOL/2,
+    lo + GAP_XTOL is tried as the negative end hi.  A step leaving the
+    bracket [lo, hi] is replaced by bisection; beta_max is solved only
+    once a step passes it.  An undecided point other than beta_max raises
+    ConvergenceError, so it is never a bracket end.
+
+    The restricted pressure of phi on the critical edge set, the limit of
+    the curve, must be negative for a crossing to exist; otherwise this
+    raises.  Returns 0.0 if Pr(phi) is certified negative, None if the
+    pressure at beta_max is not; otherwise hi, with the root in
+    [hi - GAP_XTOL, hi).
 
     minimization is the result of minimize(graph, a, phi) for these same
     arguments and supplies the restricted pressure; when omitted, that
@@ -263,6 +281,8 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
+    if not np.isfinite(beta_max):
+        raise ValueError(f"beta_max must be finite, got {beta_max!r}")
     if beta_max < 0:
         raise ValueError("beta_max must be nonnegative")
     _, target = _minimum_and_limit(graph, a, phi, minimization)
@@ -272,21 +292,31 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
             "pressure stays above it for every strength, so no crossing "
             "exists"
         )
+    _require_irreducible(graph)
+    if not phi.graph.same_graph(graph):
+        raise ValueError("potential lives on a different graph")
 
-    def g(beta):
-        return pressure_transfer(graph, _damped(phi, a, beta)).value
-
-    if g(0.0) < 0:
+    lo, hi, hi_solved = 0.0, beta_max, False
+    at_lo = last = perron(_damped(phi, a, lo))
+    if at_lo.log_rho + at_lo.enclosure < 0:
         return 0.0
-    if beta_max == 0 or g(beta_max) >= 0:
-        return None
-    lo, hi = 0.0, beta_max
-    while hi - lo > GAP_XTOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            hi = mid
+    while not (hi_solved and hi <= lo + GAP_XTOL):
+        # equilibrium edge weights at lo, up to a constant factor
+        f = phi.values - lo * a.values
+        w = (at_lo.left[graph.src] * np.exp(f - f.max())
+             * at_lo.right[graph.dst])
+        step = at_lo.log_rho * w.sum() / (w @ a.values)
+        x = lo + step - GAP_XTOL / 4 if step >= GAP_XTOL / 2 else lo + GAP_XTOL
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi) if hi_solved else beta_max
+        last = perron(_damped(phi, a, x), start=last)
+        if last.log_rho + last.enclosure < 0:
+            hi, hi_solved = x, True
+        elif x == beta_max and not hi_solved:
+            return None
+        elif last.log_rho - last.enclosure >= 0:
+            lo, at_lo = x, last
         else:
-            lo = mid
-    if not g(hi) < 0:
-        raise InvariantViolation("bisection endpoint lost negativity")
-    return hi
+            raise ConvergenceError(f"pressure at beta={x!r} is within its "
+                                   f"enclosure {last.enclosure!r} of zero")
+    return float(hi)

@@ -135,6 +135,18 @@ def test_thermo_rejects_negative_damping(tmp_path):
     assert "nonnegative" in r.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-6"])
+def test_thermo_rejects_bad_tol(tmp_path, tol):
+    # a NaN tol used to print "verdict true" with a 0.114 final gap
+    r = run_cli("thermo", "--builtin", "golden-mean", "--beta-max", "2",
+                f"--tol={tol}", "--out", str(tmp_path))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("error: tol must be finite and > 0")
+    assert r.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # catmap
 
@@ -183,6 +195,22 @@ def test_catmap_epsilon_form(tmp_path):
     rep = json.loads((tmp_path / "catmap_report.json").read_text())
     assert rep["refinement_order"] == 2
     assert rep["n_states"] == 21
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("thermo", "--builtin", "full2", "--beta-max", "inf"), "beta_max"),
+    (("thermo", "--builtin", "full2", "--beta-max", "nan"), "beta_max"),
+    (("thermo", "--builtin", "full2", "--beta-step", "nan"), "step"),
+    (("catmap", "--refine", "2", "--beta-max", "inf"), "beta_max"),
+    (("catmap", "--refine", "2", "--beta-max", "nan"), "beta_max"),
+])
+def test_non_finite_schedule_is_usage_error(tmp_path, argv, name):
+    # infinity used to end in an uncaught OverflowError traceback
+    r = run_cli(*argv, "--out", str(tmp_path))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith(f"error: {name} must be finite")
 
 
 # ---------------------------------------------------------------------------

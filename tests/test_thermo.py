@@ -2,11 +2,15 @@
 crossing strength."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermopress import ergopt, pressure, thermo
+from thermopress.catmap import (build_cat_map, damping_from_orbit,
+                                expansion_potential, periodic_itinerary)
 from thermopress.errors import InvariantViolation
 from thermopress.ergopt import minimize, pressure_on_set, undamped_set
 from thermopress.instances import (
@@ -19,6 +23,7 @@ from thermopress.instances import (
 from thermopress.pressure import pressure_transfer
 from thermopress.sft import EdgePotential, full_shift
 from thermopress.thermo import (
+    GAP_XTOL,
     ThermoCurve,
     default_schedule,
     find_gap_beta,
@@ -64,6 +69,14 @@ def test_default_schedule_rejects_bad_input():
         default_schedule(-1.0, 0.5)
     with pytest.raises(ValueError):
         default_schedule(1.0, 0.3)  # not a multiple
+
+
+@pytest.mark.parametrize("beta_max, step, name", [
+    (math.inf, 0.5, "beta_max"), (math.nan, 0.5, "beta_max"),
+    (10.0, math.inf, "step"), (10.0, math.nan, "step")])
+def test_default_schedule_rejects_non_finite_input(beta_max, step, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        default_schedule(beta_max, step)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +300,17 @@ def test_measure_convergence_full2():
     assert rep["eq_entropies"][-1] <= rep["eq_entropies"][0]
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6, 0.0])
+def test_audits_reject_bad_tolerance(tol):
+    # a NaN tol used to pass the limit-gap check vacuously
+    g, a, phi = golden_mean_instance()
+    curve = thermo_curve(g, a, phi, default_schedule(2.0, 0.5))
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        verify_limit(curve, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        measure_convergence(curve, tol=tol)
+
+
 def test_measure_convergence_rejects_impossible_entropy():
     g, a, phi = full2_instance()
     curve = thermo_curve(g, a, phi, (0.0, 1.0))
@@ -345,6 +369,87 @@ def test_find_gap_beta_validation():
         find_gap_beta(g, neg, phi)
     with pytest.raises(ValueError):
         find_gap_beta(g, a, phi, beta_max=-1.0)
+
+
+@pytest.mark.parametrize("c", [-0.1, -0.3, -0.45])
+def test_find_gap_beta_golden_mean_closed_form(c):
+    # with phi = c the damped transfer matrix is [[e^c, e^(c - beta)],
+    # [e^c, 0]], whose Perron root is 1 exactly where
+    # e^(-beta) = e^(-2c) - e^(-c)
+    g, a, _ = golden_mean_instance()
+    root = -math.log(math.exp(-2.0 * c) - math.exp(-c))
+    beta = find_gap_beta(g, a, EdgePotential.constant(g, c), beta_max=80.0)
+    assert root < beta <= root + GAP_XTOL
+
+
+def _dense_pressure(g, f):
+    L = np.zeros((g.n_states, g.n_states))
+    L[g.src, g.dst] = np.exp(f)
+    return float(np.log(np.abs(np.linalg.eigvals(L)).max()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.1, 0.9))
+def test_find_gap_beta_brackets_dense_root(n, seed, share):
+    # a Hamiltonian cycle plus random edges, with one undamped self-loop
+    # and every other edge damped; phi = c is the restricted pressure, so
+    # c = -share * h_top puts a crossing between 0 and infinity
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) < 2.0 / n
+    perm = rng.permutation(n)
+    A[perm, np.roll(perm, -1)] = True
+    A[0, 0] = True
+    g = graph_from_mask(A)
+    damping = rng.uniform(0.1, 1.5, g.n_edges)
+    damping[g.edge_id(0, 0)] = 0.0
+    a = EdgePotential(g, damping)
+    c = -share * _dense_pressure(g, np.zeros(g.n_edges))
+    phi = EdgePotential.constant(g, c)
+    beta = find_gap_beta(g, a, phi, beta_max=200.0)
+    assert beta is not None and beta > 0.0
+    assert _dense_pressure(g, phi.values - beta * a.values) < 0.0
+    assert _dense_pressure(g, phi.values - (beta - GAP_XTOL) * a.values) >= 0.0
+
+
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
+    # every Perron solve of find_gap_beta goes through thermo.perron
+    solves = []
+    perron_ = thermo.perron
+
+    def counting(f, **kw):
+        solves.append(perron_(f, **kw))
+        return solves[-1]
+
+    monkeypatch.setattr(thermo, "perron", counting)
+    _, coding = build_cat_map()
+    ref = coding.refine(order)
+    phi = expansion_potential(ref)
+    for point in ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
+                  (Fraction(1, 5), Fraction(2, 5))):
+        orbit = periodic_itinerary(coding, point)
+        a = damping_from_orbit(coding, orbit, 2.0 ** -order)
+        result = minimize(ref.graph, a, phi)
+        solves.clear()
+        beta = find_gap_beta(ref.graph, a, phi, beta_max=50.0,
+                             minimization=result)
+        assert beta is not None and 0.0 < beta < 50.0
+        assert len(solves) <= 8, (point, len(solves))
+        assert all(d.stage == "power" for d in solves)
+        assert sum(d.iterations for d in solves) < 600, (point, solves)
+
+
+@pytest.mark.parametrize("beta_max", [math.inf, math.nan])
+def test_find_gap_beta_rejects_non_finite_beta_max(beta_max, monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("minimize ran before the check")
+
+    monkeypatch.setattr(thermo, "minimize", unreachable)
+    g, a, _ = golden_mean_instance()
+    phi = EdgePotential.constant(g, -0.1)
+    with pytest.raises(ValueError, match="beta_max must be finite"):
+        find_gap_beta(g, a, phi, beta_max=beta_max)
 
 
 # ---------------------------------------------------------------------------
