@@ -2,12 +2,13 @@
 
 The minimum of the time average over all invariant measures equals the
 minimum mean weight over cycles, so the core computation is a min mean
-cycle (Karp's recurrence, run per strongly connected component).  On top
-of that this module extracts
+cycle: one Howard policy iteration on the whole graph, which yields per
+state the least reachable cycle mean and a bias.  From that one solve
+this module extracts
 
-* a witness cycle achieving the minimum,
-* the critical edge set: edges lying on minimizing cycles, found through
-  shortest-path potentials and tight-edge slack,
+* a witness cycle achieving the minimum, a cycle of the final policy,
+* the critical edge set: edges lying on minimizing cycles, found as the
+  cyclic part of the edges with zero slack for the bias,
 * for a nonnegative weight with minimum zero, the uncontrolled edge set:
   edges on bi-infinite trajectories of identically zero weight,
 * the pressure of a second potential restricted to such an edge set.
@@ -28,84 +29,83 @@ from .sft import CyclicWord, EdgePotential, TransitionGraph
 SLACK_TOL = 1e-9
 
 
-def _scc_labels(graph):
-    _, labels = connected_components(graph.adjacency(), directed=True,
-                                     connection="strong")
-    return labels
+def _slack_tol(a):
+    """SLACK_TOL, scaled up by the largest |weight| once that exceeds 1:
+    rounding in the bias grows with the weights, and an absolute
+    tolerance below it would let policy iteration switch on noise."""
+    return SLACK_TOL * max(1.0, float(np.abs(a.values).max()))
 
 
-def _cyclic_components(graph, labels):
-    """Component ids that contain at least one edge (hence a cycle)."""
-    src, dst = graph.src, graph.dst
-    internal = labels[src] == labels[dst]
-    return sorted(set(labels[src[internal]].tolist()))
+def _policy_values(graph, w, policy):
+    """Cycle mean eta and bias h of the policy that leaves each state i
+    along edge policy[i].  Each state's policy path ends in one cycle;
+    eta is that cycle's mean, and h sums w - eta along the path to the
+    cycle's least state, where h is 0."""
+    n = graph.n_states
+    succ, cost = graph.dst[policy], w[policy]
+    # each weak component of the functional graph holds exactly one cycle
+    _, labels = connected_components(
+        csr_matrix((np.ones(n), (np.arange(n), succ)), shape=(n, n)),
+        directed=True, connection="weak")
+    steps = n.bit_length()  # 2**steps > n: enough moves to reach any cycle
+    far = succ
+    for _ in range(steps):
+        far = far[far]
+    cyc = np.unique(far)  # the states on cycles, ascending
+    lab = labels[cyc]
+    eta = (np.bincount(lab, weights=cost[cyc]) / np.bincount(lab))[labels]
+    root = np.zeros(n, dtype=bool)
+    root[cyc[np.unique(lab, return_index=True)[1]]] = True
+    nxt = np.where(root, np.arange(n), succ)
+    h = np.where(root, 0.0, cost - eta)
+    for _ in range(steps):
+        h = h + h[nxt]
+        nxt = nxt[nxt]
+    return eta, h
 
 
-def _karp_min_mean(nodes, src, dst, w):
-    """Min mean cycle inside one strongly connected node set.
+def _howard(graph, a):
+    """Howard policy iteration for the min mean cycle, multichain form
+    (Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat, 1998), on
+    the whole graph in O(edges) memory.
 
-    d[k][v] = least weight of a walk with exactly k edges from the source
-    node to v; the answer is min over v of max over k of
-    (d[m][v] - d[k][v]) / (m - k).
+    Returns per state the least cycle mean eta reachable from it, the
+    bias h (w - eta[i] + h[j] >= h[i] - _slack_tol(a) on every edge i -> j
+    with eta[j] == eta[i], with equality on policy edges) and the final
+    policy, one out-edge per state.
     """
-    m = len(nodes)
-    relabel = {v: i for i, v in enumerate(nodes)}
-    s = np.array([relabel[v] for v in src])
-    t = np.array([relabel[v] for v in dst])
-    d = np.full((m + 1, m), np.inf)
-    d[0, 0] = 0.0
-    for k in range(1, m + 1):
-        row = np.full(m, np.inf)
-        reach = np.isfinite(d[k - 1, s])
-        if reach.any():
-            np.minimum.at(row, t[reach], d[k - 1, s[reach]] + w[reach])
-        d[k] = row
-    # an infinite d[k, v] gives -inf, which never wins the max over k
-    cols = np.isfinite(d[m])
-    steps = (m - np.arange(m))[:, None]
-    worst = ((d[m, cols] - d[:m, cols]) / steps).max(axis=0, initial=-np.inf)
-    return worst.min(initial=np.inf)
+    if not a.graph.same_graph(graph):
+        raise ValueError("weight lives on a different graph")
+    src, dst, w = graph.src, graph.dst, a.values
+    tol = _slack_tol(a)
+    starts = graph.indptr[:-1]  # every row is nonempty
+    ids = np.arange(graph.n_edges)
+
+    def first_min(key):
+        # per state, the least key and the first out-edge attaining it
+        best = np.minimum.reduceat(key, starts)
+        hit = np.where(key == best[src], ids, graph.n_edges)
+        return best, np.minimum.reduceat(hit, starts)
+
+    policy = first_min(w)[1]
+    while True:
+        eta, h = _policy_values(graph, w, policy)
+        # improve eta first; only once no state can, improve h
+        best, arg = first_min(eta[dst])
+        better = best < eta - tol
+        if not better.any():
+            best, arg = first_min(np.where(eta[dst] == eta[src],
+                                           w - eta[src] + h[dst], np.inf))
+            better = best < h - tol
+            if not better.any():
+                return eta, h, policy
+        policy = np.where(better, arg, policy)
 
 
 def min_average(graph: TransitionGraph, a: EdgePotential) -> float:
     """Minimum over invariant measures of the average edge weight; equals
-    the minimum mean cycle weight, minimized across components."""
-    if not a.graph.same_graph(graph):
-        raise ValueError("weight lives on a different graph")
-    labels = _scc_labels(graph)
-    src, dst, w = graph.src, graph.dst, a.values
-    best = np.inf
-    for comp in _cyclic_components(graph, labels):
-        mask = (labels[src] == comp) & (labels[dst] == comp)
-        nodes = sorted(np.nonzero(labels == comp)[0].tolist())
-        best = min(best, _karp_min_mean(nodes, src[mask], dst[mask], w[mask]))
-    if not np.isfinite(best):
-        raise ZeroMassError("graph has no cycles")
-    return float(best)
-
-
-def _potentials(graph, a, a0):
-    """Shortest-path potentials for the reduced weight a - a0, by n rounds
-    of Bellman-Ford from an implicit super-source."""
-    n = graph.n_states
-    src, dst = graph.src, graph.dst
-    wr = a.values - a0
-    h = np.zeros(n)
-    for _ in range(n):
-        cand = np.full(n, np.inf)
-        np.minimum.at(cand, dst, h[src] + wr)
-        nh = np.minimum(h, cand)
-        if np.array_equal(nh, h):
-            break
-        h = nh
-    return h
-
-
-def _tight_edges(graph, a, a0):
-    src, dst = graph.src, graph.dst
-    h = _potentials(graph, a, a0)
-    tight = (a.values - a0) + h[src] - h[dst] <= SLACK_TOL
-    return src[tight], dst[tight]
+    the minimum mean cycle weight over the whole graph."""
+    return float(_howard(graph, a)[0].min())
 
 
 def _edge_subgraph_components(graph, src, dst):
@@ -124,23 +124,36 @@ def _edge_subgraph_components(graph, src, dst):
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
-def _critical_groups(graph, a):
-    """The optimal average a0 and the cyclic groups of tight edges: the
-    one min-mean-cycle solve behind undamped_set and minimize."""
-    a0 = min_average(graph, a)
-    groups = _edge_subgraph_components(graph, *_tight_edges(graph, a, a0))
-    return a0, groups
+def _critical(graph, a):
+    """The one min-mean-cycle solve behind undamped_set and minimize: the
+    optimal average a0, the sorted critical edges (the cyclic part of the
+    edges that are tight for the bias, between states whose cycle mean is
+    a0) and a witness cycle of the final policy."""
+    eta, h, policy = _howard(graph, a)
+    a0 = eta.min()
+    src, dst = graph.src, graph.dst
+    tight = ((eta[src] == a0) & (eta[dst] == a0)
+             & (a.values - a0 + h[dst] - h[src] <= _slack_tol(a)))
+    groups = _edge_subgraph_components(graph, src[tight], dst[tight])
+    # walk the policy from the least state with eta == a0 into its cycle
+    succ = graph.dst[policy]
+    path = [int(np.argmax(eta == a0))]
+    seen = {path[0]: 0}
+    while (nxt := int(succ[path[-1]])) not in seen:
+        seen[nxt] = len(path)
+        path.append(nxt)
+    witness = CyclicWord(graph, tuple(path[seen[nxt]:]))
+    return float(a0), tuple(sorted(e for g in groups for e in g)), witness
 
 
 def undamped_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
-    """Edges lying on cycles that achieve the minimum mean weight: tight
-    edges of the shortest-path potentials, restricted to the cyclic part.
+    """Edges lying on cycles that achieve the minimum mean weight: edges
+    tight for the policy-iteration bias, restricted to the cyclic part.
 
     Returned sorted; the subgraph they span carries every minimizing
     invariant measure.
     """
-    _, groups = _critical_groups(graph, a)
-    return tuple(sorted(e for g in groups for e in g))
+    return _critical(graph, a)[1]
 
 
 def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
@@ -221,25 +234,6 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
     return float(best)
 
 
-def _witness_cycle(graph, tight_groups):
-    """Deterministic cycle inside the first tight component: walk least
-    successors until a state repeats."""
-    group = tight_groups[0]
-    succ = {}
-    for i, j in group:
-        succ.setdefault(i, []).append(j)
-    start = min(succ)
-    path = [start]
-    seen = {start: 0}
-    while True:
-        nxt = min(succ[path[-1]])
-        if nxt in seen:
-            cyc = path[seen[nxt]:]
-            return CyclicWord(graph, tuple(cyc))
-        seen[nxt] = len(path)
-        path.append(nxt)
-
-
 @dataclass(frozen=True)
 class MinimizationResult:
     """Everything the minimization yields: the optimal average, a witness
@@ -258,11 +252,9 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
              phi: EdgePotential | None = None) -> MinimizationResult:
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
-    a0, groups = _critical_groups(graph, a)
-    critical = tuple(sorted(e for g in groups for e in g))
-    witness = _witness_cycle(graph, groups)
+    a0, critical, witness = _critical(graph, a)
     wmean = sum(a.values[graph.edge_id(*e)] for e in witness.edges()) / len(witness)
-    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * SLACK_TOL:
+    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * _slack_tol(a):
         raise InvariantViolation(
             f"witness mean {wmean!r} deviates from optimum {a0!r}"
         )

@@ -25,6 +25,8 @@ from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_en
 SANDWICH_TOL = 1e-9
 # bracket width of find_gap_beta's warm-started, certified Newton search
 GAP_XTOL = 1e-6
+# most points default_schedule builds; the CLI's default schedule has 101
+MAX_SCHEDULE_POINTS = 10**6
 
 
 def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
@@ -35,6 +37,9 @@ def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
     if step <= 0 or beta_max < 0:
         raise ValueError("need step > 0 and beta_max >= 0")
     count = int(round(beta_max / step))
+    if count + 1 > MAX_SCHEDULE_POINTS:
+        raise ValueError(f"schedule would have {beta_max / step + 1:.3g} "
+                         f"points, more than {MAX_SCHEDULE_POINTS}")
     if abs(count * step - beta_max) > 1e-9:
         raise ValueError("beta_max must be a multiple of step")
     return tuple(n * step for n in range(count + 1))

@@ -1,11 +1,13 @@
 """Brute-force oracles for the tests: explicit enumeration of cyclic
 words with their Birkhoff sums, Markov measures built from a dense
-transition matrix by plain power iteration, and the conversions between
-a graph and its dense 0-1 adjacency matrix.  None of this is on a
+transition matrix by plain power iteration, Karp's min-mean-cycle
+recurrence with its dense table, and the conversions between a graph
+and its dense 0-1 adjacency matrix.  None of this is on a
 library path; the library computes the same quantities from matrix
 powers and Perron vectors."""
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from thermopress import sft
 from thermopress.errors import ThermopressError
@@ -101,3 +103,37 @@ def birkhoff_sum(f: EdgePotential, word: CyclicWord) -> float:
     if not f.graph.same_graph(word.graph):
         raise ValueError("potential and word live on different graphs")
     return float(sum(f.values[f.graph.edge_id(i, j)] for i, j in word.edges()))
+
+
+def karp_min_mean(graph: TransitionGraph, a: EdgePotential) -> float:
+    """Minimum mean cycle weight by Karp's recurrence, run on each strongly
+    connected component that has an edge.
+
+    d[k, v] = least weight of a walk with exactly k edges from the
+    component's first state to v; the component's answer is min over v of
+    max over k of (d[m, v] - d[k, v]) / (m - k).  The table takes
+    (m + 1) x m floats for an m-state component.
+    """
+    _, labels = connected_components(graph.adjacency(), directed=True,
+                                     connection="strong")
+    best = np.inf
+    for comp in np.unique(labels):
+        nodes = np.flatnonzero(labels == comp)
+        inside = (labels[graph.src] == comp) & (labels[graph.dst] == comp)
+        if not inside.any():
+            continue
+        s = np.searchsorted(nodes, graph.src[inside])
+        t = np.searchsorted(nodes, graph.dst[inside])
+        w = a.values[inside]
+        m = nodes.size
+        d = np.full((m + 1, m), np.inf)
+        d[0, 0] = 0.0
+        for k in range(1, m + 1):
+            reach = np.isfinite(d[k - 1, s])
+            np.minimum.at(d[k], t[reach], d[k - 1, s[reach]] + w[reach])
+        # an infinite d[k, v] gives -inf, which never wins the max over k
+        cols = np.isfinite(d[m])
+        steps = (m - np.arange(m))[:, None]
+        worst = ((d[m, cols] - d[:m, cols]) / steps).max(axis=0)
+        best = min(best, worst.min())
+    return float(best)

@@ -180,6 +180,23 @@ def test_refine_memory_is_per_edge():
     assert peak < 32 * 2**20
 
 
+def test_minimize_memory_is_per_edge():
+    # order 9 has 17711 states; Karp's (n+1) x n table of floats alone
+    # would take 2.5 GB
+    ref = MarkovCoding().refine(9)
+    orbit = periodic_itinerary(ref.base, (Fraction(1, 3), 0))
+    a = damping_from_orbit(ref.base, orbit, 2.0 ** -9)
+    tracemalloc.start()
+    try:
+        res = ergopt.minimize(ref.graph, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == 0.0
+    assert len(res.critical_edges) == len(orbit)
+    assert peak < 16 * 2**20
+
+
 def test_refinement_preserves_entropy():
     _, coding = build_cat_map()
     for order in range(4):
@@ -345,13 +362,13 @@ def test_report_below_threshold():
 
 def test_report_solves_min_mean_cycle_once(monkeypatch):
     calls = []
-    karp = ergopt._karp_min_mean
+    howard = ergopt._howard
 
     def counting(*args):
         calls.append(args)
-        return karp(*args)
+        return howard(*args)
 
-    monkeypatch.setattr(ergopt, "_karp_min_mean", counting)
+    monkeypatch.setattr(ergopt, "_howard", counting)
     rep = orbit_damping_report(2.0 ** -3, beta_max=10.0)
     assert rep["regime"] == "below-threshold"
     assert len(calls) == 1

@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermopress.errors import ZeroMassError
 from thermopress.ergopt import (
@@ -30,7 +31,8 @@ from thermopress.sft import (
     golden_mean_shift,
 )
 
-from .oracles import birkhoff_sum, graph_from_mask, mask_of_graph
+from .oracles import (birkhoff_sum, graph_from_mask, karp_min_mean,
+                      mask_of_graph)
 
 
 def _simple_cycles(graph):
@@ -99,6 +101,31 @@ def _bipartite_graph(rng, n, density=0.4):
     return graph_from_mask(A)
 
 
+def _reducible_graph(rng, n, density=0.4):
+    # n >= 3: two or more strongly connected pieces, joined only by edges
+    # from earlier pieces to later ones, plus transient states that are
+    # entered from one piece, leave to a later one and lie on no cycle
+    n_cyclic = int(rng.integers(2, n))
+    cuts = rng.choice(np.arange(1, n_cyclic),
+                      size=int(rng.integers(1, n_cyclic)), replace=False)
+    pieces = np.split(np.arange(n_cyclic), np.sort(cuts))
+    level = np.repeat(np.arange(len(pieces)), [p.size for p in pieces])
+    A = np.zeros((n, n), dtype=bool)
+    for p in pieces:
+        A[p, np.roll(p, -1)] = True
+        A[np.ix_(p, p)] |= rng.random((p.size, p.size)) < density
+    A[:n_cyclic, :n_cyclic] |= (
+        (level[:, None] < level[None, :])
+        & (rng.random((n_cyclic,) * 2) < density / 2))
+    for t in range(n_cyclic, n):
+        enter = int(rng.integers(0, len(pieces) - 1))
+        leave = int(rng.integers(enter + 1, len(pieces)))
+        A[rng.choice(pieces[enter]), t] = True
+        A[t, rng.choice(pieces[leave])] = True
+    perm = rng.permutation(n)
+    return graph_from_mask(A[np.ix_(perm, perm)])
+
+
 def _dyadic_potential(rng, graph, zero_frac=0.3):
     # weights are multiples of 1/64, so cycle means are correctly rounded
     # from exact sums and the oracle comparison can demand equality
@@ -127,6 +154,31 @@ def test_min_average_exact_on_dyadic_instances():
         g = _bipartite_graph(rng, n)
         a = _dyadic_potential(rng, g)
         assert min_average(g, a) == _brute_min_mean(g, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 10),
+       kind=st.sampled_from(["random", "reducible", "bipartite"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_mean_cycle_matches_karp_and_cycle_oracles(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = _random_graph(rng, n)
+    elif kind == "reducible":
+        g = _reducible_graph(rng, max(n, 3))
+        assert not g.irreducible
+    else:
+        g = _bipartite_graph(rng, n - n % 2)
+    # multiples of 1/64 of either sign; the narrow range makes ties common,
+    # and the large scale puts rounding in the bias far above SLACK_TOL
+    span = int(rng.choice([2, 128]))
+    scale = float(rng.choice([1.0, 2.0**40]))
+    a = EdgePotential(g, rng.integers(-span, span + 1, g.n_edges) / 64.0 * scale)
+    a0 = min_average(g, a)
+    assert a0 == karp_min_mean(g, a)
+    assert undamped_set(g, a) == _brute_critical_edges(g, a, a0)
+    witness = minimize(g, a).witness_cycle
+    assert birkhoff_sum(a, witness) / len(witness) == a0
 
 
 def test_min_average_generic_weights():
