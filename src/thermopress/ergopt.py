@@ -20,20 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  dijkstra)
 
-from .errors import InvariantViolation, ZeroMassError
+from .errors import ConvergenceError, InvariantViolation, ZeroMassError
 from .pressure import perron
 from .sft import CyclicWord, EdgePotential, TransitionGraph
 
 SLACK_TOL = 1e-9
-
-
-def _slack_tol(a):
-    """SLACK_TOL, scaled up by the largest |weight| once that exceeds 1:
-    rounding in the bias grows with the weights, and an absolute
-    tolerance below it would let policy iteration switch on noise."""
-    return SLACK_TOL * max(1.0, float(np.abs(a.values).max()))
+MAX_POLICY_ROUNDS = 1000  # rounds _howard may take beyond one per state
 
 
 def _policy_values(graph, w, policy):
@@ -54,8 +49,7 @@ def _policy_values(graph, w, policy):
     cyc = np.unique(far)  # the states on cycles, ascending
     lab = labels[cyc]
     eta = (np.bincount(lab, weights=cost[cyc]) / np.bincount(lab))[labels]
-    root = np.zeros(n, dtype=bool)
-    root[cyc[np.unique(lab, return_index=True)[1]]] = True
+    root = np.bincount(cyc[np.unique(lab, return_index=True)[1]], minlength=n) > 0
     nxt = np.where(root, np.arange(n), succ)
     h = np.where(root, 0.0, cost - eta)
     for _ in range(steps):
@@ -67,39 +61,58 @@ def _policy_values(graph, w, policy):
 def _howard(graph, a):
     """Howard policy iteration for the min mean cycle, multichain form
     (Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat, 1998), on
-    the whole graph in O(edges) memory.
+    the whole graph in O(edges) memory.  Values within tol, SLACK_TOL
+    scaled up by the largest |weight| above 1, count as equal: rounding in
+    the bias grows with the weights and must not make the policy switch.
 
-    Returns per state the least cycle mean eta reachable from it, the
-    bias h (w - eta[i] + h[j] >= h[i] - _slack_tol(a) on every edge i -> j
-    with eta[j] == eta[i], with equality on policy edges) and the final
-    policy, one out-edge per state.
+    Returns per state the least reachable cycle mean eta, the bias h
+    (w - eta[i] + h[j] >= h[i] - tol on every edge i -> j with eta[j]
+    within tol of eta[i], equality on policy edges), the final policy,
+    one out-edge per state, and tol.
     """
     if not a.graph.same_graph(graph):
         raise ValueError("weight lives on a different graph")
-    src, dst, w = graph.src, graph.dst, a.values
-    tol = _slack_tol(a)
+    src, dst, w, n = graph.src, graph.dst, a.values, graph.n_states
+    tol = SLACK_TOL * max(1.0, float(np.abs(w).max()))
     starts = graph.indptr[:-1]  # every row is nonempty
-    ids = np.arange(graph.n_edges)
+    # the reversed edges, then an edge from an extra state n to each state
+    tails = np.concatenate([dst, np.full(n, n)])
+    heads = np.concatenate([src, np.arange(n)])
 
     def first_min(key):
         # per state, the least key and the first out-edge attaining it
         best = np.minimum.reduceat(key, starts)
-        hit = np.where(key == best[src], ids, graph.n_edges)
+        hit = np.where(key == best[src], np.arange(w.size), w.size)
         return best, np.minimum.reduceat(hit, starts)
 
     policy = first_min(w)[1]
-    while True:
+    for _ in range(n + MAX_POLICY_ROUNDS):
         eta, h = _policy_values(graph, w, policy)
-        # improve eta first; only once no state can, improve h
-        best, arg = first_min(eta[dst])
-        better = best < eta - tol
-        if not better.any():
-            best, arg = first_min(np.where(eta[dst] == eta[src],
-                                           w - eta[src] + h[dst], np.inf))
-            better = best < h - tol
+        e = eta - eta.min()
+        if (e[dst] < e[src] - tol).any():
+            # improve eta first: each state heads for the least eta it can
+            # reach (Dijkstra from n) along fewest edges (breadth first)
+            reach = dijkstra(
+                csr_matrix((np.concatenate([np.zeros(w.size), e]),
+                            (tails, heads)), shape=(n + 1, n + 1)),
+                indices=n)[:n]
+            better = reach < e - tol
+            level = np.concatenate([reach[dst] == reach[src], ~better])
+            _, pred = breadth_first_order(
+                csr_matrix((np.ones(level.sum()), (tails[level], heads[level])),
+                           shape=(n + 1, n + 1)), n)
+            arg = first_min(dst != pred[src])[1]
+        else:
+            # only then improve h; a switch must beat the policy edge by
+            # more than tol, so every switch changes the policy
+            key = np.where(np.abs(e[dst] - e[src]) <= tol,
+                           w - eta[src] + h[dst], np.inf)
+            best, arg = first_min(key)
+            better = best < key[policy] - tol
             if not better.any():
-                return eta, h, policy
+                return eta, h, policy, tol
         policy = np.where(better, arg, policy)
+    raise ConvergenceError(f"no policy fixpoint in {n + MAX_POLICY_ROUNDS} rounds")
 
 
 def min_average(graph: TransitionGraph, a: EdgePotential) -> float:
@@ -112,8 +125,6 @@ def _edge_subgraph_components(graph, src, dst):
     """Cyclic strongly connected node sets of the subgraph on the edges
     (src[k], dst[k]), plus the edges internal to each, in input order."""
     n = graph.n_states
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
     sub = csr_matrix((np.ones(len(src), dtype=bool), (src, dst)), shape=(n, n))
     sub.sum_duplicates()  # sorted unique indices fix the component labels
     _, labels = connected_components(sub, directed=True, connection="strong")
@@ -128,22 +139,25 @@ def _critical(graph, a):
     """The one min-mean-cycle solve behind undamped_set and minimize: the
     optimal average a0, the sorted critical edges (the cyclic part of the
     edges that are tight for the bias, between states whose cycle mean is
-    a0) and a witness cycle of the final policy."""
-    eta, h, policy = _howard(graph, a)
-    a0 = eta.min()
-    src, dst = graph.src, graph.dst
-    tight = ((eta[src] == a0) & (eta[dst] == a0)
-             & (a.values - a0 + h[dst] - h[src] <= _slack_tol(a)))
+    within tol of a0) and a witness cycle of the final policy, checked to
+    attain a0."""
+    eta, h, policy, tol = _howard(graph, a)
+    src, dst, a0 = graph.src, graph.dst, eta.min()
+    tight = ((eta[src] <= a0 + tol) & (eta[dst] <= a0 + tol)
+             & (a.values - a0 + h[dst] - h[src] <= tol))
     groups = _edge_subgraph_components(graph, src[tight], dst[tight])
     # walk the policy from the least state with eta == a0 into its cycle
-    succ = graph.dst[policy]
-    path = [int(np.argmax(eta == a0))]
-    seen = {path[0]: 0}
-    while (nxt := int(succ[path[-1]])) not in seen:
-        seen[nxt] = len(path)
-        path.append(nxt)
-    witness = CyclicWord(graph, tuple(path[seen[nxt]:]))
-    return float(a0), tuple(sorted(e for g in groups for e in g)), witness
+    succ, seen, v = graph.dst[policy], {}, int(eta.argmin())
+    while v not in seen:
+        seen[v] = len(seen)
+        v = int(succ[v])
+    cycle = list(seen)[seen[v]:]
+    wmean = a.values[policy[cycle]].sum() / len(cycle)
+    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(cycle) * tol:
+        raise InvariantViolation(
+            f"witness mean {wmean!r} deviates from optimum {a0!r}")
+    return (float(a0), tuple(sorted(e for g in groups for e in g)),
+            CyclicWord(graph, tuple(cycle)))
 
 
 def undamped_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
@@ -171,10 +185,8 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
         raise ValueError("weight must be nonnegative")
     a0 = min_average(graph, a)
     if abs(a0) > 1e-12:
-        raise ValueError(
-            f"minimum average is {a0!r}, not 0: no trajectory avoids the "
-            "weight entirely"
-        )
+        raise ValueError(f"minimum average is {a0!r}, not 0: no trajectory "
+                         "avoids the weight entirely")
     return _noncontrolled_edges(graph, a)
 
 
@@ -219,8 +231,7 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
     groups = _edge_subgraph_components(graph, graph.src[k], graph.dst[k])
     if not groups:
         raise ZeroMassError(
-            "edge set spans no cycles: no invariant measure lives on it"
-        )
+            "edge set spans no cycles: no invariant measure lives on it")
     best = -np.inf
     for group in groups:
         # sorted edges keep row-major order under the monotone relabeling
@@ -253,20 +264,10 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
     a0, critical, witness = _critical(graph, a)
-    wmean = sum(a.values[graph.edge_id(*e)] for e in witness.edges()) / len(witness)
-    if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(witness) * _slack_tol(a):
-        raise InvariantViolation(
-            f"witness mean {wmean!r} deviates from optimum {a0!r}"
-        )
-    if a.min() >= 0 and abs(a0) <= 1e-12:
-        noncontrolled = _noncontrolled_edges(graph, a)
-    else:
-        noncontrolled = None
-    restricted = None
-    if phi is not None:
-        restricted = pressure_on_set(graph, phi, critical)
-    return MinimizationResult(a0, witness, critical, noncontrolled,
-                              restricted)
+    zero = a.min() >= 0 and abs(a0) <= 1e-12
+    return MinimizationResult(
+        a0, witness, critical, _noncontrolled_edges(graph, a) if zero else None,
+        None if phi is None else pressure_on_set(graph, phi, critical))
 
 
 def format_edge_set(edges) -> str:

@@ -36,10 +36,11 @@ def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
             raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0 or beta_max < 0:
         raise ValueError("need step > 0 and beta_max >= 0")
-    count = int(round(beta_max / step))
-    if count + 1 > MAX_SCHEDULE_POINTS:
+    # test the ratio as a float: it may overflow to inf, which int() rejects
+    if beta_max / step + 1 > MAX_SCHEDULE_POINTS:
         raise ValueError(f"schedule would have {beta_max / step + 1:.3g} "
                          f"points, more than {MAX_SCHEDULE_POINTS}")
+    count = int(round(beta_max / step))
     if abs(count * step - beta_max) > 1e-9:
         raise ValueError("beta_max must be a multiple of step")
     return tuple(n * step for n in range(count + 1))

@@ -213,10 +213,12 @@ def test_non_finite_schedule_is_usage_error(tmp_path, argv, name):
     assert lines[0].startswith(f"error: {name} must be finite")
 
 
-def test_oversized_schedule_is_usage_error(tmp_path):
-    # the schedule used to be built point by point until memory ran out
+@pytest.mark.parametrize("step", ["0.5", "1e-10"])
+def test_oversized_schedule_is_usage_error(tmp_path, step):
+    # the schedule used to be built point by point until memory ran out,
+    # and a point count overflowing to inf ended in an OverflowError
     r = run_cli("thermo", "--builtin", "full2", "--beta-max", "1e300",
-                "--out", str(tmp_path))
+                "--beta-step", step, "--out", str(tmp_path))
     assert r.returncode == 2
     lines = r.stderr.splitlines()
     assert len(lines) == 1, r.stderr

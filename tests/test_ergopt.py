@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress.errors import ZeroMassError
+from thermopress import ergopt
+from thermopress.errors import ConvergenceError, ZeroMassError
 from thermopress.ergopt import (
     format_edge_set,
     min_average,
@@ -27,6 +28,7 @@ from thermopress.instances import (
 from thermopress.pressure import pressure_transfer
 from thermopress.sft import (
     EdgePotential,
+    TransitionGraph,
     full_shift,
     golden_mean_shift,
 )
@@ -156,11 +158,12 @@ def test_min_average_exact_on_dyadic_instances():
         assert min_average(g, a) == _brute_min_mean(g, a)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 10),
        kind=st.sampled_from(["random", "reducible", "bipartite"]),
+       tenths=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_min_mean_cycle_matches_karp_and_cycle_oracles(n, kind, seed):
+def test_min_mean_cycle_matches_karp_and_cycle_oracles(n, kind, tenths, seed):
     rng = np.random.default_rng(seed)
     if kind == "random":
         g = _random_graph(rng, n)
@@ -169,16 +172,97 @@ def test_min_mean_cycle_matches_karp_and_cycle_oracles(n, kind, seed):
         assert not g.irreducible
     else:
         g = _bipartite_graph(rng, n - n % 2)
-    # multiples of 1/64 of either sign; the narrow range makes ties common,
-    # and the large scale puts rounding in the bias far above SLACK_TOL
-    span = int(rng.choice([2, 128]))
-    scale = float(rng.choice([1.0, 2.0**40]))
-    a = EdgePotential(g, rng.integers(-span, span + 1, g.n_edges) / 64.0 * scale)
+    if tenths:
+        # multiples of 1/10: cycles whose means agree exactly often round
+        # to different floats, and both must still count as minimizing
+        span = int(rng.choice([3, 20]))
+        a = EdgePotential(g, rng.integers(-span, span + 1, g.n_edges) / 10.0)
+        tol = 1e-12
+    else:
+        # multiples of 1/64 of either sign; the narrow range makes ties
+        # common, the large scale puts rounding in the bias far above
+        # SLACK_TOL, and every cycle mean is exact
+        span = int(rng.choice([2, 128]))
+        scale = float(rng.choice([1.0, 2.0**40]))
+        a = EdgePotential(
+            g, rng.integers(-span, span + 1, g.n_edges) / 64.0 * scale)
+        tol = 0.0
     a0 = min_average(g, a)
-    assert a0 == karp_min_mean(g, a)
+    assert abs(a0 - karp_min_mean(g, a)) <= tol
     assert undamped_set(g, a) == _brute_critical_edges(g, a, a0)
     witness = minimize(g, a).witness_cycle
-    assert birkhoff_sum(a, witness) / len(witness) == a0
+    assert abs(birkhoff_sum(a, witness) / len(witness) - a0) <= tol
+
+
+@pytest.mark.parametrize("edges, a0, critical", [
+    # the 3-cycle 0 -> 1 -> 2 has mean 0.6 / 3 = 0.20000000000000004 in
+    # floats, the loop at 3 has 0.2; both minimize in exact arithmetic
+    ([(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3), (2, 3, 1.0), (3, 0, 1.0),
+      (3, 3, 0.2)], 0.2, ((0, 1), (1, 2), (2, 0), (3, 3))),
+    # the first policy has the cycles 0 -> 3 -> 1 and 2 -> 5 of means
+    # 0.20000000000000004 and 0.2; only by moving states between these
+    # two does the bias stage reach the cycle 0 -> 4 -> 5 -> 2 of 0.175
+    ([(0, 1, 0.2), (0, 2, 0.3), (0, 3, 0.1), (0, 4, 0.1), (1, 0, 0.3),
+      (1, 1, 0.3), (1, 3, 0.3), (1, 4, 0.3), (1, 5, 0.3), (2, 0, 0.3),
+      (2, 2, 0.3), (2, 5, 0.2), (3, 1, 0.2), (3, 2, 0.2), (3, 3, 0.3),
+      (3, 4, 0.3), (4, 1, 0.3), (4, 5, 0.1), (5, 2, 0.2), (5, 5, 0.2)],
+     0.175, ((0, 4), (2, 0), (4, 5), (5, 2))),
+])
+def test_cycle_means_that_round_apart_tie(edges, a0, critical):
+    src, dst, w = zip(*edges)
+    g = TransitionGraph(max(src) + 1, src, dst)
+    a = EdgePotential(g, np.array(w))
+    assert min_average(g, a) == pytest.approx(a0, abs=1e-15)
+    assert undamped_set(g, a) == critical
+
+
+def _loop_chain(n):
+    # states 0 -> 1 -> ... -> n-1, each with a loop; every loop weighs 1
+    # except the last, which weighs 0, and each forward edge weighs 5
+    src = np.repeat(np.arange(n), 2)[:-1]
+    dst = src + np.tile([0, 1], n)[:-1]
+    g = TransitionGraph(n, src, dst)
+    loop = np.where(src == n - 1, 0.0, 1.0)
+    return g, EdgePotential(g, np.where(src == dst, loop, 5.0))
+
+
+def test_policy_rounds_do_not_grow_along_a_chain(monkeypatch):
+    # improving each state toward its best neighbour alone would take one
+    # round per state here; heading for the best reachable cycle takes one
+    # improvement, so two policy evaluations
+    g, a = _loop_chain(2000)
+    real, calls = ergopt._policy_values, []
+    monkeypatch.setattr(ergopt, "_policy_values",
+                        lambda *args: calls.append(1) or real(*args))
+    assert min_average(g, a) == 0.0
+    assert len(calls) == 2
+
+
+def test_policy_iteration_gives_up_after_its_round_limit(monkeypatch):
+    g, a = _loop_chain(5)  # needs two rounds
+    monkeypatch.setattr(ergopt, "MAX_POLICY_ROUNDS", 1 - g.n_states)
+    with pytest.raises(ConvergenceError):
+        min_average(g, a)
+
+
+def test_bias_drift_cannot_stall_policy_iteration(monkeypatch):
+    # on large graphs the summed bias drifts from w - eta + h[succ] on
+    # policy edges by more than tol; lifting each cycle's root by 100 tol
+    # does the same here.  A state whose best edge is its policy edge must
+    # not count as improvable, or the same policy is evaluated forever.
+    g = full_shift(3)  # the optimal cycle is 0 -> 1 -> 0, rooted at 0
+    a = EdgePotential(g, np.array([1.0, 0.1, 1.0, 0.2, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    eta0, _, policy0, tol = ergopt._howard(g, a)
+    real = ergopt._policy_values
+
+    def drifted(graph, w, policy):
+        eta, h = real(graph, w, policy)
+        return eta, np.where(h == 0.0, 100 * tol, h)
+
+    monkeypatch.setattr(ergopt, "_policy_values", drifted)
+    eta, _, policy, _ = ergopt._howard(g, a)
+    assert np.array_equal(eta, eta0)
+    assert np.array_equal(policy, policy0)
 
 
 def test_min_average_generic_weights():

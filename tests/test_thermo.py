@@ -71,6 +71,8 @@ def test_default_schedule_rejects_bad_input():
         default_schedule(1.0, 0.3)  # not a multiple
     with pytest.raises(ValueError):
         default_schedule(1e300, 0.5)  # far too many points to build
+    with pytest.raises(ValueError):
+        default_schedule(1e300, 1e-10)  # the point count overflows to inf
 
 
 @pytest.mark.parametrize("beta_max, step, name", [
