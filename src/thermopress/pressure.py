@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
@@ -121,10 +122,22 @@ def _stalled(steps_left, width, earlier, window, target):
     return np.log(target / width) / rate > steps_left
 
 
-def _plain_power_stage(W, WT, x, z):
+def _both_sides(W):
+    """diag(W, W^T) in CSR form, for a CSR matrix W: one matvec steps a
+    right vector with W and a left vector with W^T.  Its rows are those of
+    W and W^T, so every sum is the one W @ x and W.T @ z would form."""
+    n = W.shape[0]
+    WT = W.T.tocsr()
+    return csr_matrix((np.concatenate((W.data, WT.data)),
+                       np.concatenate((W.indices, WT.indices + n)),
+                       np.concatenate((W.indptr, WT.indptr[1:] + W.nnz))),
+                      shape=(2 * n, 2 * n))
+
+
+def _plain_power_stage(both, x, z):
     """Shifted power iteration on W + I with Collatz-Wielandt brackets,
-    from positive right and left vectors x and z; W is a sparse matrix
-    and WT its transpose, one matvec each per step.
+    from positive right and left vectors x and z; both is diag(W, W^T)
+    from _both_sides, so each step is one matvec.
 
     Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
     being the final bracket.  The +I shift keeps the iteration convergent
@@ -134,23 +147,25 @@ def _plain_power_stage(W, WT, x, z):
     projects past the rest of PLAIN_BUDGET.  Wider brackets can sit on a
     plateau before they contract, so they are never projected.
     """
+    n = len(x)
+    v = np.concatenate((x, z))
+    vectors = v.reshape(2, n)  # rows x and z, updated in place
+    ratios = np.empty((2, n))
     # best relative width seen by each step, for the contraction measure
     best = np.empty(PLAIN_BUDGET + 1)
     best[0] = np.inf
     for it in range(1, PLAIN_BUDGET + 1):
-        yx = W @ x + x
-        yz = WT @ z + z
-        rx = yx / x
-        rz = yz / z
-        x = yx / yx.max()
-        z = yz / yz.max()
-        rx_lo, rx_hi, rz_lo, rz_hi = rx.min(), rx.max(), rz.min(), rz.max()
+        y = (both @ v).reshape(2, n)
+        y += vectors
+        np.divide(y, vectors, out=ratios)
+        np.divide(y, y.max(axis=1, keepdims=True), out=vectors)
+        (rx_lo, rz_lo), (rx_hi, rz_hi) = ratios.min(axis=1), ratios.max(axis=1)
         # brackets from both sides enclose rho(W) + 1
         lo = max(rx_lo, rz_lo)
         hi = min(rx_hi, rz_hi)
         width = rx_hi - rx_lo + rz_hi - rz_lo
         if width <= TRANSFER_TOL * hi:
-            return True, lo, hi, x, z, it
+            return True, lo, hi, vectors[0], vectors[1], it
         if hi < 1.0 + MIN_PLAIN_ROOT:
             break
         best[it] = min(width / hi, best[it - 1])
@@ -159,7 +174,7 @@ def _plain_power_stage(W, WT, x, z):
                              best[it - STALL_WINDOW], STALL_WINDOW,
                              TRANSFER_TOL)):
             break
-    return False, lo, hi, x, z, it
+    return False, lo, hi, vectors[0], vectors[1], it
 
 
 def _squared_power_stage(H, *, max_squarings=64, inner=60):
@@ -231,13 +246,13 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     """
     graph = f.graph
     fmax = f.max()
-    W = graph.adjacency(np.exp(f.values - fmax))
+    both = _both_sides(graph.adjacency(np.exp(f.values - fmax)))
     x = z = np.ones(graph.n_states)
     if start is not None and all(
             v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
             for v in (start.right, start.left)):
         x, z = start.right, start.left
-    ok, lo, hi, x, z, it = _plain_power_stage(W, W.T.tocsr(), x, z)
+    ok, lo, hi, x, z, it = _plain_power_stage(both, x, z)
     rho_w = 0.5 * (lo + hi) - 1.0
     if ok and rho_w >= MIN_PLAIN_ROOT:
         log_rho = fmax + np.log(rho_w)

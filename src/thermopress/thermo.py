@@ -13,6 +13,7 @@ crosses zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,10 @@ SANDWICH_TOL = 1e-9
 GAP_XTOL = 1e-6
 # most points default_schedule builds; the CLI's default schedule has 101
 MAX_SCHEDULE_POINTS = 10**6
+# floor of a predicted Perron start's log entries (max entry 0): 2^-990 is
+# a normal float, and the first power step's ratios (W x + x) / x, at most
+# (out-degree + 1) / 2^-990, stay below the largest float, 2^1024
+_LOG_FLOOR = -990 * np.log(2.0)
 
 
 def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
@@ -132,13 +137,35 @@ def _damped(phi, a, beta):
     return EdgePotential(phi.graph, phi.values - beta * a.values)
 
 
+def _predicted_start(older, newer, t):
+    """Perron start vectors for the next point of a sweep: each log
+    vector extrapolated linearly from two solved points, log x(newer) +
+    t * (log x(newer) - log x(older)), t being the next step over the
+    last one.  The max is subtracted before exp and the logs are floored
+    at _LOG_FLOOR, so entries that exp would flush to 0 stay positive.
+    A zero entry in a solved vector can make the start non-finite; perron
+    then starts cold."""
+    vectors = []
+    for x2, x1 in ((older.right, newer.right), (older.left, newer.left)):
+        log_x1 = np.log(x1)
+        log_x = log_x1 + t * (log_x1 - np.log(x2))
+        vectors.append(np.exp(np.maximum(log_x - log_x.max(), _LOG_FLOOR)))
+    return SimpleNamespace(right=vectors[0], left=vectors[1])
+
+
 def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                  phi: EdgePotential, betas=None, *,
                  minimization: MinimizationResult | None = None) -> ThermoCurve:
     """Compute the damped pressure curve over the schedule (default
     0..40 in steps of 1/2), one equilibrium state per point, in schedule
-    order; each point's Perron solve starts from the previous point's
-    vectors.  The schedule is checked before anything is solved.
+    order.  The schedule is checked before anything is solved.  The first
+    point is solved cold and the second starts from the first's Perron
+    vectors; every later point starts from their log-linear
+    extrapolation through the two points before it (_predicted_start),
+    since log of the Perron vectors becomes linear in beta as beta grows.
+    The brackets enclose the root from any positive start, so the start
+    changes only the step count.  When the schedule starts at 0, that
+    point's solve also gives pressure_phi.
 
     minimization is the result of minimize(graph, a, phi) for these same
     arguments; it supplies a0 and the limit target.  When omitted, that
@@ -151,13 +178,21 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     betas = np.array([float(b) for b in betas])
     _check_schedule(betas)
     a0, limit_target = _minimum_and_limit(graph, a, phi, minimization)
-    pressure_phi = pressure_transfer(graph, phi).value
-    rows, eq = [], None
-    for beta in betas:
-        eq = equilibrium_state(graph, _damped(phi, a, beta), start=eq)
+    pressure_phi, rows, solved = None, [], []  # solved: last two points
+    for k, beta in enumerate(betas):
+        start = solved[-1] if solved else None
+        if len(solved) == 2:
+            t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
+            start = _predicted_start(*solved, t)
+        eq = equilibrium_state(graph, _damped(phi, a, beta), start=start)
+        solved = [*solved[-1:], eq]
+        if beta == 0:  # the cold solve of phi itself
+            pressure_phi = eq.log_lambda
         rows.append((eq.log_lambda + beta * a0, integrate(a, eq.measure),
                      ks_entropy(eq.measure), integrate(phi, eq.measure)))
     values, avgs, ents, phis = map(np.array, zip(*rows))
+    if pressure_phi is None:
+        pressure_phi = pressure_transfer(graph, phi).value
     return ThermoCurve(betas, values, avgs, ents, phis,
                        limit_target, pressure_phi, a0)
 

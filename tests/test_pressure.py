@@ -376,16 +376,16 @@ def test_catmap_power_stage_has_margin_under_stall_guard(monkeypatch):
 
 
 def test_warm_sweep_stays_in_power_stage(monkeypatch):
-    # each thermo_curve point starts from the previous point's vectors; a
-    # warm bracket starts narrow, and must not set off the stall
-    # projection that would send a point to the O(n^3) squaring stage.
-    # The all-ones starts of the same sweep take about 30 000 steps.
+    # each thermo_curve point starts from vectors predicted by the points
+    # before it; a warm bracket starts narrow, and must not set off the
+    # stall projection that would send a point to the O(n^3) squaring
+    # stage.  The all-ones starts of the same sweep take about 30 000 steps.
     g, a, phi = catmap_instance(6)
     minimization = minimize(g, a, phi)
     solves, steps = _recording_perron(monkeypatch)
     curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
                          minimization=minimization)
-    assert len(curve) == 101 and len(solves) == 102  # Pr(phi), then the sweep
+    assert len(curve) == 101 and len(solves) == 101  # Pr(phi) is point 0
     assert all(data.stage == "power" for data in solves)
     assert sum(steps) < 12_000
 

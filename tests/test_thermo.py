@@ -164,6 +164,107 @@ def test_two_loops_path_limit():
     assert curve.values[-1] < 1e-3 < curve.values[0]
 
 
+# ---------------------------------------------------------------------------
+# predictor starts: each point from the log-linear extrapolation of the two
+# before it; only the step count may change, never the enclosed root
+
+
+def _recording_sweep(mp):
+    """Patch pressure.perron (which equilibrium_state calls) to keep each
+    (potential, start, PerronData); returns that list."""
+    solves = []
+    perron_ = pressure.perron
+
+    def recording(f, *, start=None):
+        solves.append((f, start, perron_(f, start=start)))
+        return solves[-1][2]
+
+    mp.setattr(pressure, "perron", recording)
+    return solves
+
+
+CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
+                 (Fraction(1, 5), Fraction(2, 5)))
+
+
+@pytest.mark.parametrize("point", CATMAP_POINTS)
+def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
+    # the refine-6 sweep over 0, 0.5, ..., 50 took about 7 400 plain steps
+    # with each point started from the previous point's vectors; the
+    # predictor brings it to about 2 200, with 1-3 steps per point from
+    # beta = 30 on, where the log vectors are nearly linear in beta
+    _, coding = build_cat_map()
+    ref = coding.refine(6)
+    phi = expansion_potential(ref)
+    orbit = periodic_itinerary(coding, point)
+    a = damping_from_orbit(coding, orbit, 2.0 ** -6)
+    result = minimize(ref.graph, a, phi)
+    solves = _recording_sweep(monkeypatch)
+    curve = thermo_curve(ref.graph, a, phi, default_schedule(50.0, 0.5),
+                         minimization=result)
+    # one solve per point: Pr(phi) is the beta = 0 point's
+    assert len(solves) == len(curve) == 101
+    assert curve.pressure_phi == solves[0][2].log_rho
+    assert all(d.stage == "power" for _, _, d in solves)
+    assert sum(d.iterations for _, _, d in solves) < 3500, point
+    assert max(d.iterations for _, _, d in solves[60:]) <= 3, point
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       first=st.sampled_from([0.0, 0.3, 2.0]),
+       steps=st.lists(st.floats(0.05, 6.0), min_size=2, max_size=10))
+def test_predicted_sweep_matches_cold_solves(n, seed, first, steps):
+    # non-uniform schedules make the extrapolation ratio t vary; every
+    # point's root must lie within its own plus a cold solve's enclosure
+    g, a, phi = _random_damped_instance(np.random.default_rng(seed), n)
+    betas = np.cumsum([first, *steps])
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _recording_sweep(mp)
+        curve = thermo_curve(g, a, phi, betas)
+    # a schedule not starting at 0 takes Pr(phi) from one more solve, last
+    assert len(solves) == len(curve) + (first != 0.0)
+    for f, start, warm in solves[:len(curve)]:
+        cold = pressure.perron(f)
+        gap = abs(warm.log_rho - cold.log_rho)
+        assert gap <= warm.enclosure + cold.enclosure
+        if start is not None:
+            for v in (start.right, start.left):
+                assert np.isfinite(v).all() and (v > 0).all()
+
+
+def test_predicted_start_that_would_underflow_stays_positive(monkeypatch):
+    # state 0 reaches the undamped hub loop by a chain of ten damped edges
+    # or by a shortcut of potential -30, and each chain state likewise, so
+    # near beta = 1 log r_0 falls with slope -10 and levels off at -30.  From
+    # 0.5 and 1 the extrapolation to 80 puts it near -800 below the hub,
+    # which exp would flush to 0, and perron would then discard the start
+    L = 10
+    hub = L
+    edges = {(k, k + 1): (1.0, 0.0) for k in range(L)}
+    edges.update({(k, hub): (0.0, -30.0) for k in range(L - 1)})
+    edges.update({(hub, k): (0.0, -30.0) for k in range(1, L)})
+    edges.update({(hub, 0): (1.0, 0.0), (hub, hub): (0.0, 0.0)})
+    A = np.zeros((L + 1, L + 1), dtype=bool)
+    for i, j in edges:
+        A[i, j] = True
+    g = graph_from_mask(A)
+    a = EdgePotential.from_edges(g, {e: v[0] for e, v in edges.items()})
+    phi = EdgePotential.from_edges(g, {e: v[1] for e, v in edges.items()})
+    solves = _recording_sweep(monkeypatch)
+    thermo_curve(g, a, phi, (0.0, 0.5, 1.0, 80.0))
+    (_, _, older), (_, _, newer), (f, start, last) = solves[1:]
+    t = (80.0 - 1.0) / (1.0 - 0.5)
+    for side in ("right", "left"):
+        log_x = np.log(getattr(newer, side))
+        log_x += t * (log_x - np.log(getattr(older, side)))
+        assert (np.exp(log_x - log_x.max()) == 0.0).any(), side
+        v = getattr(start, side)
+        assert np.isfinite(v).all() and (v > 0).all(), side
+    cold = pressure.perron(f)
+    assert abs(last.log_rho - cold.log_rho) <= last.enclosure + cold.enclosure
+
+
 def test_thermo_curve_rejects_negative_damping():
     g = full_shift(2)
     a = EdgePotential(g, np.array([[0.0, -0.2], [0.0, 0.0]])[mask_of_graph(g)])
