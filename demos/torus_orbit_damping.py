@@ -65,6 +65,7 @@ def main():
               " (raise --beta-max)")
     else:
         print(f"first negative pressure at beta* = {rep['beta_star']:.6f}"
+              f" (bracket width {rep['beta_star_enclosure']:.1e})"
               f" where Pr = {rep['pressure_at_beta_star']:+.3e}")
     print(f"curve at beta-max: {rep['final_pressure']:+.9f}"
           f" (limit verified: {rep['limit_verified']})")

@@ -413,6 +413,10 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     where the pressure turns negative (find_gap_beta: warm-started Newton
     with certified signs).  Otherwise reports the above-threshold regime,
     which is a finding, not an error.  All values are plain JSON types.
+    Each number comes from one solve: pressure_undamped from the curve's
+    beta = 0 point (from its own solve above the threshold), and
+    beta_star, beta_star_enclosure and pressure_at_beta_star from
+    find_gap_beta's bracket and the solve that certified beta_star.
     """
     tmap, coding = build_cat_map()
     order = refinement_for_scale(epsilon)
@@ -425,6 +429,9 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     result = minimize(ref.graph, a, phi)
     orbit_edges = _lift_orbit_edges(ref, orbit.states)
     isolated = result.critical_edges == orbit_edges
+    curve = thermo_curve(ref.graph, a, phi,
+                         default_schedule(beta_max, beta_step),
+                         minimization=result) if isolated else None
     report = {
         "lyapunov": tmap.lyapunov,
         "entropy": entropy,
@@ -438,7 +445,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
         "min_average": result.value,
         "undamped_edges": [list(e) for e in result.critical_edges],
         "pressure_on_undamped": result.restricted_pressure,
-        "pressure_undamped": pressure_transfer(ref.graph, phi).value,
+        "pressure_undamped": (curve.pressure_phi if isolated
+                              else pressure_transfer(ref.graph, phi).value),
         "undamped_set_is_orbit": bool(isolated),
     }
     if not isolated:
@@ -446,29 +454,26 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
         # pressure need not be negative and no decay threshold is claimed
         report["regime"] = "above-threshold"
         report["beta_star"] = None
+        report["beta_star_enclosure"] = None
         report["pressure_at_beta_star"] = None
         report["final_pressure"] = None
         report["decays"] = False
         return report
-    curve = thermo_curve(ref.graph, a, phi,
-                         default_schedule(beta_max, beta_step),
-                         minimization=result)
     ok, diag = verify_limit(curve, tol=1e-6)
     # a short schedule may stop before the limit is reached; only the
     # bracketing and monotonicity checks signal an actual bug
     if not ok and diag["failed_check"] != "limit-gap":
         raise InvariantViolation(f"pressure curve failed audit: {diag}")
-    beta_star = find_gap_beta(ref.graph, a, phi, beta_max=beta_max,
-                              minimization=result)
+    gap = find_gap_beta(ref.graph, a, phi, beta_max=beta_max,
+                        minimization=result)
+    found = gap.hi is not None
     report["regime"] = "below-threshold"
     report["limit_verified"] = bool(ok)
-    report["beta_star"] = beta_star
-    report["pressure_at_beta_star"] = (
-        None if beta_star is None
-        else pressure_transfer(ref.graph, phi - beta_star * a).value
-    )
+    report["beta_star"] = gap.hi
+    report["beta_star_enclosure"] = gap.hi - gap.lo if found else None
+    report["pressure_at_beta_star"] = gap.at_hi.log_rho if found else None
     report["final_pressure"] = float(curve.values[-1]
                                      - curve.betas[-1] * curve.a0)
     report["final_beta"] = float(curve.betas[-1])
-    report["decays"] = bool(beta_star is not None)
+    report["decays"] = found
     return report

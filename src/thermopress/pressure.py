@@ -122,22 +122,10 @@ def _stalled(steps_left, width, earlier, window, target):
     return np.log(target / width) / rate > steps_left
 
 
-def _both_sides(W):
-    """diag(W, W^T) in CSR form, for a CSR matrix W: one matvec steps a
-    right vector with W and a left vector with W^T.  Its rows are those of
-    W and W^T, so every sum is the one W @ x and W.T @ z would form."""
-    n = W.shape[0]
-    WT = W.T.tocsr()
-    return csr_matrix((np.concatenate((W.data, WT.data)),
-                       np.concatenate((W.indices, WT.indices + n)),
-                       np.concatenate((W.indptr, WT.indptr[1:] + W.nnz))),
-                      shape=(2 * n, 2 * n))
-
-
 def _plain_power_stage(both, x, z):
     """Shifted power iteration on W + I with Collatz-Wielandt brackets,
     from positive right and left vectors x and z; both is diag(W, W^T)
-    from _both_sides, so each step is one matvec.
+    in CSR form, so each step is one matvec.
 
     Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
     being the final bracket.  The +I shift keeps the iteration convergent
@@ -246,7 +234,11 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     """
     graph = f.graph
     fmax = f.max()
-    both = _both_sides(graph.adjacency(np.exp(f.values - fmax)))
+    # diag(W, W^T) on the graph's index arrays, whose rows are those of W
+    # and W.T.tocsr(): every sum is the one W @ x and W.T @ z would form
+    ids = graph.two_sided
+    both = csr_matrix((np.exp(f.values - fmax)[ids.data], ids.indices,
+                       ids.indptr), shape=ids.shape)
     x = z = np.ones(graph.n_states)
     if start is not None and all(
             v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
@@ -326,36 +318,24 @@ class PressureReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_irreducible(graph):
+def _require_irreducible(graph, f):
+    """Raise unless graph is strongly connected and f lives on it."""
     if not graph.irreducible:
         raise NotIrreducibleError(
             "pressure requires a strongly connected graph; "
             "use ergopt.pressure_on_set for subgraphs"
         )
+    if not f.graph.same_graph(graph):
+        raise ValueError("potential lives on a different graph")
 
 
 def pressure_transfer(graph: TransitionGraph,
                       f: EdgePotential) -> PressureReport:
     """Pressure as log spectral radius of L_ij = e^{f_ij} on edges (0 off
     them); the tolerance is the enclosure the Perron solve measured."""
-    _require_irreducible(graph)
-    if not f.graph.same_graph(graph):
-        raise ValueError("potential lives on a different graph")
+    _require_irreducible(graph, f)
     data = perron(f)
     return PressureReport("transfer", data.log_rho, data.enclosure)
-
-
-def _cycle_log_mass(f, t_max):
-    """Log of sum of exp(Birkhoff sum) over cyclic words, per length T: the
-    log of trace(L^T), read off the diagonal of log-space powers of L."""
-    F = f.log_matrix()
-    masses = []
-    M = F
-    for T in range(1, t_max + 1):
-        if T > 1:
-            M = _log_matmul(M, F)
-        masses.append(_lse(np.diag(M)))
-    return masses
 
 
 def pressure_periodic_orbits(graph: TransitionGraph, f: EdgePotential,
@@ -368,17 +348,18 @@ def pressure_periodic_orbits(graph: TransitionGraph, f: EdgePotential,
     whose period does not divide t_max) the estimate is undefined and a
     ZeroMassError is raised.
     """
-    _require_irreducible(graph)
-    if not f.graph.same_graph(graph):
-        raise ValueError("potential lives on a different graph")
+    _require_irreducible(graph, f)
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    masses = _cycle_log_mass(f, t_max)
-    trace = [
-        (T, mass / T)
-        for T, mass in zip(range(1, t_max + 1), masses)
-        if np.isfinite(mass)
-    ]
+    # log trace(L^T), read off the diagonal of log-space powers of L
+    F = f.log_matrix()
+    M, trace = F, []
+    for T in range(1, t_max + 1):
+        if T > 1:
+            M = _log_matmul(M, F)
+        mass = _lse(np.diag(M))
+        if np.isfinite(mass):
+            trace.append((T, mass / T))
     if not trace or trace[-1][0] != t_max:
         raise ZeroMassError(
             f"no cyclic words of length {t_max}: choose t_max compatible "
@@ -388,25 +369,17 @@ def pressure_periodic_orbits(graph: TransitionGraph, f: EdgePotential,
     return PressureReport("periodic-orbits", trace[-1][1], tol, trace)
 
 
-def _bowen_boundary(f):
-    """Closing weight per state: the largest outgoing edge weight."""
-    F = f.log_matrix()
-    return F.max(axis=1)
-
-
 def pressure_bowen(graph: TransitionGraph, f: EdgePotential,
                    t_max: int) -> PressureReport:
     """Pressure from separated-set sums over admissible words of length T:
     the T-1 interior edges plus a closing term b, the maximal outgoing
     weight of the final state.  The sum is 1^T L^(T-1) e^b, accumulated as
     the log row vector u = log(1^T L^(T-1)).  Trace runs over T = 1..t_max."""
-    _require_irreducible(graph)
-    if not f.graph.same_graph(graph):
-        raise ValueError("potential lives on a different graph")
+    _require_irreducible(graph, f)
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    FT = f.log_matrix().T
-    b = _bowen_boundary(f)
+    F = f.log_matrix()
+    FT, b = F.T, F.max(axis=1)  # b: the closing weights
     trace = []
     u = np.zeros(graph.n_states)
     for T in range(1, t_max + 1):
@@ -438,9 +411,7 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
     p_i proportional to l_i r_i, from the Perron data of the transfer
     matrix (start is passed to perron).  Rows are renormalized after the
     eigenvector solve; the pre-normalization defect must be below 1e-10."""
-    _require_irreducible(graph)
-    if not f.graph.same_graph(graph):
-        raise ValueError("potential lives on a different graph")
+    _require_irreducible(graph, f)
     data = perron(f, start=start)
     logr = np.log(data.right)
     src, dst = graph.src, graph.dst

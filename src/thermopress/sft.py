@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -85,6 +86,23 @@ class TransitionGraph:
             weights = np.ones(self.n_edges, dtype=np.int8)
         n = self.n_states
         return csr_matrix((weights, self.dst, self.indptr), shape=(n, n))
+
+    @cached_property
+    def two_sided(self) -> csr_matrix:
+        """diag(A, A^T) in CSR form, A = adjacency(), holding edge ids, so
+        diag(W, W^T) for W = adjacency(w) has data w[two_sided.data].  A^T
+        lists each row's sources in ascending order, as A.T.tocsr() does:
+        its edge order is a stable argsort of dst.  Read-only."""
+        n, m = self.n_states, self.n_edges
+        order = np.argsort(self.dst, kind="stable")
+        into = np.searchsorted(self.dst[order], np.arange(n + 1))
+        both = csr_matrix((np.concatenate((np.arange(m), order)),
+                           np.concatenate((self.dst, self.src[order] + n)),
+                           np.concatenate((self.indptr, into[1:] + m))),
+                          shape=(2 * n, 2 * n))
+        for x in (both.data, both.indices, both.indptr):
+            x.setflags(write=False)
+        return both
 
     def edge_id(self, i: int, j: int) -> int:
         """Position of the edge (i, j) in the edge arrays; KeyError when
@@ -191,13 +209,10 @@ class EdgePotential:
                              f"({graph.src[k]}, {graph.dst[k]})")
         return cls(graph, vals)
 
-    def _check_same_graph(self, other):
-        if not self.graph.same_graph(other.graph):
-            raise ValueError("potentials live on different graphs")
-
     def __add__(self, other):
         if isinstance(other, EdgePotential):
-            self._check_same_graph(other)
+            if not self.graph.same_graph(other.graph):
+                raise ValueError("potentials live on different graphs")
             return EdgePotential(self.graph, self.values + other.values)
         return EdgePotential(self.graph, self.values + float(other))
 

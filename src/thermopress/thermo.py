@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .ergopt import MinimizationResult, minimize
-from .pressure import (_require_irreducible, equilibrium_state, perron,
-                       pressure_transfer)
+from .pressure import (PerronData, _require_irreducible, equilibrium_state,
+                       perron, pressure_transfer)
 from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_entropy
 
 SANDWICH_TOL = 1e-9
@@ -293,9 +293,21 @@ def measure_convergence(curve: ThermoCurve, tol: float = 1e-6) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class GapBracket:
+    """Result of find_gap_beta: the root lies in [lo, hi), hi <= lo +
+    GAP_XTOL, and at_hi is the PerronData of the solve that certified hi
+    negative.  hi is 0.0 (lo too) when Pr(phi) is certified negative, and
+    hi and at_hi are None when the pressure at beta_max is not."""
+
+    lo: float
+    hi: float | None
+    at_hi: PerronData | None
+
+
 def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
                   phi: EdgePotential, beta_max: float = 80.0, *,
-                  minimization: MinimizationResult | None = None):
+                  minimization: MinimizationResult | None = None) -> GapBracket:
     """Least damping strength at which the raw pressure Pr(phi - beta a)
     turns negative, located by warm-started Newton steps with certified
     signs: a point is negative only when Pr + enclosure < 0 and
@@ -312,9 +324,8 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
 
     The restricted pressure of phi on the critical edge set, the limit of
     the curve, must be negative for a crossing to exist; otherwise this
-    raises.  Returns 0.0 if Pr(phi) is certified negative, None if the
-    pressure at beta_max is not; otherwise hi, with the root in
-    [hi - GAP_XTOL, hi).
+    raises.  Returns a GapBracket: the root is in [lo, hi), and at_hi is
+    the solve that certified hi negative.
 
     minimization is the result of minimize(graph, a, phi) for these same
     arguments and supplies the restricted pressure; when omitted, that
@@ -333,15 +344,13 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
             "pressure stays above it for every strength, so no crossing "
             "exists"
         )
-    _require_irreducible(graph)
-    if not phi.graph.same_graph(graph):
-        raise ValueError("potential lives on a different graph")
+    _require_irreducible(graph, phi)
 
-    lo, hi, hi_solved = 0.0, beta_max, False
+    lo, hi, at_hi = 0.0, beta_max, None
     at_lo = last = perron(_damped(phi, a, lo))
     if at_lo.log_rho + at_lo.enclosure < 0:
-        return 0.0
-    while not (hi_solved and hi <= lo + GAP_XTOL):
+        return GapBracket(0.0, 0.0, at_lo)
+    while not (at_hi is not None and hi <= lo + GAP_XTOL):
         # equilibrium edge weights at lo, up to a constant factor
         f = phi.values - lo * a.values
         w = (at_lo.left[graph.src] * np.exp(f - f.max())
@@ -349,15 +358,15 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
         step = at_lo.log_rho * w.sum() / (w @ a.values)
         x = lo + step - GAP_XTOL / 4 if step >= GAP_XTOL / 2 else lo + GAP_XTOL
         if not lo < x < hi:
-            x = 0.5 * (lo + hi) if hi_solved else beta_max
+            x = 0.5 * (lo + hi) if at_hi is not None else beta_max
         last = perron(_damped(phi, a, x), start=last)
         if last.log_rho + last.enclosure < 0:
-            hi, hi_solved = x, True
-        elif x == beta_max and not hi_solved:
-            return None
+            hi, at_hi = x, last
+        elif x == beta_max and at_hi is None:
+            return GapBracket(float(lo), None, None)
         elif last.log_rho - last.enclosure >= 0:
             lo, at_lo = x, last
         else:
             raise ConvergenceError(f"pressure at beta={x!r} is within its "
                                    f"enclosure {last.enclosure!r} of zero")
-    return float(hi)
+    return GapBracket(float(lo), float(hi), at_hi)

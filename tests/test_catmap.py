@@ -381,6 +381,7 @@ def test_report_above_threshold():
     assert rep["undamped_set_is_orbit"] is False
     assert len(rep["undamped_edges"]) == 8
     assert rep["beta_star"] is None
+    assert rep["beta_star_enclosure"] is None
     assert rep["decays"] is False
     assert rep["final_pressure"] is None
 

@@ -102,6 +102,27 @@ def test_graph_edges_sorted():
     assert g.n_edges == 9
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_two_sided_matches_transpose(seed):
+    # diag(W, W^T) on two_sided's index arrays has the rows of W and of
+    # W.T.tocsr(), entry for entry, so its matvecs sum in the same order
+    rng = np.random.default_rng(seed)
+    g = _random_irreducible(rng, int(rng.integers(1, 15)))
+    w = rng.random(g.n_edges)
+    W = g.adjacency(w)
+    WT = W.T.tocsr()
+    both = g.two_sided
+    assert np.array_equal(w[both.data], np.concatenate((W.data, WT.data)))
+    assert np.array_equal(both.indices,
+                          np.concatenate((W.indices, WT.indices + g.n_states)))
+    assert np.array_equal(both.indptr,
+                          np.concatenate((W.indptr, WT.indptr[1:] + W.nnz)))
+    assert both.indices.dtype == WT.indices.dtype
+    assert g.two_sided is both
+    assert not any(x.flags.writeable
+                   for x in (both.data, both.indices, both.indptr))
+
+
 def test_golden_mean_edges():
     g = golden_mean_shift()
     assert g.edges() == [(0, 0), (0, 1), (1, 0)]

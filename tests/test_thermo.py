@@ -2,13 +2,14 @@
 crossing strength."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress import ergopt, pressure, thermo
+from thermopress import catmap, ergopt, pressure, thermo
 from thermopress.catmap import (build_cat_map, damping_from_orbit,
                                 expansion_potential, periodic_itinerary)
 from thermopress.errors import InvariantViolation
@@ -443,7 +444,7 @@ def test_find_gap_beta_requires_negative_target():
 def test_find_gap_beta_bisection():
     g, a, _ = golden_mean_instance()
     phi = EdgePotential.constant(g, -0.1)
-    beta = find_gap_beta(g, a, phi, beta_max=80.0)
+    beta = find_gap_beta(g, a, phi, beta_max=80.0).hi
     assert beta is not None and 0.0 < beta < 80.0
     raw = pressure_transfer(g, phi - beta * a).value
     assert raw < 0.0
@@ -456,14 +457,14 @@ def test_find_gap_beta_bisection():
 def test_find_gap_beta_already_negative():
     g, a, _ = golden_mean_instance()
     phi = EdgePotential.constant(g, -1.0)
-    assert find_gap_beta(g, a, phi) == 0.0
+    assert find_gap_beta(g, a, phi).hi == 0.0
 
 
 def test_find_gap_beta_out_of_reach():
     g, a, _ = golden_mean_instance()
     phi = EdgePotential.constant(g, -0.1)
-    assert find_gap_beta(g, a, phi, beta_max=0.05) is None
-    assert find_gap_beta(g, a, phi, beta_max=0.0) is None
+    assert find_gap_beta(g, a, phi, beta_max=0.05).hi is None
+    assert find_gap_beta(g, a, phi, beta_max=0.0).hi is None
 
 
 def test_find_gap_beta_validation():
@@ -483,7 +484,7 @@ def test_find_gap_beta_golden_mean_closed_form(c):
     # e^(-beta) = e^(-2c) - e^(-c)
     g, a, _ = golden_mean_instance()
     root = -math.log(math.exp(-2.0 * c) - math.exp(-c))
-    beta = find_gap_beta(g, a, EdgePotential.constant(g, c), beta_max=80.0)
+    beta = find_gap_beta(g, a, EdgePotential.constant(g, c), beta_max=80.0).hi
     assert root < beta <= root + GAP_XTOL
 
 
@@ -511,10 +512,18 @@ def test_find_gap_beta_brackets_dense_root(n, seed, share):
     a = EdgePotential(g, damping)
     c = -share * _dense_pressure(g, np.zeros(g.n_edges))
     phi = EdgePotential.constant(g, c)
-    beta = find_gap_beta(g, a, phi, beta_max=200.0)
+    gap = find_gap_beta(g, a, phi, beta_max=200.0)
+    beta = gap.hi
     assert beta is not None and beta > 0.0
-    assert _dense_pressure(g, phi.values - beta * a.values) < 0.0
+    at_hi = _dense_pressure(g, phi.values - beta * a.values)
+    assert at_hi < 0.0
     assert _dense_pressure(g, phi.values - (beta - GAP_XTOL) * a.values) >= 0.0
+    # the bracket: nonnegative at lo, no wider than the search stops at
+    # (hi is computed as lo + GAP_XTOL), and the certifying solve's root
+    # within its own enclosure of the dense one
+    assert _dense_pressure(g, phi.values - gap.lo * a.values) >= 0.0
+    assert gap.lo < beta <= gap.lo + GAP_XTOL
+    assert abs(gap.at_hi.log_rho - at_hi) <= gap.at_hi.enclosure + 1e-12
 
 
 @pytest.mark.parametrize("order", [4, 5, 6])
@@ -538,11 +547,62 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
         result = minimize(ref.graph, a, phi)
         solves.clear()
         beta = find_gap_beta(ref.graph, a, phi, beta_max=50.0,
-                             minimization=result)
+                             minimization=result).hi
         assert beta is not None and 0.0 < beta < 50.0
         assert len(solves) <= 8, (point, len(solves))
         assert all(d.stage == "power" for d in solves)
         assert sum(d.iterations for d in solves) < 600, (point, solves)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_report_solves_each_potential_once(order, monkeypatch):
+    # every Perron solve of the report is one sweep point, one search step,
+    # one piece of the undamped set or the entropy; Pr(phi) and
+    # Pr(phi - beta* a) are read off the sweep and the search
+    cold, phases = pressure.perron, []
+    names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
+             "find_gap_beta")
+
+    def counting(f, **kw):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in names:
+            frame = frame.f_back
+        phases.append(frame.f_code.co_name)
+        return cold(f, **kw)
+
+    for module in (pressure, thermo, ergopt):
+        monkeypatch.setattr(module, "perron", counting)
+    gaps = []
+
+    def recording(*args, **kw):
+        gaps.append(find_gap_beta(*args, **kw))
+        return gaps[-1]
+
+    monkeypatch.setattr(catmap, "find_gap_beta", recording)
+    _, coding = build_cat_map()
+    ref = coding.refine(order)
+    phi = expansion_potential(ref)
+    for point in CATMAP_POINTS:
+        phases.clear()
+        gaps.clear()
+        rep = catmap.orbit_damping_report(2.0 ** -order, point=point,
+                                          beta_max=50.0)
+        (gap,) = gaps
+        steps = phases.count("find_gap_beta")
+        assert rep["undamped_set_is_orbit"] and 0 < steps <= 8
+        # the entropy, one orbit piece, 101 sweep points, the search
+        assert phases.count("pressure_transfer") == 1, point
+        assert phases.count("pressure_on_set") == 1, point
+        assert phases.count("thermo_curve") == 101, point
+        assert len(phases) == 103 + steps, point
+        assert rep["pressure_undamped"] == cold(phi).log_rho
+        beta = rep["beta_star"]
+        assert beta == gap.hi and rep["beta_star_enclosure"] == gap.hi - gap.lo
+        a = damping_from_orbit(coding, periodic_itinerary(coding, point),
+                               2.0 ** -order)
+        at_star = cold(phi - beta * a)
+        assert (abs(rep["pressure_at_beta_star"] - at_star.log_rho)
+                <= gap.at_hi.enclosure + at_star.enclosure), point
 
 
 @pytest.mark.parametrize("beta_max", [math.inf, math.nan])
@@ -575,10 +635,13 @@ def test_passed_minimization_changes_nothing(name):
         assert getattr(own, field) == getattr(passed, field)
 
     def gap(**kw):
+        # PerronData holds arrays, so compare the bracket field by field
         try:
-            return find_gap_beta(g, a, phi, beta_max=20.0, **kw)
+            b = find_gap_beta(g, a, phi, beta_max=20.0, **kw)
         except ValueError as exc:
             return str(exc)
+        return (b.lo, b.hi) + ((b.at_hi.log_rho, b.at_hi.enclosure)
+                               if b.at_hi is not None else ())
 
     assert gap() == gap(minimization=result)
 
