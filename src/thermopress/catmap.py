@@ -243,10 +243,12 @@ class SymbolicRefinement:
 
 
 class MarkovCoding:
-    """Coding of a point by which partition rectangle each iterate visits."""
+    """Coding of a point by which partition rectangle each iterate of the
+    [[2,1],[1,1]] map visits; the cells and PARTITION_MATRIX are that
+    map's."""
 
-    def __init__(self, torus_map=None):
-        self.torus_map = torus_map or ToralMap()
+    def __init__(self):
+        self.torus_map = ToralMap()
         self._refinements = {}
         self.graph = self.refine(0).graph
 

@@ -8,7 +8,8 @@ external plotting:
     catmap     the full orbit-damping computation on the torus map
     wave       damped wave spectrum, energy history, decay fit
 
-Every number is emitted with 12 significant digits, CSV uses comma
+This module owns every output format.  Every number is emitted with 12
+significant digits, non-finite JSON values as null, CSV uses comma
 separators and LF endings, and reruns of the same command line are
 byte-identical.  Exit codes: 0 ok, 2 usage or input error, 3 numeric
 failure, 4 internal invariant violation.
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from .catmap import orbit_damping_report
 from .errors import (ConvergenceError, GraphFormatError, InvariantViolation,
                      NotIrreducibleError, ZeroMassError)
 from .instances import get_builtin
-from .pressure import (_sig12, pressure_bowen, pressure_periodic_orbits,
+from .pressure import (pressure_bowen, pressure_periodic_orbits,
                        pressure_transfer)
 from .sft import load_system
 from .thermo import (default_schedule, measure_convergence, thermo_curve,
@@ -38,9 +41,10 @@ from .wave import (LENGTH, build_system, evolve, fit_decay_rate,
 
 
 def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON."""
+    """Recursively round floats to 12 significant digits for JSON;
+    non-finite floats become None, so the JSON stays standard."""
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -55,6 +59,14 @@ def _write(directory: Path, name: str, text: str):
 
 def _write_json(directory: Path, name: str, obj):
     _write(directory, name, json.dumps(_round12(obj), indent=2) + "\n")
+
+
+def _write_csv(directory: Path, name: str, header, rows):
+    """CSV with the column names in header and one line per row, every
+    value with 12 significant digits."""
+    line = ",".join(["%.12g"] * len(header))
+    lines = [",".join(header), *(line % row for row in rows)]
+    _write(directory, name, "\n".join(lines) + "\n")
 
 
 def _load(args):
@@ -75,8 +87,6 @@ def _add_system_source(sub):
 def _add_common(sub):
     sub.add_argument("--out", metavar="DIR", default=".",
                      help="output directory (default: current)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized data (default 0)")
 
 
 def cmd_pressure(args) -> int:
@@ -85,9 +95,10 @@ def cmd_pressure(args) -> int:
     transfer = pressure_transfer(graph, phi)
     periodic = pressure_periodic_orbits(graph, phi, args.t_max)
     bowen = pressure_bowen(graph, phi, args.t_max)
-    _write(out, "transfer.json", transfer.to_json() + "\n")
-    _write(out, "periodic_orbits.csv", periodic.trace_csv())
-    _write(out, "bowen.csv", bowen.trace_csv())
+    # one line: method, value, tolerance, trace
+    _write(out, "transfer.json", json.dumps(_round12(asdict(transfer))) + "\n")
+    _write_csv(out, "periodic_orbits.csv", ("T", "estimate"), periodic.trace)
+    _write_csv(out, "bowen.csv", ("T", "estimate"), bowen.trace)
     print(f"{transfer.value:.12g}")
     return 0
 
@@ -99,7 +110,11 @@ def cmd_thermo(args) -> int:
     curve = thermo_curve(graph, a, phi, betas)
     ok, diag = verify_limit(curve, tol=args.tol)
     convergence = measure_convergence(curve, tol=args.tol)
-    _write(out, "thermo_curve.csv", curve.to_csv())
+    _write_csv(out, "thermo_curve.csv",
+               ("beta", "pressure_plus_beta_a0", "eq_average_a",
+                "eq_entropy", "limit_target"),
+               zip(curve.betas, curve.values, curve.eq_averages,
+                   curve.eq_entropies, [curve.limit_target] * len(curve)))
     _write_json(out, "verify.json",
                 {"verdict": bool(ok), **diag, "convergence": convergence})
     if not ok and diag["failed_check"] != "limit-gap":
@@ -155,10 +170,9 @@ def cmd_wave(args) -> int:
     trace = evolve(system, u0, v0, t_end, dt)
     rate = fit_decay_rate(trace, t_min)
     gap = spectrum_gap(system)
-    lines = ["re_tau,im_tau"]
-    lines += [f"{z.real:.12g},{z.imag:.12g}" for z in tau]
-    _write(out, "spectrum.csv", "\n".join(lines) + "\n")
-    _write(out, "energy.csv", trace.to_csv())
+    _write_csv(out, "spectrum.csv", ("re_tau", "im_tau"),
+               zip(tau.real, tau.imag))
+    _write_csv(out, "energy.csv", ("t", "E"), zip(trace.times, trace.energies))
     _write_json(out, "wave_summary.json", {
         "profile": args.profile,
         "n_grid": system.n_grid,
@@ -231,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integration end time (default 20)")
     p.add_argument("--t-min", dest="t_min", type=float, default=None,
                    help="start of the decay-fit window (default t_end/4)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random initial data (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_wave)
     return parser

@@ -16,8 +16,7 @@ potentials (e.g. beta * a with beta in the tens) cannot overflow.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,22 +33,12 @@ MIN_PLAIN_ROOT = 0.01
 # relative width is below STALL_GUARD, measured over STALL_WINDOW steps
 STALL_GUARD = 1e-3
 STALL_WINDOW = 50
+# most squarings of the exact stage, and its Collatz-Wielandt sweeps per level
+MAX_SQUARINGS = 64
+SQUARING_SWEEPS = 60
 
 # scaled log-space products below this are recomputed exactly
 _UNDERFLOW = 1e-250
-
-# Bowen sums close each word with the largest outgoing weight of its last
-# state and score separated sets at mesh 1/4; recorded in every report so
-# finite-T numbers are comparable across runs.
-BOWEN_CONVENTION = "closing-term=max-outgoing-edge; separation-mesh=1/4"
-
-
-def _sig12(x):
-    """Round to the 12 significant digits all serialized output uses;
-    non-finite values map to None so the JSON stays standard."""
-    if not np.isfinite(x):
-        return None
-    return float(f"{x:.12g}")
 
 
 def _lse(values):
@@ -165,7 +154,7 @@ def _plain_power_stage(both, x, z):
     return False, lo, hi, vectors[0], vectors[1], it
 
 
-def _squared_power_stage(H, *, max_squarings=64, inner=60):
+def _squared_power_stage(H):
     """Exact log-space repeated squaring of H = log(W + I), interleaved with
     Collatz-Wielandt iterations.  Handles spectra where the second eigenvalue
     nearly ties the Perron root, and roots too small for the +I shift to
@@ -173,19 +162,19 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
     centered on its largest entry, so the log eigenvectors carry rounding
     relative to O(1) entries rather than to 2^k log(rho(W)+1).  A level
     squares again as soon as the contraction of its last sweep projects
-    past its `inner` sweeps.
+    past its SQUARING_SWEEPS sweeps.
 
     Returns (log rho(W+I), right log-vector, left log-vector, relative
     enclosure width, squarings)."""
     n = H.shape[0]
     power = 1
     shift = 0.0  # the uncentered log power is H + shift
-    for k in range(max_squarings + 1):
+    for k in range(MAX_SQUARINGS + 1):
         x = np.zeros(n)
         z = np.zeros(n)
         HT = H.T
         width = np.inf
-        for sweep in range(1, inner + 1):
+        for sweep in range(1, SQUARING_SWEEPS + 1):
             yx = _log_matvec(H, x)
             yz = _log_matvec(HT, z)
             dx = yx - x
@@ -200,18 +189,18 @@ def _squared_power_stage(H, *, max_squarings=64, inner=60):
             # mid approximates power * log(rho(W)+1) >= 0; relative criterion
             if mid > 0 and width <= TRANSFER_TOL * mid:
                 return mid / power, x, z, width / max(mid, 1e-300), k
-            if (k < max_squarings and mid > 0 and sweep > 1
-                    and _stalled(inner - sweep, width, previous, 1,
+            if (k < MAX_SQUARINGS and mid > 0 and sweep > 1
+                    and _stalled(SQUARING_SWEEPS - sweep, width, previous, 1,
                                  TRANSFER_TOL * mid)):
                 break
-        if k < max_squarings:
+        if k < MAX_SQUARINGS:
             H = _log_matmul(H, H)
             top = H.max()
             H = H - top
             shift = 2.0 * shift + top
             power *= 2
     raise ConvergenceError(
-        f"Perron solver failed to converge after {max_squarings} squarings"
+        f"Perron solver failed to converge after {MAX_SQUARINGS} squarings"
     )
 
 
@@ -278,14 +267,12 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
 @dataclass(frozen=True)
 class PressureReport:
     """Pressure estimate with its method tag, the finite-T trace that led
-    to it, and the tolerance the method claims.  Serializes to JSON and to
-    a two-column CSV of the trace."""
+    to it, and the tolerance the method claims."""
 
     method: str
     value: float
     tolerance: float
     trace: tuple = ()
-    convention: str | None = None
 
     def __post_init__(self):
         if self.method not in ("transfer", "periodic-orbits", "bowen"):
@@ -299,23 +286,6 @@ class PressureReport:
         if self.method != "transfer" and not trace:
             raise ValueError(f"method {self.method!r} requires a trace")
         object.__setattr__(self, "trace", trace)
-
-    def to_json(self) -> str:
-        sig = _sig12
-        obj = {
-            "method": self.method,
-            "value": sig(self.value),
-            "tolerance": sig(self.tolerance),
-            "trace": [[T, sig(est)] for T, est in self.trace],
-        }
-        if self.convention is not None:
-            obj["convention"] = self.convention
-        return json.dumps(obj)
-
-    def trace_csv(self) -> str:
-        lines = ["T,estimate"]
-        lines += [f"{T},{est:.12g}" for T, est in self.trace]
-        return "\n".join(lines) + "\n"
 
 
 def _require_irreducible(graph, f):
@@ -387,8 +357,7 @@ def pressure_bowen(graph: TransitionGraph, f: EdgePotential,
             u = _log_matvec(FT, u)
         trace.append((T, _lse(u + b) / T))
     tol = abs(trace[-1][1] - trace[-2][1]) if len(trace) > 1 else np.inf
-    return PressureReport("bowen", trace[-1][1], tol, trace,
-                          convention=BOWEN_CONVENTION)
+    return PressureReport("bowen", trace[-1][1], tol, trace)
 
 
 @dataclass(frozen=True)

@@ -105,18 +105,6 @@ class ThermoCurve:
     def __len__(self):
         return len(self.betas)
 
-    def to_csv(self) -> str:
-        """Columns: beta, pressure_plus_beta_a0 (the curve value),
-        eq_average_a, eq_entropy, limit_target; 12 significant digits."""
-        lines = ["beta,pressure_plus_beta_a0,eq_average_a,eq_entropy,limit_target"]
-        for k in range(len(self)):
-            lines.append(
-                f"{self.betas[k]:.12g},{self.values[k]:.12g},"
-                f"{self.eq_averages[k]:.12g},{self.eq_entropies[k]:.12g},"
-                f"{self.limit_target:.12g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _minimum_and_limit(graph, a, phi, minimization):
     """The optimal average a0 and the pressure of phi on the critical edge
@@ -295,7 +283,7 @@ def measure_convergence(curve: ThermoCurve, tol: float = 1e-6) -> dict:
 
 @dataclass(frozen=True)
 class GapBracket:
-    """Result of find_gap_beta: the root lies in [lo, hi), hi <= lo +
+    """Result of find_gap_beta: the root lies in [lo, hi), hi - lo <=
     GAP_XTOL, and at_hi is the PerronData of the solve that certified hi
     negative.  hi is 0.0 (lo too) when Pr(phi) is certified negative, and
     hi and at_hi are None when the pressure at beta_max is not."""
@@ -317,10 +305,11 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     The pressure is convex in beta with slope minus the equilibrium
     average of a, so Newton steps from lo = 0 stay left of the root; each
     stops GAP_XTOL/4 short of it, and once a step is below GAP_XTOL/2,
-    lo + GAP_XTOL is tried as the negative end hi.  A step leaving the
-    bracket [lo, hi] is replaced by bisection; beta_max is solved only
-    once a step passes it.  An undecided point other than beta_max raises
-    ConvergenceError, so it is never a bracket end.
+    the largest float x with x - lo <= GAP_XTOL is tried as the negative
+    end hi.  A step leaving the bracket [lo, hi] is replaced by
+    bisection; beta_max is solved only once a step passes it.  An
+    undecided point other than beta_max raises ConvergenceError, so it
+    is never a bracket end.
 
     The restricted pressure of phi on the critical edge set, the limit of
     the curve, must be negative for a crossing to exist; otherwise this
@@ -350,13 +339,15 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     at_lo = last = perron(_damped(phi, a, lo))
     if at_lo.log_rho + at_lo.enclosure < 0:
         return GapBracket(0.0, 0.0, at_lo)
-    while not (at_hi is not None and hi <= lo + GAP_XTOL):
+    while not (at_hi is not None and hi - lo <= GAP_XTOL):
         # equilibrium edge weights at lo, up to a constant factor
         f = phi.values - lo * a.values
         w = (at_lo.left[graph.src] * np.exp(f - f.max())
              * at_lo.right[graph.dst])
         step = at_lo.log_rho * w.sum() / (w @ a.values)
         x = lo + step - GAP_XTOL / 4 if step >= GAP_XTOL / 2 else lo + GAP_XTOL
+        while step < GAP_XTOL / 2 and x - lo > GAP_XTOL:  # sum rounded up
+            x = float(np.nextafter(x, lo))
         if not lo < x < hi:
             x = 0.5 * (lo + hi) if at_hi is not None else beta_max
         last = perron(_damped(phi, a, x), start=last)

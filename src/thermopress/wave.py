@@ -177,11 +177,6 @@ class EnergyTrace:
     def __len__(self):
         return len(self.times)
 
-    def to_csv(self) -> str:
-        lines = ["t,E"]
-        lines += [f"{t:.12g},{e:.12g}" for t, e in zip(self.times, self.energies)]
-        return "\n".join(lines) + "\n"
-
 
 def _grad(u, dx):
     return (np.roll(u, -1) - u) / dx

@@ -307,6 +307,50 @@ def test_thermo_rerun_is_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def test_output_formats_are_pinned(tmp_path):
+    r = run_cli("pressure", "--builtin", "full2", "--T-max", "3",
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    for name in ("periodic_orbits.csv", "bowen.csv"):
+        assert (tmp_path / name).read_bytes() == (
+            b"T,estimate\n1,0.69314718056\n2,0.69314718056\n"
+            b"3,0.69314718056\n")
+    transfer = (tmp_path / "transfer.json").read_bytes()
+    assert transfer.startswith(b'{"method": "transfer", "value": '
+                               b'0.69314718056, "tolerance": ')
+    assert transfer.endswith(b', "trace": []}\n')
+    assert transfer.count(b"\n") == 1
+    r = run_cli("thermo", "--builtin", "full2", "--beta-max", "1",
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    curve = (tmp_path / "thermo_curve.csv").read_bytes()
+    assert curve.startswith(b"beta,pressure_plus_beta_a0,eq_average_a,"
+                            b"eq_entropy,limit_target\n0,0.69314718056,")
+    r = run_cli("catmap", "--epsilon", "1", "--beta-max", "1",
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    report = (tmp_path / "catmap_report.json").read_bytes()
+    assert report.startswith(b'{\n  "lyapunov": ')
+    assert b'\n  "beta_star": null,\n' in report
+    assert report.endswith(b"\n}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pressure", "--builtin", "full2"),
+    ("thermo", "--builtin", "full2"),
+    ("catmap", "--epsilon", "1", "--beta-max", "1"),
+])
+def test_seed_is_a_wave_option(tmp_path, argv):
+    r = run_cli(*argv, "--seed", "1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "--seed" in r.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_no_subcommand_is_usage_error():
     r = run_cli()
     assert r.returncode == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress import pressure
+from thermopress import cli, pressure
 from thermopress.errors import (
     ConvergenceError,
     NotIrreducibleError,
@@ -569,7 +569,6 @@ def test_bowen_full_shift_exact():
     rep = pressure_bowen(g, EdgePotential.constant(g, 0.0), 8)
     for T, est in rep.trace:
         assert est == pytest.approx(math.log(2.0), rel=1e-14)
-    assert rep.convention is not None
 
 
 def test_bowen_golden_mean_converges():
@@ -775,14 +774,15 @@ def test_full_shift_bernoulli_closed_form():
 # report serialization
 
 
-def test_report_json_and_csv():
-    rep = PressureReport("bowen", 0.5, 1e-3,
-                         trace=((1, 0.4), (2, 0.45)), convention="x")
-    obj = json.loads(rep.to_json())
+def test_report_json_and_csv(tmp_path):
+    # written as cmd_pressure writes transfer.json and the trace CSVs
+    rep = PressureReport("bowen", 0.5, 1e-3, trace=((1, 0.4), (2, 0.45)))
+    obj = json.loads(json.dumps(cli._round12(dataclasses.asdict(rep))))
     assert obj["method"] == "bowen"
     assert obj["value"] == 0.5
     assert obj["trace"] == [[1, 0.4], [2, 0.45]]
-    csv = rep.trace_csv()
+    cli._write_csv(tmp_path, "trace.csv", ("T", "estimate"), rep.trace)
+    csv = (tmp_path / "trace.csv").read_bytes().decode()
     assert csv.splitlines()[0] == "T,estimate"
     assert csv.splitlines()[1] == "1,0.4"
     assert csv.endswith("\n")

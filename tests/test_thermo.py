@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress import catmap, ergopt, pressure, thermo
+from thermopress import catmap, cli, ergopt, pressure, thermo
 from thermopress.catmap import (build_cat_map, damping_from_orbit,
                                 expansion_potential, periodic_itinerary)
 from thermopress.errors import InvariantViolation
@@ -306,10 +306,11 @@ def test_thermo_curve_checks_schedule_before_solving(monkeypatch, betas,
     assert calls == []
 
 
-def test_curve_csv_shape():
-    g, a, phi = full2_instance()
-    curve = thermo_curve(g, a, phi, (0.0, 1.0, 2.0))
-    lines = curve.to_csv().splitlines()
+def test_curve_csv_shape(tmp_path):
+    # the full2 curve at 0, 1, 2 as the CLI writes it
+    assert cli.main(["thermo", "--builtin", "full2", "--beta-max", "2",
+                     "--beta-step", "1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "thermo_curve.csv").read_text().splitlines()
     assert lines[0] == "beta,pressure_plus_beta_a0,eq_average_a,eq_entropy,limit_target"
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -518,11 +519,10 @@ def test_find_gap_beta_brackets_dense_root(n, seed, share):
     at_hi = _dense_pressure(g, phi.values - beta * a.values)
     assert at_hi < 0.0
     assert _dense_pressure(g, phi.values - (beta - GAP_XTOL) * a.values) >= 0.0
-    # the bracket: nonnegative at lo, no wider than the search stops at
-    # (hi is computed as lo + GAP_XTOL), and the certifying solve's root
-    # within its own enclosure of the dense one
+    # the bracket: nonnegative at lo, no wider than GAP_XTOL, and the
+    # certifying solve's root within its own enclosure of the dense one
     assert _dense_pressure(g, phi.values - gap.lo * a.values) >= 0.0
-    assert gap.lo < beta <= gap.lo + GAP_XTOL
+    assert 0.0 < beta - gap.lo <= GAP_XTOL
     assert abs(gap.at_hi.log_rho - at_hi) <= gap.at_hi.enclosure + 1e-12
 
 
@@ -552,6 +552,19 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
         assert len(solves) <= 8, (point, len(solves))
         assert all(d.stage == "power" for d in solves)
         assert sum(d.iterations for d in solves) < 600, (point, solves)
+
+
+@pytest.mark.parametrize("point", CATMAP_POINTS)
+def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
+    # at refine 4, lo + GAP_XTOL rounds up at all four points; the last
+    # candidate is the largest float at most GAP_XTOL above lo
+    _, coding = build_cat_map()
+    ref = coding.refine(4)
+    orbit = periodic_itinerary(coding, point)
+    a = damping_from_orbit(coding, orbit, 2.0 ** -4)
+    gap = find_gap_beta(ref.graph, a, expansion_potential(ref), beta_max=50.0)
+    assert gap.hi is not None and 0.0 < gap.hi - gap.lo <= GAP_XTOL
+    assert np.nextafter(gap.hi, np.inf) - gap.lo > GAP_XTOL
 
 
 @pytest.mark.parametrize("order", [4, 6])

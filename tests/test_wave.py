@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thermopress import cli
 from thermopress.wave import (
     EnergyTrace,
     WaveSystem,
@@ -250,10 +251,13 @@ def test_instability_guard_fires():
                _enforce_cfl=False)
 
 
-def test_trace_csv():
+def test_trace_csv(tmp_path):
+    # written as cmd_wave writes energy.csv
     tr = EnergyTrace(np.array([0.0, 1.0]), np.array([2.0, 1.0]),
                      np.zeros(4), np.zeros(4), 0.5)
-    lines = tr.to_csv().splitlines()
+    cli._write_csv(tmp_path, "energy.csv", ("t", "E"),
+                   zip(tr.times, tr.energies))
+    lines = (tmp_path / "energy.csv").read_text().splitlines()
     assert lines[0] == "t,E"
     assert lines[1] == "0,2"
     assert len(tr) == 2
