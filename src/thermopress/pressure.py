@@ -25,8 +25,12 @@ from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
 
 TRANSFER_TOL = 1e-13
-# steps of the plain power stage before the squaring stage takes over
+# most steps of the plain power stage before the squaring stage takes over;
+# smaller graphs get fewer (_plain_budget)
 PLAIN_BUDGET = 5000
+# fewest plain steps any graph gets, and the divisor of n^2 in the budget
+MIN_PLAIN_BUDGET = 300
+BREAK_EVEN_DIVISOR = 25
 # smallest rho(W) (largest entry of W scaled to 1) the plain stage returns
 MIN_PLAIN_ROOT = 0.01
 # the plain stage projects its contraction only once the bracket's
@@ -111,6 +115,16 @@ def _stalled(steps_left, width, earlier, window, target):
     return np.log(target / width) / rate > steps_left
 
 
+def _plain_budget(n):
+    """Most plain power steps on an n-state graph: about as many as cost
+    one squaring-stage solve of it.  A squaring sweep is a dense n^2
+    log-sum-exp and a plain step O(edges) plus a fixed Python cost, so
+    the break-even grows like n^2; it is capped at PLAIN_BUDGET, which
+    it reaches at n = 354."""
+    return min(PLAIN_BUDGET,
+               max(MIN_PLAIN_BUDGET, n * n // BREAK_EVEN_DIVISOR))
+
+
 def _plain_power_stage(both, x, z):
     """Shifted power iteration on W + I with Collatz-Wielandt brackets,
     from positive right and left vectors x and z; both is diag(W, W^T)
@@ -118,25 +132,32 @@ def _plain_power_stage(both, x, z):
 
     Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
     being the final bracket.  The +I shift keeps the iteration convergent
-    on periodic matrices.  The stage stops early, unconverged, once the
-    bracket shows rho(W) < MIN_PLAIN_ROOT, or once it is narrower than
+    on periodic matrices.  The stage takes at most _plain_budget(n)
+    steps, n = len(x), and stops early, unconverged, once the bracket
+    shows rho(W) < MIN_PLAIN_ROOT, or once it is narrower than
     STALL_GUARD and its contraction over the last STALL_WINDOW steps
-    projects past the rest of PLAIN_BUDGET.  Wider brackets can sit on a
+    projects past the rest of that budget.  Wider brackets can sit on a
     plateau before they contract, so they are never projected.
     """
     n = len(x)
+    budget = _plain_budget(n)
     v = np.concatenate((x, z))
     vectors = v.reshape(2, n)  # rows x and z, updated in place
+    y = np.empty(2 * n)  # W x + x, then W^T z + z
+    rows = y.reshape(2, n)  # the same, as the rows of vectors
     ratios = np.empty((2, n))
+    top, low, high = np.empty((2, 1)), np.empty(2), np.empty(2)
     # best relative width seen by each step, for the contraction measure
-    best = np.empty(PLAIN_BUDGET + 1)
+    best = np.empty(budget + 1)
     best[0] = np.inf
-    for it in range(1, PLAIN_BUDGET + 1):
-        y = (both @ v).reshape(2, n)
-        y += vectors
-        np.divide(y, vectors, out=ratios)
-        np.divide(y, y.max(axis=1, keepdims=True), out=vectors)
-        (rx_lo, rz_lo), (rx_hi, rz_hi) = ratios.min(axis=1), ratios.max(axis=1)
+    for it in range(1, budget + 1):
+        np.add(both @ v, v, out=y)
+        np.divide(rows, vectors, out=ratios)
+        np.maximum.reduce(rows, axis=1, keepdims=True, out=top)
+        np.divide(rows, top, out=vectors)
+        np.minimum.reduce(ratios, axis=1, out=low)
+        np.maximum.reduce(ratios, axis=1, out=high)
+        (rx_lo, rz_lo), (rx_hi, rz_hi) = low.tolist(), high.tolist()
         # brackets from both sides enclose rho(W) + 1
         lo = max(rx_lo, rz_lo)
         hi = min(rx_hi, rz_hi)
@@ -147,31 +168,38 @@ def _plain_power_stage(both, x, z):
             break
         best[it] = min(width / hi, best[it - 1])
         if (best[it] < STALL_GUARD and it > STALL_WINDOW
-                and _stalled(PLAIN_BUDGET - it, best[it],
+                and _stalled(budget - it, best[it],
                              best[it - STALL_WINDOW], STALL_WINDOW,
                              TRANSFER_TOL)):
             break
     return False, lo, hi, vectors[0], vectors[1], it
 
 
-def _squared_power_stage(H):
+def _log_start(v):
+    """log v as a start of the squaring stage, or zeros (the start from
+    ones) when an entry of v is 0 or not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_v = np.log(v)
+    return log_v if np.isfinite(log_v).all() else np.zeros(len(v))
+
+
+def _squared_power_stage(H, x, z):
     """Exact log-space repeated squaring of H = log(W + I), interleaved with
-    Collatz-Wielandt iterations.  Handles spectra where the second eigenvalue
-    nearly ties the Perron root, and roots too small for the +I shift to
-    resolve: squaring amplifies the gap geometrically.  Each square is
-    centered on its largest entry, so the log eigenvectors carry rounding
-    relative to O(1) entries rather than to 2^k log(rho(W)+1).  A level
-    squares again as soon as the contraction of its last sweep projects
-    past its SQUARING_SWEEPS sweeps.
+    Collatz-Wielandt iterations from the right and left log-vectors x and
+    z.  Handles spectra where the second eigenvalue nearly ties the
+    Perron root, and roots too small for the +I shift to resolve:
+    squaring amplifies the gap geometrically.  Each square is centered on
+    its largest entry, so the log eigenvectors carry rounding relative to
+    O(1) entries rather than to 2^k log(rho(W)+1).  A level squares again
+    as soon as the contraction of its last sweep projects past its
+    SQUARING_SWEEPS sweeps; every power of H has the Perron vectors of H,
+    so the next level starts from the vectors the last one reached.
 
     Returns (log rho(W+I), right log-vector, left log-vector, relative
     enclosure width, squarings)."""
-    n = H.shape[0]
     power = 1
     shift = 0.0  # the uncentered log power is H + shift
     for k in range(MAX_SQUARINGS + 1):
-        x = np.zeros(n)
-        z = np.zeros(n)
         HT = H.T
         width = np.inf
         for sweep in range(1, SQUARING_SWEEPS + 1):
@@ -213,13 +241,16 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     rho from any positive start, so only the step count depends on it.
 
     One decision: shifted power iteration on W + I (two-sided
-    Collatz-Wielandt brackets, at most PLAIN_BUDGET sparse steps, W built
-    from the graph's CSR edge arrays) is returned when it converges with
-    rho(W) >= MIN_PLAIN_ROOT, W being L scaled so its largest entry is 1.
-    Otherwise -- a stalled bracket, e.g. a nearly degenerate Perron pair
-    at large inverse temperature, or a root so small that the +1 shift
-    swamps its digits -- exact log-space repeated squaring of the dense
-    log(W + I) reaches TRANSFER_TOL regardless of the spectral gap.
+    Collatz-Wielandt brackets, W built from the graph's CSR edge arrays)
+    is returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being
+    L scaled so its largest entry is 1.  It takes at most
+    _plain_budget(n) sparse steps on n states: about what one squaring
+    solve costs there, from 300 steps on small graphs up to PLAIN_BUDGET
+    from n = 354 on.  Otherwise -- a stalled bracket, e.g. a nearly
+    degenerate Perron pair at large inverse temperature, or a root so
+    small that the +1 shift swamps its digits -- exact log-space repeated
+    squaring of the dense log(W + I), started from the power stage's
+    vectors, reaches TRANSFER_TOL regardless of the spectral gap.
     """
     graph = f.graph
     fmax = f.max()
@@ -252,7 +283,8 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     H = f.log_matrix() - fmax
     d = np.arange(graph.n_states)
     H[d, d] = np.logaddexp(H[d, d], 0.0)
-    log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(H)
+    log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(
+        H, _log_start(x), _log_start(z))
     rho_w = np.expm1(log_shifted)  # rho(W) to relative TRANSFER_TOL
     if rho_w <= 0:
         raise ConvergenceError("spectral radius underflowed to zero")

@@ -336,17 +336,118 @@ def _damping_sweep(graph, a, phi):
 
 
 def test_stalled_bracket_hands_off_early(monkeypatch):
-    # from beta = 15.5 the loops' split is too small for the plain stage to
-    # converge within PLAIN_BUDGET; running the whole budget on each of
-    # those points cost 181,772 plain steps over this sweep
+    # from beta = 7 the loops' split is too small for the plain stage to
+    # converge within the 300 steps a 3-state graph gets, about what one
+    # squaring solve costs there; a flat budget of 5000 steps cost 80,521
+    # plain steps over this sweep, and running all of it on each stalled
+    # point 181,772
     solves, steps = _recording_perron(monkeypatch)
     g, a, phi = two_loops_path_instance()
     betas, states = _damping_sweep(g, a, phi)
-    assert sum(steps) < 181_772 // 2
+    assert sum(steps) <= 14_027
     for beta, data, eq in zip(betas, solves, states):
-        assert data.stage == ("squaring" if beta >= 15.5 else "power"), beta
+        assert data.stage == ("squaring" if beta >= 7.0 else "power"), beta
         f = phi - float(beta) * a
         assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
+
+
+def test_plain_budget_follows_graph_size():
+    budget = pressure._plain_budget
+    sizes = range(1, 2000)
+    assert all(budget(n) <= budget(n + 1) for n in sizes)
+    assert budget(3) == budget(86) == pressure.MIN_PLAIN_BUDGET
+    assert budget(144) == 144 * 144 // 25
+    assert budget(353) < pressure.PLAIN_BUDGET
+    assert all(budget(n) == pressure.PLAIN_BUDGET
+               for n in (354, 377, 987, 6765, 10**6))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_catmap_sweeps_unchanged_by_size_budget(monkeypatch, order):
+    # the catmap CLI's warm sweep converges well inside the size-dependent
+    # budget at every order: the flat PLAIN_BUDGET gives the same solves
+    g, a, phi = catmap_instance(order)
+    solves, _ = _recording_perron(monkeypatch)
+    thermo_curve(g, a, phi, default_schedule(50.0, 0.5))
+    sized = [(d.stage, d.iterations, d.log_rho) for d in solves]
+    assert all(stage == "power" for stage, _, _ in sized)
+    del solves[:]
+    monkeypatch.setattr(pressure, "_plain_budget",
+                        lambda n: pressure.PLAIN_BUDGET)
+    thermo_curve(g, a, phi, default_schedule(50.0, 0.5))
+    assert [(d.stage, d.iterations, d.log_rho) for d in solves] == sized
+
+
+def _mp_collatz_wielandt(f, data, digits=40):
+    """log of the two-sided Collatz-Wielandt bracket of L = e^f from the
+    solve's own vectors, in `digits`-digit arithmetic: for any positive
+    vectors it encloses log rho(L), so it tests the root independently of
+    how the vectors were found, and is only as narrow as they are good."""
+    g = f.graph
+    with mpmath.workdps(digits):
+        w = [mpmath.exp(mpmath.mpf(float(v))) for v in f.values]
+        r = [mpmath.mpf(float(v)) for v in data.right]
+        l = [mpmath.mpf(float(v)) for v in data.left]
+        Lr = [mpmath.mpf(0)] * g.n_states
+        lL = [mpmath.mpf(0)] * g.n_states
+        for e, (i, j) in enumerate(zip(g.src.tolist(), g.dst.tolist())):
+            Lr[i] += w[e] * r[j]
+            lL[j] += l[i] * w[e]
+        right = [p / q for p, q in zip(Lr, r)]
+        left = [p / q for p, q in zip(lL, l)]
+        return (float(mpmath.log(max(min(right), min(left)))),
+                float(mpmath.log(min(max(right), max(left)))))
+
+
+def test_tied_loops_sweeps_across_sizes(monkeypatch):
+    # the size-dependent budget sends more tied points to the squaring
+    # stage, each started from the power stage's vectors; every root
+    # stays inside its enclosure of a 40-digit Collatz-Wielandt bracket.
+    # (The dense eigensolve is no oracle here: on the near-tied pairs of
+    # the 3- and 30-state sweeps it is off by up to 8e-12.)  The flat
+    # budget of 5000 took 32,925 plain steps over these four sweeps.
+    rng = np.random.default_rng(14)
+    solves, steps = _recording_perron(monkeypatch)
+    for n in (3, 10, 30, 120):
+        g, a, phi = _tied_loops_instance(rng, n)
+        del solves[:]
+        thermo_curve(g, a, phi, default_schedule(30.0, 0.5))
+        assert len(solves) == 61
+        assert any(data.stage == "squaring" for data in solves), n
+        for beta, data in zip(default_schedule(30.0, 0.5), solves):
+            lo, hi = _mp_collatz_wielandt(_damped(phi, a, beta), data)
+            assert hi - lo <= 1e-12, (n, beta)
+            assert lo - data.enclosure <= data.log_rho, (n, beta)
+            assert data.log_rho <= hi + data.enclosure, (n, beta)
+    assert sum(steps) < 15_000
+
+
+def test_squaring_stage_starts_from_power_vectors(monkeypatch):
+    # every power of H has H's Perron vectors, so any positive start
+    # converges to the same root; a start from ones must agree within
+    # both enclosures
+    rng = np.random.default_rng(15)
+    g, a, phi = _tied_loops_instance(rng, 30)
+    two_loops = two_loops_path_instance()
+    potentials = [_damped(phi, a, beta) for beta in (2.0, 5.0, 8.0)]
+    potentials += [_damped(two_loops[2], two_loops[1], beta)
+                   for beta in (7.0, 16.0, 30.0)]
+    warm = [perron(f) for f in potentials]
+    monkeypatch.setattr(pressure, "_log_start", lambda v: np.zeros(len(v)))
+    ones = [perron(f) for f in potentials]
+    for w, o in zip(warm, ones):
+        assert w.stage == o.stage == "squaring"
+        assert abs(w.log_rho - o.log_rho) <= w.enclosure + o.enclosure
+
+
+def test_squaring_start_falls_back_to_ones():
+    log_start = pressure._log_start
+    v = np.array([0.25, 1.0, 1e-300])
+    assert np.array_equal(log_start(v), np.log(v))
+    for bad in (0.0, -0.5, np.nan, np.inf):
+        w = v.copy()
+        w[1] = bad
+        assert np.array_equal(log_start(w), np.zeros(3)), bad
 
 
 def test_catmap_plateau_stays_in_power_stage(monkeypatch):

@@ -18,6 +18,8 @@ from thermopress.wave import (
     spectrum_gap,
 )
 
+from .oracles import evolve_by_roll
+
 PI = math.pi
 
 
@@ -216,6 +218,27 @@ def test_energy_never_increases_with_damping():
     tr = evolve(sys, u0, v0, 10.0, 0.5 * sys.dx, sample_every=1)
     rises = np.diff(tr.energies)
     assert rises.max() <= 1e-12 * tr.energies[0]
+
+
+@pytest.mark.parametrize("profile, n, t_end, sample_every", [
+    ("const:0.5", 64, 6.0, 1),
+    ("bump:3.14159,1.5708,1", 128, 5.0, 1),
+    ("twobump:1,0.5,2,4,0.7,1", 128, 5.0, 7),
+    ("const:0", 32, 3.0, 1000),  # one sample: the last step
+])
+def test_evolve_matches_roll_reference_bit_for_bit(profile, n, t_end,
+                                                   sample_every):
+    # the slice stencils and preallocated arrays change no operation
+    sys = build_system(n, profile)
+    rng = np.random.default_rng(n)
+    u0, v0 = rng.standard_normal(n), rng.standard_normal(n)
+    tr = evolve(sys, u0, v0, t_end, 0.5 * sys.dx, sample_every=sample_every)
+    ref = evolve_by_roll(sys, u0, v0, t_end, 0.5 * sys.dx, sample_every)
+    for got, want in zip((tr.times, tr.energies, tr.u, tr.v), ref):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sys.laplacian(u0),
+                          (np.roll(u0, -1) - 2.0 * u0 + np.roll(u0, 1))
+                          / sys.dx ** 2)
 
 
 def test_zero_state_stays_zero():
