@@ -17,10 +17,10 @@ from .ergopt import (MinimizationResult, format_edge_set, min_average,
                      pressure_on_set, undamped_set)
 from .thermo import (ThermoCurve, default_schedule, find_gap_beta,
                      measure_convergence, thermo_curve, verify_limit)
-from .catmap import (MarkovCoding, SymbolicRefinement, ToralMap,
-                     build_cat_map, damping_from_orbit, expansion_potential,
-                     orbit_damping_report, orbit_pressure_bound,
-                     periodic_itinerary, refinement_for_scale)
+from .catmap import (LYAPUNOV, MarkovCoding, SymbolicRefinement,
+                     damping_from_orbit, expansion_potential,
+                     orbit_damping_report, periodic_itinerary,
+                     refinement_for_scale)
 from .wave import (EnergyTrace, WaveSystem, build_system, energy, evolve,
                    fit_decay_rate, mode_frequencies, parse_profile,
                    spectrum_gap)
@@ -40,9 +40,9 @@ __all__ = [
     "pressure_on_set", "minimize", "format_edge_set", "parse_edge_set",
     "ThermoCurve", "default_schedule", "thermo_curve", "verify_limit",
     "measure_convergence", "find_gap_beta",
-    "ToralMap", "MarkovCoding", "SymbolicRefinement", "build_cat_map",
-    "periodic_itinerary", "refinement_for_scale", "damping_from_orbit",
-    "expansion_potential", "orbit_pressure_bound", "orbit_damping_report",
+    "LYAPUNOV", "MarkovCoding", "SymbolicRefinement", "periodic_itinerary",
+    "refinement_for_scale", "damping_from_orbit", "expansion_potential",
+    "orbit_damping_report",
     "WaveSystem", "EnergyTrace", "parse_profile", "build_system",
     "mode_frequencies", "spectrum_gap", "energy", "evolve",
     "fit_decay_rate",

@@ -11,11 +11,14 @@ the lattice spanned by (g, 1) and (1, -g).  Three half-open rectangles
 
 tile the plane under that lattice and form a Markov partition; the induced
 subshift has transition matrix [[1,1,1],[1,1,0],[1,1,1]], whose Perron
-root g^2 recovers the expansion rate.  Membership is decided in floating
-point away from rectangle boundaries and in exact Q(sqrt 5) arithmetic
-within 1e-9 of them, so codings of rational points are reproducible.
+root g^2 recovers the expansion rate LYAPUNOV = log g^2.  Membership is
+decided in floating point away from rectangle boundaries and in exact
+Q(sqrt 5) arithmetic within 1e-9 of them, and the map is iterated in exact
+rationals, so codings of rational points are reproducible.
 
-Refining to words of a fixed length expresses damping supported off a
+MarkovCoding is the one cat-map object: it codes points and refines the
+coding to words of a fixed length, refusing an order whose words cannot
+fit in physical memory.  A refinement expresses damping supported off a
 neighborhood of a periodic orbit, and orbit_damping_report runs the full
 pressure-decay computation for one orbit.
 """
@@ -23,18 +26,26 @@ pressure-decay computation for one orbit.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .ergopt import minimize, pressure_on_set
+from .ergopt import minimize
 from .pressure import pressure_transfer
 from .sft import CyclicWord, EdgePotential, TransitionGraph
 from .thermo import default_schedule, find_gap_beta, thermo_curve, verify_limit
 
 _SQRT5 = math.sqrt(5.0)
 BOUNDARY_MARGIN = 1e-9
+# log of the expanding eigenvalue g^2 = (3 + sqrt 5)/2, in nats per step
+LYAPUNOV = math.log((3 + _SQRT5) / 2.0)
+# bytes per refined state of a catmap run (words, their index, the edge
+# lists, the solvers' vectors): peak RSS of `catmap --refine k --point
+# 1/2,0 --beta-max 50` is 99, 152 and 280 MB at k = 10, 11 and 12, that is
+# 741 and 681 B per added state
+STATE_BYTES = 700
 
 
 class Qs5:
@@ -126,36 +137,9 @@ _CELLS_F = tuple(tuple(float(b) for b in cell) for cell in _CELLS)
 PARTITION_MATRIX = ((1, 1, 1), (1, 1, 0), (1, 1, 1))
 
 
-class ToralMap:
-    """Integer 2x2 torus automorphism, kept hyperbolic with |det| = 1 so
-    orbits of rational points can be iterated exactly."""
-
-    def __init__(self, matrix=((2, 1), (1, 1))):
-        m = tuple(tuple(int(v) for v in row) for row in matrix)
-        if len(m) != 2 or any(len(r) != 2 for r in m):
-            raise ValueError("matrix must be 2x2")
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det not in (-1, 1):
-            raise ValueError(f"determinant must be +-1, got {det}")
-        if abs(m[0][0] + m[1][1]) <= 2:
-            raise ValueError("matrix is not hyperbolic")
-        self.matrix = m
-
-    @property
-    def lyapunov(self) -> float:
-        """Log of the expanding eigenvalue, in nats per step."""
-        tr = self.matrix[0][0] + self.matrix[1][1]
-        disc = math.sqrt(tr * tr - 4 * (self.matrix[0][0] * self.matrix[1][1]
-                                        - self.matrix[0][1] * self.matrix[1][0]))
-        return math.log((abs(tr) + disc) / 2.0)
-
-    def apply(self, point):
-        x, y = Fraction(point[0]), Fraction(point[1])
-        (a, b), (c, d) = self.matrix
-        return ((a * x + b * y) % 1, (c * x + d * y) % 1)
-
-    def __repr__(self):
-        return f"ToralMap({self.matrix})"
+def _cat_step(x, y):
+    """One exact step (x, y) -> (2x + y, x + y) mod 1 of the cat map."""
+    return (2 * x + y) % 1, (x + y) % 1
 
 
 def _reduction_candidates(uf, sf):
@@ -214,14 +198,14 @@ def _classify_exact(x, y):
 class SymbolicRefinement:
     """Subshift on words of length order+1 of the partition coding,
     conjugate to the original system; states are the sorted admissible
-    words, edges are overlaps."""
+    words, edges are overlaps.  Holds the word list and the word -> state
+    index that MarkovCoding.refine built."""
 
-    def __init__(self, base, order, words, graph):
-        self.base = base
-        self.order = int(order)
-        self.words = tuple(tuple(w) for w in words)
+    def __init__(self, order, words, index, graph):
+        self.order = order
+        self.words = words
         self.graph = graph
-        self._index = {w: i for i, w in enumerate(self.words)}
+        self._index = index
 
     @property
     def n_states(self):
@@ -229,14 +213,6 @@ class SymbolicRefinement:
 
     def state_of_word(self, word):
         return self._index[tuple(word)]
-
-    def word_of_state(self, state):
-        return self.words[state]
-
-    def encode_point(self, point):
-        """State whose word is the itinerary of the point over
-        order+1 steps."""
-        return self.state_of_word(self.base.code(point, self.order + 1))
 
     def __repr__(self):
         return f"SymbolicRefinement(order={self.order}, states={self.n_states})"
@@ -248,7 +224,6 @@ class MarkovCoding:
     map's."""
 
     def __init__(self):
-        self.torus_map = ToralMap()
         self._refinements = {}
         self.graph = self.refine(0).graph
 
@@ -270,15 +245,29 @@ class MarkovCoding:
         out = []
         for _ in range(length):
             out.append(self.cell_map((x, y)))
-            x, y = self.torus_map.apply((x, y))
+            x, y = _cat_step(x, y)
         return tuple(out)
 
     def refine(self, order: int) -> SymbolicRefinement:
         """Recode on words of length order+1; order 0 is the coding itself.
-        Results are cached per coding instance."""
+        Results are cached per coding instance.  ValueError when the words
+        would not fit in physical memory at STATE_BYTES each."""
         if order < 0:
             raise ValueError("order must be >= 0")
         if order not in self._refinements:
+            # count the words by the recurrence of PARTITION_MATRIX and
+            # refuse, before building any, an order that cannot fit
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            counts = [1, 1, 1]
+            for _ in range(order):
+                counts = [sum(c * row[t]
+                              for c, row in zip(counts, PARTITION_MATRIX))
+                          for t in range(3)]
+                if sum(counts) * STATE_BYTES > memory:
+                    raise ValueError(
+                        f"refinement order {order} has at least {sum(counts)}"
+                        f" states, beyond physical memory at {STATE_BYTES} B"
+                        " each")
             words = [(s,) for s in range(3)]
             for _ in range(order):
                 words = [w + (t,) for w in words for t in range(3)
@@ -293,16 +282,9 @@ class MarkovCoding:
                         src.append(i)
                         dst.append(index[w[1:] + (t,)])
             self._refinements[order] = SymbolicRefinement(
-                self, order, words, TransitionGraph(len(words), src, dst)
+                order, words, index, TransitionGraph(len(words), src, dst)
             )
         return self._refinements[order]
-
-
-def build_cat_map():
-    """The standard [[2,1],[1,1]] torus automorphism with its coding.
-    Returns (ToralMap, MarkovCoding)."""
-    coding = MarkovCoding()
-    return coding.torus_map, coding
 
 
 def periodic_itinerary(coding: MarkovCoding, point, limit: int = 1024):
@@ -314,7 +296,7 @@ def periodic_itinerary(coding: MarkovCoding, point, limit: int = 1024):
     p = start
     for _ in range(limit):
         seq.append(coding.cell_map(p))
-        p = coding.torus_map.apply(p)
+        p = _cat_step(*p)
         if p == start:
             return CyclicWord(coding.graph, tuple(seq))
     raise ValueError(f"point {point} did not return within {limit} steps")
@@ -360,33 +342,11 @@ def damping_from_orbit(coding: MarkovCoding, orbit, epsilon: float,
     return EdgePotential(graph, np.where(zero_source[graph.src], 0.0, strength))
 
 
-def half_expansion_rate(torus_map: ToralMap) -> float:
-    """Half the log unstable expansion factor per step."""
-    return 0.5 * torus_map.lyapunov
-
-
 def expansion_potential(refinement: SymbolicRefinement) -> EdgePotential:
     """Constant potential: half the log of the backward unstable Jacobian,
     which is minus half the expansion rate.  Its pressure controls energy
-    decay rates for the damped flow, and it must be negative."""
-    rate = half_expansion_rate(refinement.base.torus_map)
-    if not -rate < 0:
-        raise InvariantViolation("expansion potential must be negative")
-    return EdgePotential.constant(refinement.graph, -rate)
-
-
-def orbit_pressure_bound(torus_map: ToralMap, orbit: CyclicWord) -> float:
-    """Pressure of the expansion potential restricted to one periodic
-    orbit: zero entropy plus the constant potential value, so minus half
-    the expansion rate, whatever the orbit."""
-    phi = EdgePotential.constant(orbit.graph, -half_expansion_rate(torus_map))
-    value = pressure_on_set(orbit.graph, phi, sorted(set(orbit.edges())))
-    expected = -half_expansion_rate(torus_map)
-    if abs(value - expected) > 1e-12 or not value < 0:
-        raise InvariantViolation(
-            f"orbit pressure {value!r} should be {expected!r} < 0"
-        )
-    return value
+    decay rates for the damped flow, and it is negative."""
+    return EdgePotential.constant(refinement.graph, -0.5 * LYAPUNOV)
 
 
 def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> tuple:
@@ -420,7 +380,7 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     beta_star, beta_star_enclosure and pressure_at_beta_star from
     find_gap_beta's bracket and the solve that certified beta_star.
     """
-    tmap, coding = build_cat_map()
+    coding = MarkovCoding()
     order = refinement_for_scale(epsilon)
     ref = coding.refine(order)
     orbit = periodic_itinerary(coding, point)
@@ -435,7 +395,7 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
                          default_schedule(beta_max, beta_step),
                          minimization=result) if isolated else None
     report = {
-        "lyapunov": tmap.lyapunov,
+        "lyapunov": LYAPUNOV,
         "entropy": entropy,
         "epsilon": float(epsilon),
         "refinement_order": order,

@@ -4,8 +4,8 @@ weight and phi the base potential."""
 
 from __future__ import annotations
 
-from .catmap import (build_cat_map, damping_from_orbit,
-                     expansion_potential, periodic_itinerary)
+from .catmap import (MarkovCoding, damping_from_orbit, expansion_potential,
+                     periodic_itinerary)
 from .sft import EdgePotential, TransitionGraph, full_shift, golden_mean_shift
 
 
@@ -41,7 +41,7 @@ def catmap_instance(order: int = 4, strength: float = 1.0):
     base potential."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    tmap, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     a = damping_from_orbit(coding, orbit, 2.0 ** (-order), strength)
     ref = coding.refine(order)

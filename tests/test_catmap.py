@@ -7,29 +7,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import thermopress
 from thermopress import ergopt
 from thermopress.catmap import (
     GOLDEN,
+    LYAPUNOV,
     PARTITION_MATRIX,
     MarkovCoding,
     Qs5,
-    ToralMap,
+    _cat_step,
     _classify_exact,
-    build_cat_map,
     damping_from_orbit,
     expansion_potential,
-    half_expansion_rate,
     orbit_damping_report,
-    orbit_pressure_bound,
     periodic_itinerary,
     refinement_for_scale,
 )
-from thermopress.ergopt import noncontrolled_set, undamped_set
+from thermopress.ergopt import noncontrolled_set, pressure_on_set, undamped_set
 from thermopress.pressure import pressure_transfer
 from thermopress.sft import CyclicWord, EdgePotential
+from thermopress.thermo import find_gap_beta
 
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 LAMBDA = 2.0 * LOG_GOLDEN  # log of the expanding eigenvalue
+GOLDEN_SQ = (3.0 + math.sqrt(5.0)) / 2.0  # the expanding eigenvalue
+CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
+                 (Fraction(1, 5), Fraction(2, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,27 +65,17 @@ def test_qs5_float_value():
 # the torus map
 
 
-def test_toral_map_validation():
-    with pytest.raises(ValueError):
-        ToralMap(((1, 1), (0, 1)))  # parabolic, not hyperbolic
-    with pytest.raises(ValueError):
-        ToralMap(((2, 0), (0, 2)))  # determinant 4
-    with pytest.raises(ValueError):
-        ToralMap(((1, 2, 3),))
-
-
 def test_toral_map_lyapunov():
-    tmap, _ = build_cat_map()
-    assert tmap.lyapunov == pytest.approx(LAMBDA, rel=1e-15)
-    assert tmap.lyapunov == pytest.approx(0.9624236501192069, abs=1e-15)
+    assert LYAPUNOV == pytest.approx(LAMBDA, rel=1e-15)
+    # bitwise: a one-ulp drift moves pressure_at_beta_star at 12 digits
+    assert LYAPUNOV == 0.9624236501192069
 
 
 def test_toral_map_apply_exact():
-    tmap = ToralMap()
     p = (Fraction(1, 5), Fraction(2, 5))
-    q = tmap.apply(p)
+    q = _cat_step(*p)
     assert q == (Fraction(4, 5), Fraction(3, 5))
-    assert tmap.apply(q) == p  # period two
+    assert _cat_step(*q) == p  # period two
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +83,7 @@ def test_toral_map_apply_exact():
 
 
 def test_cell_map_agrees_with_exact_classifier():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     rng = np.random.default_rng(88)
     for _ in range(300):
         x = Fraction(int(rng.integers(0, 997)), 997)
@@ -102,7 +95,7 @@ def test_cell_map_agrees_with_exact_classifier():
 def test_cell_map_many_float_points():
     # the classifier must place every point in exactly one rectangle; the
     # exact fallback raises if the tiling ever double-covers
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     rng = np.random.default_rng(89)
     pts = rng.random((10_000, 2))
     cells = [coding.cell_map(p) for p in pts]
@@ -110,7 +103,7 @@ def test_cell_map_many_float_points():
 
 
 def test_cell_map_boundary_points_decidable():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     # corners and edges of the unit square sit on rectangle boundaries
     for p in [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
               (Fraction(1, 2), Fraction(1, 2))]:
@@ -120,7 +113,7 @@ def test_cell_map_boundary_points_decidable():
 def test_codings_follow_partition_matrix():
     # no sampled transition may use the single forbidden pair, and all
     # eight allowed pairs must occur
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     rng = np.random.default_rng(90)
     B = np.array(PARTITION_MATRIX, dtype=bool)
     seen = set()
@@ -135,7 +128,7 @@ def test_codings_follow_partition_matrix():
 
 
 def test_code_rejects_zero_length():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     with pytest.raises(ValueError):
         coding.code((0, 0), 0)
 
@@ -147,18 +140,23 @@ def test_code_rejects_zero_length():
 def test_refinement_state_counts():
     # admissible words of length k+1 over the coding graph; the count
     # satisfies the Fibonacci-like recursion of the partition matrix
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     for order, count in [(0, 3), (1, 8), (2, 21), (3, 55), (4, 144)]:
         ref = coding.refine(order)
         assert ref.n_states == count
         assert all(len(w) == order + 1 for w in ref.words)
     assert coding.refine(4).graph.n_edges == 377
+    B = np.array(PARTITION_MATRIX, dtype=np.int64)
+    row = np.ones(3, dtype=np.int64)  # words of length order+1 by last symbol
+    for order in range(10):
+        assert coding.refine(order).n_states == row.sum(), order
+        row = row @ B
 
 
 def test_refined_edges_follow_overlap_rule():
     # brute force over all pairs of words: u -> v is an edge iff v shifts
     # u by one symbol that the partition matrix allows after u's last
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     for order in range(6):
         words = coding.refine(order).words
         expected = [(u, v) for u, wu in enumerate(words)
@@ -183,9 +181,10 @@ def test_refine_memory_is_per_edge():
 def test_minimize_memory_is_per_edge():
     # order 9 has 17711 states; Karp's (n+1) x n table of floats alone
     # would take 2.5 GB
-    ref = MarkovCoding().refine(9)
-    orbit = periodic_itinerary(ref.base, (Fraction(1, 3), 0))
-    a = damping_from_orbit(ref.base, orbit, 2.0 ** -9)
+    coding = MarkovCoding()
+    ref = coding.refine(9)
+    orbit = periodic_itinerary(coding, (Fraction(1, 3), 0))
+    a = damping_from_orbit(coding, orbit, 2.0 ** -9)
     tracemalloc.start()
     try:
         res = ergopt.minimize(ref.graph, a)
@@ -198,7 +197,7 @@ def test_minimize_memory_is_per_edge():
 
 
 def test_refinement_preserves_entropy():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     for order in range(4):
         g = coding.refine(order).graph
         assert g.irreducible
@@ -207,17 +206,31 @@ def test_refinement_preserves_entropy():
 
 
 def test_refinement_encode_point_matches_code():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     ref = coding.refine(2)
     p = (Fraction(3, 7), Fraction(2, 7))
-    state = ref.encode_point(p)
-    assert ref.word_of_state(state) == coding.code(p, 3)
+    state = ref.state_of_word(coding.code(p, ref.order + 1))
+    assert ref.words[state] == coding.code(p, 3)
 
 
 def test_refinement_rejects_negative_order():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     with pytest.raises(ValueError):
         coding.refine(-1)
+
+
+def test_refine_refuses_order_beyond_memory():
+    # order 40 has F(84) ~ 1.6e17 words; the refusal counts them by the
+    # recurrence, stopping once past physical memory, and builds none
+    coding = MarkovCoding()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order 40 has at least"):
+            coding.refine(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_refinement_for_scale():
@@ -239,13 +252,13 @@ def test_refinement_for_scale():
 
 
 def test_fixed_point_itinerary():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     w = periodic_itinerary(coding, (0, 0))
     assert w.states == (0,)
 
 
 def test_period_two_itinerary():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     p = (Fraction(1, 5), Fraction(2, 5))
     w = periodic_itinerary(coding, p)
     assert len(w) == 2
@@ -253,15 +266,17 @@ def test_period_two_itinerary():
 
 
 def test_non_returning_point_rejected():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     with pytest.raises(ValueError):
         periodic_itinerary(coding, (Fraction(1, 3), 0), limit=2)
 
 
 def test_orbit_pressure_bound_value():
-    tmap, coding = build_cat_map()
+    # zero entropy plus the constant potential: minus half the expansion
+    coding = MarkovCoding()
     w = periodic_itinerary(coding, (0, 0))
-    val = orbit_pressure_bound(tmap, w)
+    val = pressure_on_set(coding.graph, expansion_potential(coding.refine(0)),
+                          sorted(set(w.edges())))
     assert val == pytest.approx(-LAMBDA / 2.0, abs=1e-12)
     assert val < 0
 
@@ -271,14 +286,14 @@ def test_orbit_pressure_bound_value():
 
 
 def test_damping_zero_set_matches_window_rule():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     eps = 2.0 ** -3
     a = damping_from_orbit(coding, orbit, eps, strength=0.8)
     ref = coding.refine(3)
     assert a.graph.same_graph(ref.graph)
     for i, j in ref.graph.edges():
-        word = ref.word_of_state(i)
+        word = ref.words[i]
         expected = 0.0 if word[:3] == (0, 0, 0) else 0.8
         assert a.value(i, j) == expected
     assert a.min() == 0.0
@@ -286,21 +301,21 @@ def test_damping_zero_set_matches_window_rule():
 
 
 def test_damping_trivial_at_scale_one():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     a = damping_from_orbit(coding, orbit, 1.0)
     assert a.max() == 0.0  # neighborhood covers everything
 
 
 def test_damping_zero_strength():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     a = damping_from_orbit(coding, orbit, 0.25, strength=0.0)
     assert a.max() == 0.0
 
 
 def test_damping_validation():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     with pytest.raises(ValueError):
         damping_from_orbit(coding, orbit, 0.25, strength=-1.0)
@@ -313,7 +328,7 @@ def test_damping_validation():
 def test_fixed_orbit_isolated_at_every_positive_order():
     # the only cycle through cylinders shadowing the fixed point is the
     # fixed point's own loop: expansivity at work, checked for each order
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     orbit = periodic_itinerary(coding, (0, 0))
     for order in (1, 2, 3, 4):
         eps = 2.0 ** -order
@@ -325,11 +340,15 @@ def test_fixed_orbit_isolated_at_every_positive_order():
 
 
 def test_half_expansion_and_potential():
-    tmap, coding = build_cat_map()
-    assert half_expansion_rate(tmap) == pytest.approx(LOG_GOLDEN, rel=1e-15)
+    coding = MarkovCoding()
+    assert 0.5 * LYAPUNOV == pytest.approx(LOG_GOLDEN, rel=1e-15)
     ref = coding.refine(1)
     phi = expansion_potential(ref)
     assert phi.max() == phi.min() == pytest.approx(-LOG_GOLDEN, rel=1e-15)
+    # bitwise, at every order the report uses
+    for order in range(7):
+        assert np.all(expansion_potential(coding.refine(order)).values
+                      == -0.48121182505960347)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +362,7 @@ def test_report_below_threshold():
     assert rep["n_states"] == 144
     assert rep["orbit_itinerary"] == [0]
     assert rep["lyapunov"] == pytest.approx(LAMBDA, abs=1e-15)
+    assert rep["lyapunov"] == LYAPUNOV
     assert rep["entropy"] == pytest.approx(LAMBDA, abs=1e-9)
     assert rep["min_average"] == 0.0
     assert rep["undamped_set_is_orbit"] is True
@@ -401,8 +421,67 @@ def test_report_period_two_orbit():
     assert rep["pressure_on_undamped"] == pytest.approx(-LAMBDA / 2, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# the refinement ladder: beta*(k) -> lambda/2
+#
+# The damping is 1 off the order-k neighborhood N_k of the orbit, so
+# Pr(phi - beta a) = -lambda/2 - beta + Pr(beta 1_N_k), and Pr(beta 1_N_k)
+# exceeds the entropy lambda by an amount of the order of the measure of
+# N_k under the measure of maximal entropy: cylinders of k+1 symbols, of
+# measure ~ g^-2k.  The root beta*(k) of the damped pressure therefore sits
+# above lambda/2 by d_k ~ C g^-2k: positive, strictly decreasing, and with
+# d_{k-1}/d_k -> g^2 = e^lambda (2.583-2.608 measured for k = 6..9, so the
+# band [2.5, 2.7]).  For a geometric d_k, d_9 = (d_8 - d_9)/(g^2 - 1), so
+# one Richardson step lands on lambda/2 (1.3e-6 to 4.4e-6 measured; bound
+# 1e-5).  Shifting phi by 1e-4 moves that extrapolation 1e-4 off, so the
+# same bound tells a wrong potential from a right one.
+
+
+def _ladder(coding, point, orders, shift=0.0):
+    orbit = periodic_itinerary(coding, point)
+    betas = []
+    for k in orders:
+        ref = coding.refine(k)
+        a = damping_from_orbit(coding, orbit, 2.0 ** -k)
+        phi = expansion_potential(ref) + shift
+        betas.append(find_gap_beta(ref.graph, a, phi, 50.0).hi)
+    return betas
+
+
+def _richardson_gap(b8, b9):
+    return abs(b9 - (b8 - b9) / (GOLDEN_SQ - 1.0) - LAMBDA / 2)
+
+
+@pytest.mark.parametrize("point", CATMAP_POINTS)
+def test_refinement_ladder_tends_to_half_lyapunov(point):
+    coding = MarkovCoding()
+    d = [b - LAMBDA / 2 for b in _ladder(coding, point, range(5, 10))]
+    assert all(x > 0 for x in d), d
+    assert all(x > y for x, y in zip(d, d[1:])), d
+    for prev, cur in zip(d, d[1:]):
+        assert 2.5 <= prev / cur <= 2.7, d
+    assert _richardson_gap(d[-2] + LAMBDA / 2, d[-1] + LAMBDA / 2) < 1e-5
+    for shift in (1e-4, -1e-4):
+        assert _richardson_gap(*_ladder(coding, point, (8, 9), shift)) > 1e-5
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+def test_public_names_resolve():
+    for name in thermopress.__all__:
+        getattr(thermopress, name)
+    namespace = {}
+    exec("from thermopress import *", namespace)
+    removed = {"ToralMap", "build_cat_map", "half_expansion_rate",
+               "orbit_pressure_bound"}
+    assert not removed & set(thermopress.__all__)
+    assert not removed & set(namespace)
+
+
 def test_cyclic_word_from_ints_matches_itinerary():
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     w = periodic_itinerary(coding, (0, 0))
     a1 = damping_from_orbit(coding, w, 0.25)
     a2 = damping_from_orbit(coding, (0,), 0.25)

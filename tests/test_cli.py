@@ -197,6 +197,16 @@ def test_catmap_epsilon_form(tmp_path):
     assert rep["n_states"] == 21
 
 
+def test_catmap_refuses_refinement_beyond_memory(tmp_path):
+    # order 40 would need about 1e11 GB of words; refused before building
+    r = run_cli("catmap", "--refine", "40", "--beta-max", "5",
+                "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: refinement order 40")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "catmap_report.json").exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (("thermo", "--builtin", "full2", "--beta-max", "inf"), "beta_max"),
     (("thermo", "--builtin", "full2", "--beta-max", "nan"), "beta_max"),

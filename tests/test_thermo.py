@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermopress import catmap, cli, ergopt, pressure, thermo
-from thermopress.catmap import (build_cat_map, damping_from_orbit,
+from thermopress.catmap import (MarkovCoding, damping_from_orbit,
                                 expansion_potential, periodic_itinerary)
 from thermopress.errors import InvariantViolation
 from thermopress.ergopt import minimize, pressure_on_set, undamped_set
@@ -194,7 +194,7 @@ def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
     # with each point started from the previous point's vectors; the
     # predictor brings it to about 2 200, with 1-3 steps per point from
     # beta = 30 on, where the log vectors are nearly linear in beta
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     ref = coding.refine(6)
     phi = expansion_potential(ref)
     orbit = periodic_itinerary(coding, point)
@@ -537,7 +537,7 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(thermo, "perron", counting)
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     ref = coding.refine(order)
     phi = expansion_potential(ref)
     for point in ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
@@ -558,7 +558,7 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
 def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
     # at refine 4, lo + GAP_XTOL rounds up at all four points; the last
     # candidate is the largest float at most GAP_XTOL above lo
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     ref = coding.refine(4)
     orbit = periodic_itinerary(coding, point)
     a = damping_from_orbit(coding, orbit, 2.0 ** -4)
@@ -592,7 +592,7 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         return gaps[-1]
 
     monkeypatch.setattr(catmap, "find_gap_beta", recording)
-    _, coding = build_cat_map()
+    coding = MarkovCoding()
     ref = coding.refine(order)
     phi = expansion_potential(ref)
     for point in CATMAP_POINTS:
