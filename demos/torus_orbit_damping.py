@@ -50,7 +50,6 @@ def main():
     print(f"refined graph: {rep['n_states']} states,"
           f" orbit period {rep['orbit_period']},"
           f" itinerary {rep['orbit_itinerary']}")
-    print(f"entropy check: {rep['entropy']:.12f} vs lyapunov above")
     print(f"minimum damping average a0 = {rep['min_average']:g}")
     print(f"undamped edges: {rep['undamped_edges']}"
           f" (isolated orbit: {rep['undamped_set_is_orbit']})")

@@ -12,9 +12,8 @@ from .sft import (CyclicWord, EdgePotential, MarkovMeasure, TransitionGraph,
 from .pressure import (EquilibriumState, PressureReport, equilibrium_state,
                        perron, pressure_bowen, pressure_periodic_orbits,
                        pressure_transfer)
-from .ergopt import (MinimizationResult, format_edge_set, min_average,
-                     minimize, noncontrolled_set, parse_edge_set,
-                     pressure_on_set, undamped_set)
+from .ergopt import (MinimizationResult, min_average, minimize,
+                     noncontrolled_set, pressure_on_set, undamped_set)
 from .thermo import (ThermoCurve, default_schedule, find_gap_beta,
                      measure_convergence, thermo_curve, verify_limit)
 from .catmap import (LYAPUNOV, MarkovCoding, SymbolicRefinement,
@@ -37,7 +36,7 @@ __all__ = [
     "PressureReport", "EquilibriumState", "perron", "pressure_transfer",
     "pressure_periodic_orbits", "pressure_bowen", "equilibrium_state",
     "MinimizationResult", "min_average", "undamped_set", "noncontrolled_set",
-    "pressure_on_set", "minimize", "format_edge_set", "parse_edge_set",
+    "pressure_on_set", "minimize",
     "ThermoCurve", "default_schedule", "thermo_curve", "verify_limit",
     "measure_convergence", "find_gap_beta",
     "LYAPUNOV", "MarkovCoding", "SymbolicRefinement", "periodic_itinerary",

@@ -12,8 +12,8 @@ the lattice spanned by (g, 1) and (1, -g).  Three half-open rectangles
 tile the plane under that lattice and form a Markov partition; the induced
 subshift has transition matrix [[1,1,1],[1,1,0],[1,1,1]], whose Perron
 root g^2 recovers the expansion rate LYAPUNOV = log g^2.  Membership is
-decided in floating point away from rectangle boundaries and in exact
-Q(sqrt 5) arithmetic within 1e-9 of them, and the map is iterated in exact
+decided in exact Q(sqrt 5) arithmetic, floats only ruling out the cells a
+point misses by more than 1e-9, and the map is iterated in exact
 rationals, so codings of rational points are reproducible.
 
 MarkovCoding is the one cat-map object: it codes points and refines the
@@ -38,6 +38,9 @@ from .sft import CyclicWord, EdgePotential, TransitionGraph
 from .thermo import default_schedule, find_gap_beta, thermo_curve, verify_limit
 
 _SQRT5 = math.sqrt(5.0)
+# a candidate cell is ruled out in floats only when the point misses it by
+# more than this; the float translates of a point of [0, 1)^2 are off by
+# about 1e-15, so no cell that holds the point is ever ruled out
 BOUNDARY_MARGIN = 1e-9
 # log of the expanding eigenvalue g^2 = (3 + sqrt 5)/2, in nats per step
 LYAPUNOV = math.log((3 + _SQRT5) / 2.0)
@@ -155,44 +158,31 @@ def _reduction_candidates(uf, sf):
             for n in range(mb - 2, mb + 3)]
 
 
-def _classify_float(uf, sf):
-    """Cell index via floats, or None when any candidate is within
-    BOUNDARY_MARGIN of a rectangle edge."""
+def _classify(x, y):
+    """Cell index of the point (x, y) of [0, 1)^2, x and y rational.
+    Floats rule out each candidate cell the point misses by more than
+    BOUNDARY_MARGIN; exact arithmetic decides the rest and verifies that
+    exactly one translate lands in the fundamental domain."""
     g = float(GOLDEN)
-    hit = None
-    for m, n in _reduction_candidates(uf, sf):
-        u = uf - m * g - n
-        s = sf - m + n * g
-        for c, (ulo, uhi, slo, shi) in enumerate(_CELLS_F):
-            gaps = (u - ulo, uhi - u, s - slo, shi - s)
-            if min(gaps) > BOUNDARY_MARGIN:
-                if hit is not None:
-                    return None  # double cover can only mean float trouble
-                hit = c
-            elif min(abs(v) for v in gaps) <= BOUNDARY_MARGIN \
-                    and max(u - ulo, uhi - u) > -BOUNDARY_MARGIN \
-                    and max(s - slo, shi - s) > -BOUNDARY_MARGIN:
-                return None  # near an edge: decide exactly
-    return hit
-
-
-def _classify_exact(x, y):
-    """Cell index of (x, y) by exact arithmetic; verifies the translate
-    into the fundamental domain is unique."""
+    uf, sf = g * float(x) + float(y), float(x) - g * float(y)
     U = GOLDEN * x + Qs5(y)
     S = Qs5(x) - GOLDEN * y
     hits = []
-    for m, n in _reduction_candidates(float(U), float(S)):
-        u = U - GOLDEN * m - Qs5(n)
-        s = S - Qs5(m) + GOLDEN * n
-        for c, (ulo, uhi, slo, shi) in enumerate(_CELLS):
-            if ulo <= u and u < uhi and slo <= s and s < shi:
-                hits.append((c, m, n))
+    for m, n in _reduction_candidates(uf, sf):
+        u, s = uf - m * g - n, sf - m + n * g
+        for c, (ulo, uhi, slo, shi) in enumerate(_CELLS_F):
+            if min(u - ulo, uhi - u, s - slo, shi - s) < -BOUNDARY_MARGIN:
+                continue
+            ue = U - GOLDEN * m - Qs5(n)
+            se = S - Qs5(m) + GOLDEN * n
+            ulo, uhi, slo, shi = _CELLS[c]
+            if ulo <= ue and ue < uhi and slo <= se and se < shi:
+                hits.append(c)
     if len(hits) != 1:
         raise InvariantViolation(
             f"point ({x}, {y}) hit {len(hits)} rectangles; tiling broken"
         )
-    return hits[0][0]
+    return hits[0]
 
 
 class SymbolicRefinement:
@@ -230,13 +220,7 @@ class MarkovCoding:
     def cell_map(self, point) -> int:
         """Rectangle index of a torus point, boundary-exact for rational
         coordinates (floats are rationals too, so any input is decidable)."""
-        x, y = Fraction(point[0]), Fraction(point[1])
-        g = float(GOLDEN)
-        fast = _classify_float(g * float(x) + float(y),
-                               float(x) - g * float(y))
-        if fast is not None:
-            return fast
-        return _classify_exact(x, y)
+        return _classify(Fraction(point[0]) % 1, Fraction(point[1]) % 1)
 
     def code(self, point, length: int) -> tuple:
         if length < 1:
@@ -375,7 +359,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     where the pressure turns negative (find_gap_beta: warm-started Newton
     with certified signs).  Otherwise reports the above-threshold regime,
     which is a finding, not an error.  All values are plain JSON types.
-    Each number comes from one solve: pressure_undamped from the curve's
+    entropy is LYAPUNOV, as a higher-block recoding keeps h_top; each
+    other number comes from one solve: pressure_undamped from the curve's
     beta = 0 point (from its own solve above the threshold), and
     beta_star, beta_star_enclosure and pressure_at_beta_star from
     find_gap_beta's bracket and the solve that certified beta_star.
@@ -386,8 +371,6 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     orbit = periodic_itinerary(coding, point)
     a = damping_from_orbit(coding, orbit, epsilon, strength)
     phi = expansion_potential(ref)
-    entropy = pressure_transfer(ref.graph,
-                                EdgePotential.constant(ref.graph, 0.0)).value
     result = minimize(ref.graph, a, phi)
     orbit_edges = _lift_orbit_edges(ref, orbit.states)
     isolated = result.critical_edges == orbit_edges
@@ -396,7 +379,7 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
                          minimization=result) if isolated else None
     report = {
         "lyapunov": LYAPUNOV,
-        "entropy": entropy,
+        "entropy": LYAPUNOV,
         "epsilon": float(epsilon),
         "refinement_order": order,
         "symbolic_scale": 2.0 ** (-order),

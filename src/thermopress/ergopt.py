@@ -269,26 +269,3 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
         a0, witness, critical, _noncontrolled_edges(graph, a) if zero else None,
         None if phi is None else pressure_on_set(graph, phi, critical))
 
-
-def format_edge_set(edges) -> str:
-    """One 'i j' line per edge, sorted, LF newlines; '' for the empty set."""
-    return "".join(f"{i} {j}\n" for i, j in sorted(map(tuple, edges)))
-
-
-def parse_edge_set(text: str, graph: TransitionGraph) -> tuple:
-    """Inverse of format_edge_set, validated against the graph."""
-    edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {ln}: expected 'i j', got {raw!r}")
-        i, j = int(parts[0]), int(parts[1])
-        try:
-            graph.edge_id(i, j)
-        except KeyError:
-            raise ValueError(f"line {ln}: edge ({i}, {j}) not allowed") from None
-        edges.append((i, j))
-    return tuple(sorted(edges))

@@ -411,7 +411,8 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
     """Equilibrium state via P_ij = e^{f_ij} r_j / (lambda r_i) and
     p_i proportional to l_i r_i, from the Perron data of the transfer
     matrix (start is passed to perron).  Rows are renormalized after the
-    eigenvector solve; the pre-normalization defect must be below 1e-10."""
+    eigenvector solve; the pre-normalization defect must be below 1e-10.
+    p is used as solved: MarkovMeasure checks p P = p to STATIONARY_TOL."""
     _require_irreducible(graph, f)
     data = perron(f, start=start)
     logr = np.log(data.right)
@@ -425,12 +426,5 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
         )
     P = P / rowsums[src]
     p = data.left * data.right
-    p = p / p.sum()
-    # polish stationarity to well inside the measure's validation tolerance
-    for _ in range(200):
-        pP = graph.column_sums(p[src] * P)
-        if np.abs(pP - p).max() <= 1e-13:
-            break
-        p = pP / pP.sum()
-    measure = MarkovMeasure(graph, P, p)
+    measure = MarkovMeasure(graph, P, p / p.sum())
     return EquilibriumState(measure, data.log_rho, data.right, data.left)

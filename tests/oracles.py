@@ -2,16 +2,19 @@
 words with their Birkhoff sums, Markov measures built from a dense
 transition matrix by plain power iteration, Karp's min-mean-cycle
 recurrence with its dense table, the conversions between a graph
-and its dense 0-1 adjacency matrix, and the damped-wave leapfrog written
-with np.roll.  None of this is on a library path; the library computes
-the same quantities from matrix powers and Perron vectors, and steps the
-wave with slice stencils into preallocated arrays."""
+and its dense 0-1 adjacency matrix, the damped-wave leapfrog written
+with np.roll, and the cat-map cell classifier that decides every
+candidate cell exactly.  None of this is on a library path; the library
+computes the same quantities from matrix powers and Perron vectors,
+steps the wave with slice stencils into preallocated arrays, and rules
+out far cells in floats before deciding the rest exactly."""
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from thermopress import sft
-from thermopress.errors import ThermopressError
+from thermopress.catmap import _CELLS, GOLDEN, Qs5, _reduction_candidates
+from thermopress.errors import InvariantViolation, ThermopressError
 from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
 
 # Default cap on n_states**T for explicit word enumeration.
@@ -173,3 +176,23 @@ def evolve_by_roll(system, u0, v0, t_end, dt, sample_every=1):
             times.append(m * dt)
             energies.append(e)
     return np.array(times), np.array(energies), u, vbar
+
+
+def classify_exact(x, y):
+    """Cell index of (x, y) by exact arithmetic on all 25 lattice
+    candidates times 3 cells, with no float pruning; verifies the
+    translate into the fundamental domain is unique."""
+    U = GOLDEN * x + Qs5(y)
+    S = Qs5(x) - GOLDEN * y
+    hits = []
+    for m, n in _reduction_candidates(float(U), float(S)):
+        u = U - GOLDEN * m - Qs5(n)
+        s = S - Qs5(m) + GOLDEN * n
+        for c, (ulo, uhi, slo, shi) in enumerate(_CELLS):
+            if ulo <= u and u < uhi and slo <= s and s < shi:
+                hits.append((c, m, n))
+    if len(hits) != 1:
+        raise InvariantViolation(
+            f"point ({x}, {y}) hit {len(hits)} rectangles; tiling broken"
+        )
+    return hits[0][0]

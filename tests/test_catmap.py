@@ -16,7 +16,6 @@ from thermopress.catmap import (
     MarkovCoding,
     Qs5,
     _cat_step,
-    _classify_exact,
     damping_from_orbit,
     expansion_potential,
     orbit_damping_report,
@@ -27,6 +26,8 @@ from thermopress.ergopt import noncontrolled_set, pressure_on_set, undamped_set
 from thermopress.pressure import pressure_transfer
 from thermopress.sft import CyclicWord, EdgePotential
 from thermopress.thermo import find_gap_beta
+
+from .oracles import classify_exact
 
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 LAMBDA = 2.0 * LOG_GOLDEN  # log of the expanding eigenvalue
@@ -83,13 +84,20 @@ def test_toral_map_apply_exact():
 
 
 def test_cell_map_agrees_with_exact_classifier():
+    # random rationals, every (a/q, b/q) with q <= 8 (most of them on
+    # rectangle boundaries) and random floats, against the classifier that
+    # decides all 75 candidate cells exactly
     coding = MarkovCoding()
     rng = np.random.default_rng(88)
-    for _ in range(300):
-        x = Fraction(int(rng.integers(0, 997)), 997)
-        y = Fraction(int(rng.integers(0, 991)), 991)
-        fast = coding.cell_map((float(x), float(y)))
-        assert fast == _classify_exact(x, y)
+    points = [(Fraction(int(rng.integers(0, 997)), 997),
+               Fraction(int(rng.integers(0, 991)), 991)) for _ in range(300)]
+    points += [(Fraction(a, q), Fraction(b, q)) for q in range(1, 9)
+               for a in range(q) for b in range(q)]
+    points += [tuple(p) for p in rng.random((300, 2)).tolist()]
+    assert len(points) == 804
+    for x, y in points:
+        assert (coding.cell_map((x, y))
+                == classify_exact(Fraction(x), Fraction(y))), (x, y)
 
 
 def test_cell_map_many_float_points():
@@ -197,12 +205,14 @@ def test_minimize_memory_is_per_edge():
 
 
 def test_refinement_preserves_entropy():
+    # a higher-block recoding keeps h_top, which orbit_damping_report
+    # reports as LYAPUNOV without a solve; here each order is solved
     coding = MarkovCoding()
-    for order in range(4):
+    for order in range(9):
         g = coding.refine(order).graph
         assert g.irreducible
-        ent = pressure_transfer(g, EdgePotential.constant(g, 0.0)).value
-        assert ent == pytest.approx(LAMBDA, abs=1e-9)
+        ent = pressure_transfer(g, EdgePotential.constant(g, 0.0))
+        assert abs(ent.value - LYAPUNOV) <= ent.tolerance, order
 
 
 def test_refinement_encode_point_matches_code():
@@ -475,7 +485,7 @@ def test_public_names_resolve():
     namespace = {}
     exec("from thermopress import *", namespace)
     removed = {"ToralMap", "build_cat_map", "half_expansion_rate",
-               "orbit_pressure_bound"}
+               "orbit_pressure_bound", "format_edge_set", "parse_edge_set"}
     assert not removed & set(thermopress.__all__)
     assert not removed & set(namespace)
 

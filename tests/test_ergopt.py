@@ -13,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 from thermopress import ergopt
 from thermopress.errors import ConvergenceError, ZeroMassError
 from thermopress.ergopt import (
-    format_edge_set,
     min_average,
     minimize,
     noncontrolled_set,
-    parse_edge_set,
     pressure_on_set,
     undamped_set,
 )
@@ -501,23 +499,3 @@ def test_minimize_skips_noncontrolled_when_undefined():
     assert res.noncontrolled_edges is None
     assert res.restricted_pressure is None
 
-
-# ---------------------------------------------------------------------------
-# edge set text format
-
-
-def test_edge_set_round_trip():
-    g = two_loops_path_instance()[0]
-    edges = ((0, 0), (0, 1), (2, 2))
-    text = format_edge_set(edges)
-    assert text == "0 0\n0 1\n2 2\n"
-    assert parse_edge_set(text, g) == edges
-    assert format_edge_set(()) == ""
-
-
-def test_parse_edge_set_errors():
-    g = golden_mean_shift()
-    with pytest.raises(ValueError):
-        parse_edge_set("0 0 0\n", g)
-    with pytest.raises(ValueError):
-        parse_edge_set("1 1\n", g)  # not an edge

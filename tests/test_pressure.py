@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress import cli, pressure
+from thermopress import cli, pressure, thermo
 from thermopress.errors import (
     ConvergenceError,
     NotIrreducibleError,
@@ -561,6 +561,30 @@ def test_warm_and_cold_enclosures_intersect_on_tied_loops():
             assert (abs(warm.log_rho - cold.log_rho)
                     <= warm.enclosure + cold.enclosure), (n, beta)
             previous = warm
+
+
+def test_equilibrium_states_are_stationary_as_solved(monkeypatch):
+    # equilibrium_state takes p = l r as the Perron solve returns it, and
+    # MarkovMeasure enforces p P = p to STATIONARY_TOL = 1e-10; these
+    # sweeps, squaring-stage points among them, stay 100 times inside it
+    solves, _ = _recording_perron(monkeypatch)
+    states, solve = [], thermo.equilibrium_state
+
+    def recording(*args, **kw):
+        states.append(solve(*args, **kw))
+        return states[-1]
+
+    monkeypatch.setattr(thermo, "equilibrium_state", recording)
+    rng = np.random.default_rng(14)
+    sweeps = [(_tied_loops_instance(rng, n), 30.0) for n in (3, 10, 30, 120)]
+    sweeps += [(two_loops_path_instance(), 30.0), (catmap_instance(6), 50.0)]
+    for (g, a, phi), beta_max in sweeps:
+        thermo_curve(g, a, phi, default_schedule(beta_max, 0.5))
+    assert len(states) == len(solves) == 5 * 61 + 101
+    assert any(data.stage == "squaring" for data in solves)
+    for eq in states:
+        g, P, p = eq.measure.graph, eq.measure.transitions, eq.measure.stationary
+        assert np.abs(g.column_sums(p[g.src] * P) - p).max() <= 1e-12
 
 
 def test_dense_routes_refuse_graphs_too_large_for_memory():

@@ -569,9 +569,9 @@ def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
 
 @pytest.mark.parametrize("order", [4, 6])
 def test_report_solves_each_potential_once(order, monkeypatch):
-    # every Perron solve of the report is one sweep point, one search step,
-    # one piece of the undamped set or the entropy; Pr(phi) and
-    # Pr(phi - beta* a) are read off the sweep and the search
+    # every Perron solve of the report is one sweep point, one search step
+    # or one piece of the undamped set; the entropy is LYAPUNOV, and Pr(phi)
+    # and Pr(phi - beta* a) are read off the sweep and the search
     cold, phases = pressure.perron, []
     names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
              "find_gap_beta")
@@ -603,11 +603,11 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         (gap,) = gaps
         steps = phases.count("find_gap_beta")
         assert rep["undamped_set_is_orbit"] and 0 < steps <= 8
-        # the entropy, one orbit piece, 101 sweep points, the search
-        assert phases.count("pressure_transfer") == 1, point
+        # one orbit piece, 101 sweep points, the search
+        assert phases.count("pressure_transfer") == 0, point
         assert phases.count("pressure_on_set") == 1, point
         assert phases.count("thermo_curve") == 101, point
-        assert len(phases) == 103 + steps, point
+        assert len(phases) == 102 + steps, point
         assert rep["pressure_undamped"] == cold(phi).log_rho
         beta = rep["beta_star"]
         assert beta == gap.hi and rep["beta_star_enclosure"] == gap.hi - gap.lo
