@@ -259,12 +259,12 @@ class MarkovCoding:
             words.sort()
             # u -> u[1:] + (t,): row-major, as words are sorted and t rises
             index = {w: i for i, w in enumerate(words)}
-            src, dst = [], []
-            for i, w in enumerate(words):
-                for t in range(3):
-                    if PARTITION_MATRIX[w[-1]][t]:
-                        src.append(i)
-                        dst.append(index[w[1:] + (t,)])
+            ends = np.fromiter((w[-1] for w in words), np.intp, len(words))
+            src = np.repeat(np.arange(len(words)),
+                            np.sum(PARTITION_MATRIX, axis=1)[ends])
+            dst = np.fromiter((index[w[1:] + (t,)] for w in words for t in
+                               range(3) if PARTITION_MATRIX[w[-1]][t]),
+                              np.intp, len(src))
             self._refinements[order] = SymbolicRefinement(
                 order, words, index, TransitionGraph(len(words), src, dst)
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
@@ -37,6 +37,8 @@ MIN_PLAIN_ROOT = 0.01
 # relative width is below STALL_GUARD, measured over STALL_WINDOW steps
 STALL_GUARD = 1e-3
 STALL_WINDOW = 50
+# most plain steps between brackets, and how many steps first form one
+CHECK_SPACING = 8
 # most squarings of the exact stage, and its Collatz-Wielandt sweeps per level
 MAX_SQUARINGS = 64
 SQUARING_SWEEPS = 60
@@ -105,14 +107,14 @@ class PerronData:
     stage: str  # "power" or "squaring": the stage whose result this is
 
 
-def _stalled(steps_left, width, earlier, window, target):
-    """Whether a bracket that narrowed from width `earlier` to `width`
-    over `window` steps, contracting geometrically at that rate, stays
-    above `target` for the next `steps_left` steps."""
+def _steps_to(target, width, earlier, window):
+    """Steps until a bracket that narrowed from width `earlier` to `width`
+    over `window` steps, contracting geometrically at that rate, reaches
+    `target`; inf when it did not narrow."""
     if width >= earlier:
-        return True
+        return np.inf
     rate = np.log(width / earlier) / window  # log contraction per step
-    return np.log(target / width) / rate > steps_left
+    return np.log(target / width) / rate
 
 
 def _plain_budget(n):
@@ -125,36 +127,48 @@ def _plain_budget(n):
                max(MIN_PLAIN_BUDGET, n * n // BREAK_EVEN_DIVISOR))
 
 
-def _plain_power_stage(both, x, z):
+def _plain_power_stage(ids, data, x, z):
     """Shifted power iteration on W + I with Collatz-Wielandt brackets,
-    from positive right and left vectors x and z; both is diag(W, W^T)
-    in CSR form, so each step is one matvec.
+    from positive right and left vectors x and z; ids holds the index
+    arrays of diag(W, W^T) and data its entries, so a step is one
+    in-place kernel call, y = v + diag(W, W^T) v, that allocates nothing.
 
     Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
-    being the final bracket.  The +I shift keeps the iteration convergent
-    on periodic matrices.  The stage takes at most _plain_budget(n)
-    steps, n = len(x), and stops early, unconverged, once the bracket
-    shows rho(W) < MIN_PLAIN_ROOT, or once it is narrower than
-    STALL_GUARD and its contraction over the last STALL_WINDOW steps
-    projects past the rest of that budget.  Wider brackets can sit on a
-    plateau before they contract, so they are never projected.
+    being the bracket measured at the returned step, x and z the vectors
+    that step made.  The +I shift keeps the iteration convergent on
+    periodic matrices.  Only check steps bracket and normalize, and the
+    stage ends on one: the first CHECK_SPACING steps (warm brackets can
+    collapse at once), then the step halfway to the convergence the last
+    two brackets project, at most CHECK_SPACING on, or the next step if
+    that misses the budget.  In between, (W + I)v >= v lets no entry
+    underflow, and with W <= 1 entrywise none overflows in so few steps.
+    The stage takes at most _plain_budget(n) steps, n = len(x), and
+    stops early, unconverged, once the bracket shows rho(W) <
+    MIN_PLAIN_ROOT, or once it is narrower than STALL_GUARD and its
+    contraction over the last STALL_WINDOW steps projects past the rest
+    of that budget.  Wider brackets can sit on a plateau before they
+    contract, so they are never projected.
     """
     n = len(x)
     budget = _plain_budget(n)
-    v = np.concatenate((x, z))
-    vectors = v.reshape(2, n)  # rows x and z, updated in place
-    y = np.empty(2 * n)  # W x + x, then W^T z + z
-    rows = y.reshape(2, n)  # the same, as the rows of vectors
+    v = np.concatenate((x, z))  # rows x and z
+    y = np.empty(2 * n)  # each step writes (W + I) v here, then swaps
     ratios = np.empty((2, n))
     top, low, high = np.empty((2, 1)), np.empty(2), np.empty(2)
-    # best relative width seen by each step, for the contraction measure
+    # best relative width by each step (geometric between checks)
     best = np.empty(budget + 1)
     best[0] = np.inf
+    check, last = 1, 0  # the next and the last check step
     for it in range(1, budget + 1):
-        np.add(both @ v, v, out=y)
+        np.copyto(y, v)
+        csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
+        v, y = y, v
+        if it < check:
+            continue
+        rows, vectors = v.reshape(2, n), y.reshape(2, n)
         np.divide(rows, vectors, out=ratios)
         np.maximum.reduce(rows, axis=1, keepdims=True, out=top)
-        np.divide(rows, top, out=vectors)
+        np.divide(rows, top, out=rows)
         np.minimum.reduce(ratios, axis=1, out=low)
         np.maximum.reduce(ratios, axis=1, out=high)
         (rx_lo, rz_lo), (rx_hi, rz_hi) = low.tolist(), high.tolist()
@@ -163,16 +177,22 @@ def _plain_power_stage(both, x, z):
         hi = min(rx_hi, rz_hi)
         width = rx_hi - rx_lo + rz_hi - rz_lo
         if width <= TRANSFER_TOL * hi:
-            return True, lo, hi, vectors[0], vectors[1], it
+            return True, lo, hi, rows[0], rows[1], it
         if hi < 1.0 + MIN_PLAIN_ROOT:
             break
-        best[it] = min(width / hi, best[it - 1])
+        best[it] = min(width / hi, best[last])
+        if it - last > 1:
+            best[last + 1:it] = best[last] * (best[it] / best[last]) ** (
+                np.arange(1, it - last) / (it - last))
         if (best[it] < STALL_GUARD and it > STALL_WINDOW
-                and _stalled(budget - it, best[it],
-                             best[it - STALL_WINDOW], STALL_WINDOW,
-                             TRANSFER_TOL)):
+                and _steps_to(TRANSFER_TOL, best[it], best[it - STALL_WINDOW],
+                              STALL_WINDOW) > budget - it):
             break
-    return False, lo, hi, vectors[0], vectors[1], it
+        need = 0.0 if it < CHECK_SPACING else _steps_to(
+            TRANSFER_TOL, best[it], best[last], it - last)
+        gap = 1 if need > budget - it else max(1, int(need / 2))
+        check, last = min(it + gap, it + CHECK_SPACING, budget), it
+    return False, lo, hi, rows[0], rows[1], it
 
 
 def _log_start(v):
@@ -218,8 +238,8 @@ def _squared_power_stage(H, x, z):
             if mid > 0 and width <= TRANSFER_TOL * mid:
                 return mid / power, x, z, width / max(mid, 1e-300), k
             if (k < MAX_SQUARINGS and mid > 0 and sweep > 1
-                    and _stalled(SQUARING_SWEEPS - sweep, width, previous, 1,
-                                 TRANSFER_TOL * mid)):
+                    and _steps_to(TRANSFER_TOL * mid, width, previous, 1)
+                    > SQUARING_SWEEPS - sweep):
                 break
         if k < MAX_SQUARINGS:
             H = _log_matmul(H, H)
@@ -241,30 +261,30 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     rho from any positive start, so only the step count depends on it.
 
     One decision: shifted power iteration on W + I (two-sided
-    Collatz-Wielandt brackets, W built from the graph's CSR edge arrays)
-    is returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being
-    L scaled so its largest entry is 1.  It takes at most
-    _plain_budget(n) sparse steps on n states: about what one squaring
-    solve costs there, from 300 steps on small graphs up to PLAIN_BUDGET
-    from n = 354 on.  Otherwise -- a stalled bracket, e.g. a nearly
-    degenerate Perron pair at large inverse temperature, or a root so
-    small that the +1 shift swamps its digits -- exact log-space repeated
-    squaring of the dense log(W + I), started from the power stage's
-    vectors, reaches TRANSFER_TOL regardless of the spectral gap.
+    Collatz-Wielandt brackets, one in-place CSR kernel call per step) is
+    returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being L
+    scaled so its largest entry is 1; its bracket, enclosure and vectors
+    are the returned step's, and between brackets, unnormalized, no entry
+    underflows, as (W + I)v >= v.  It takes at most _plain_budget(n)
+    sparse steps on n states: about what one squaring solve costs there,
+    from 300 steps on small graphs up to PLAIN_BUDGET from n = 354 on.
+    Otherwise -- a stalled bracket, e.g. a nearly degenerate Perron pair
+    at large inverse temperature, or a root so small that the +1 shift
+    swamps its digits -- exact log-space repeated squaring of the dense
+    log(W + I), started from the power stage's vectors, reaches
+    TRANSFER_TOL regardless of the spectral gap.
     """
     graph = f.graph
     fmax = f.max()
-    # diag(W, W^T) on the graph's index arrays, whose rows are those of W
-    # and W.T.tocsr(): every sum is the one W @ x and W.T @ z would form
+    # diag(W, W^T) on the graph's index arrays, as W and W.T.tocsr()
     ids = graph.two_sided
-    both = csr_matrix((np.exp(f.values - fmax)[ids.data], ids.indices,
-                       ids.indptr), shape=ids.shape)
+    data = np.exp(f.values - fmax)[ids.data]
     x = z = np.ones(graph.n_states)
     if start is not None and all(
             v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
             for v in (start.right, start.left)):
         x, z = start.right, start.left
-    ok, lo, hi, x, z, it = _plain_power_stage(both, x, z)
+    ok, lo, hi, x, z, it = _plain_power_stage(ids, data, x, z)
     rho_w = 0.5 * (lo + hi) - 1.0
     if ok and rho_w >= MIN_PLAIN_ROOT:
         log_rho = fmax + np.log(rho_w)

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from thermopress import cli, pressure, thermo
 from thermopress.errors import (
@@ -420,6 +421,56 @@ def test_tied_loops_sweeps_across_sizes(monkeypatch):
             assert lo - data.enclosure <= data.log_rho, (n, beta)
             assert data.log_rho <= hi + data.enclosure, (n, beta)
     assert sum(steps) < 15_000
+
+
+def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
+    # the power stage forms its bracket only on some steps, and returns
+    # only on one of them: the exact Collatz-Wielandt bracket of the
+    # vectors it returns lies inside the reported enclosure, with no slack
+    solves, perron_ = [], pressure.perron
+
+    def recording(f, *args, **kw):
+        solves.append((f, perron_(f, *args, **kw)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(pressure, "perron", recording)
+    rng = np.random.default_rng(14)
+    sweeps = [(_tied_loops_instance(rng, n), 30.0, 0.5)
+              for n in (3, 10, 30, 120)]
+    sweeps += [(two_loops_path_instance(), 30.0, 0.5),
+               (catmap_instance(6), 50.0, 1.0)]
+    for (g, a, phi), beta_max, step in sweeps:
+        thermo_curve(g, a, phi, default_schedule(beta_max, step))
+    power = [(f, data) for f, data in solves if data.stage == "power"]
+    assert len(power) > 230
+    for f, data in power:
+        lo, hi = _mp_collatz_wielandt(f, data)
+        assert data.log_rho - data.enclosure <= lo, (f.graph.n_states, data)
+        assert hi <= data.log_rho + data.enclosure, (f.graph.n_states, data)
+
+
+def test_csr_matvec_kernel_adds_into_its_output():
+    # each power step calls scipy's private csr_matvec kernel on
+    # two_sided's arrays with y preset to v, and relies on it adding
+    # diag(W, W^T) v into y; a scipy release that changes the kernel's
+    # signature or its accumulation fails here, not inside a sweep
+    rng = np.random.default_rng(17)
+    graphs = [_random_instance(rng, int(rng.integers(1, 40)))[0]
+              for _ in range(8)]
+    graphs.append(catmap_instance(6)[0])
+    eps = np.finfo(float).eps
+    for g in graphs:
+        ids = g.two_sided
+        size = 2 * g.n_states
+        data, v = rng.random(ids.nnz), rng.random(size)
+        both = csr_matrix((data, ids.indices, ids.indptr), shape=ids.shape)
+        want = v + both @ v
+        rtol = (np.diff(ids.indptr).max() + 2) * eps
+        for dtype in {ids.indices.dtype, ids.indptr.dtype, np.dtype(np.int64)}:
+            y = v.copy()
+            pressure.csr_matvec(size, size, ids.indptr.astype(dtype),
+                                ids.indices.astype(dtype), data, v, y)
+            np.testing.assert_allclose(y, want, rtol=rtol, atol=0)
 
 
 def test_squaring_stage_starts_from_power_vectors(monkeypatch):
