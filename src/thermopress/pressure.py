@@ -39,9 +39,10 @@ STALL_GUARD = 1e-3
 STALL_WINDOW = 50
 # most plain steps between brackets, and how many steps first form one
 CHECK_SPACING = 8
-# most squarings of the exact stage, and its Collatz-Wielandt sweeps per level
+# most squarings of the exact stage, and about the sweeps one squaring
+# costs there: a power whose sweeps project more to go squares instead
 MAX_SQUARINGS = 64
-SQUARING_SWEEPS = 60
+SQUARING_BREAK_EVEN = 4
 
 # scaled log-space products below this are recomputed exactly
 _UNDERFLOW = 1e-250
@@ -205,51 +206,50 @@ def _log_start(v):
 
 def _squared_power_stage(H, x, z):
     """Exact log-space repeated squaring of H = log(W + I), interleaved with
-    Collatz-Wielandt iterations from the right and left log-vectors x and
-    z.  Handles spectra where the second eigenvalue nearly ties the
-    Perron root, and roots too small for the +I shift to resolve:
-    squaring amplifies the gap geometrically.  Each square is centered on
-    its largest entry, so the log eigenvectors carry rounding relative to
-    O(1) entries rather than to 2^k log(rho(W)+1).  A level squares again
-    as soon as the contraction of its last sweep projects past its
-    SQUARING_SWEEPS sweeps; every power of H has the Perron vectors of H,
-    so the next level starts from the vectors the last one reached.
+    Collatz-Wielandt sweeps from the right and left log-vectors x and z.
+    Handles spectra where the second eigenvalue nearly ties the Perron
+    root, and roots too small for the +I shift to resolve: squaring
+    amplifies the gap geometrically.  Each square is centered on its
+    largest entry, so the log eigenvectors carry rounding relative to O(1)
+    entries rather than to 2^k log(rho(W)+1).  Every power of H has H's
+    Perron vectors, so they carry across squarings, and each squaring
+    doubles their log contraction per sweep.  Once two sweeps of a power
+    project the sweeps left to TRANSFER_TOL, the stage sweeps on if they
+    are at most SQUARING_BREAK_EVEN, else squares ceil(log2(projection /
+    SQUARING_BREAK_EVEN)) times in a row (once when there is no
+    projection) and sweeps again.  All squarings count to MAX_SQUARINGS.
 
     Returns (log rho(W+I), right log-vector, left log-vector, relative
     enclosure width, squarings)."""
-    power = 1
-    shift = 0.0  # the uncentered log power is H + shift
-    for k in range(MAX_SQUARINGS + 1):
-        HT = H.T
-        width = np.inf
-        for sweep in range(1, SQUARING_SWEEPS + 1):
-            yx = _log_matvec(H, x)
-            yz = _log_matvec(HT, z)
-            dx = yx - x
-            dz = yz - z
-            x = yx - yx.max()
-            z = yz - yz.max()
-            lo = max(dx.min(), dz.min())
-            hi = min(dx.max(), dz.max())
-            previous = width
-            width = max(dx.max() - dx.min(), dz.max() - dz.min())
-            mid = 0.5 * (lo + hi) + shift
-            # mid approximates power * log(rho(W)+1) >= 0; relative criterion
-            if mid > 0 and width <= TRANSFER_TOL * mid:
-                return mid / power, x, z, width / max(mid, 1e-300), k
-            if (k < MAX_SQUARINGS and mid > 0 and sweep > 1
-                    and _steps_to(TRANSFER_TOL * mid, width, previous, 1)
-                    > SQUARING_SWEEPS - sweep):
-                break
-        if k < MAX_SQUARINGS:
+    squarings, shift = 0, 0.0  # the uncentered log power is H + shift
+    width = np.inf
+    while True:
+        yx, yz = _log_matvec(H, x), _log_matvec(H.T, z)
+        dx, dz = yx - x, yz - z
+        x, z = yx - yx.max(), yz - yz.max()
+        lo, hi = max(dx.min(), dz.min()), min(dx.max(), dz.max())
+        previous, width = width, max(np.ptp(dx), np.ptp(dz))
+        mid = 0.5 * (lo + hi) + shift
+        # mid approximates 2^squarings log(rho(W)+1) >= 0; relative criterion
+        if mid > 0 and width <= TRANSFER_TOL * mid:
+            return (mid / 2**squarings, x, z, width / max(mid, 1e-300),
+                    squarings)
+        if previous == np.inf:
+            continue  # the first sweep of a power projects nothing
+        need = (_steps_to(TRANSFER_TOL * mid, width, previous, 1)
+                if mid > 0 else np.inf)
+        if need <= SQUARING_BREAK_EVEN:
+            continue
+        if squarings == MAX_SQUARINGS:
+            raise ConvergenceError(f"Perron solver failed to converge "
+                                   f"after {MAX_SQUARINGS} squarings")
+        run = (int(np.ceil(np.log2(need / SQUARING_BREAK_EVEN)))
+               if need < np.inf else 1)
+        for _ in range(min(run, MAX_SQUARINGS - squarings)):
             H = _log_matmul(H, H)
             top = H.max()
-            H = H - top
-            shift = 2.0 * shift + top
-            power *= 2
-    raise ConvergenceError(
-        f"Perron solver failed to converge after {MAX_SQUARINGS} squarings"
-    )
+            H, shift, squarings = H - top, 2.0 * shift + top, squarings + 1
+        width = np.inf
 
 
 def perron(f: EdgePotential, *, start=None) -> PerronData:
@@ -270,9 +270,9 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     from 300 steps on small graphs up to PLAIN_BUDGET from n = 354 on.
     Otherwise -- a stalled bracket, e.g. a nearly degenerate Perron pair
     at large inverse temperature, or a root so small that the +1 shift
-    swamps its digits -- exact log-space repeated squaring of the dense
-    log(W + I), started from the power stage's vectors, reaches
-    TRANSFER_TOL regardless of the spectral gap.
+    swamps its digits -- exact log-space squaring of the dense log(W + I),
+    from the power stage's vectors, reaches TRANSFER_TOL whatever the
+    gap: it squares in runs, each sized to leave SQUARING_BREAK_EVEN sweeps.
     """
     graph = f.graph
     fmax = f.max()

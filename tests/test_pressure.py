@@ -341,15 +341,18 @@ def test_stalled_bracket_hands_off_early(monkeypatch):
     # converge within the 300 steps a 3-state graph gets, about what one
     # squaring solve costs there; a flat budget of 5000 steps cost 80,521
     # plain steps over this sweep, and running all of it on each stalled
-    # point 181,772
+    # point 181,772.  Each root is checked against a 60-digit one within
+    # its own enclosure: the dense eigensolve errs by up to 8e-12 on the
+    # near-tied points
     solves, steps = _recording_perron(monkeypatch)
     g, a, phi = two_loops_path_instance()
     betas, states = _damping_sweep(g, a, phi)
     assert sum(steps) <= 14_027
     for beta, data, eq in zip(betas, solves, states):
         assert data.stage == ("squaring" if beta >= 7.0 else "power"), beta
-        f = phi - float(beta) * a
-        assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
+        exact = _mp_log_rho((phi - float(beta) * a).log_matrix())
+        assert eq.log_lambda == data.log_rho
+        assert abs(mpmath.mpf(data.log_rho) - exact) <= data.enclosure, beta
 
 
 def test_plain_budget_follows_graph_size():
@@ -423,6 +426,23 @@ def test_tied_loops_sweeps_across_sizes(monkeypatch):
     assert sum(steps) < 15_000
 
 
+def test_two_loops_path_squaring_roots_inside_their_brackets(monkeypatch):
+    # the warm sweep hands every point from beta = 7.5 on to the squaring
+    # stage; each root lies inside its enclosure of the 40-digit
+    # Collatz-Wielandt bracket of the vectors it returns
+    solves, _ = _recording_perron(monkeypatch)
+    g, a, phi = two_loops_path_instance()
+    betas = default_schedule(30.0, 0.5)
+    thermo_curve(g, a, phi, betas)
+    squared = [(beta, data) for beta, data in zip(betas, solves)
+               if data.stage == "squaring"]
+    assert len(squared) == 46
+    for beta, data in squared:
+        lo, hi = _mp_collatz_wielandt(_damped(phi, a, beta), data)
+        assert hi - lo <= 1e-12, beta
+        assert lo - data.enclosure <= data.log_rho <= hi + data.enclosure, beta
+
+
 def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
     # the power stage forms its bracket only on some steps, and returns
     # only on one of them: the exact Collatz-Wielandt bracket of the
@@ -439,6 +459,10 @@ def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
               for n in (3, 10, 30, 120)]
     sweeps += [(two_loops_path_instance(), 30.0, 0.5),
                (catmap_instance(6), 50.0, 1.0)]
+    # a warm point's stage depends on the vectors the point before it
+    # returned (the 3-state tied sweep's beta = 15 point goes to squaring),
+    # so the order-3 cat-map sweep adds 51 solves that stay in this stage
+    sweeps.append((catmap_instance(3), 50.0, 1.0))
     for (g, a, phi), beta_max, step in sweeps:
         thermo_curve(g, a, phi, default_schedule(beta_max, step))
     power = [(f, data) for f, data in solves if data.stage == "power"]
@@ -499,6 +523,69 @@ def test_squaring_start_falls_back_to_ones():
         w = v.copy()
         w[1] = bad
         assert np.array_equal(log_start(w), np.zeros(3)), bad
+
+
+def _squaring_events(monkeypatch):
+    """Patch the squaring stage's log-space products to log "S" for each
+    squaring and "." for each matvec of a sweep (two per sweep; the
+    matvecs that recompute underflowed rows of a square are not logged)."""
+    events, squaring_now = [], []
+    matmul, matvec = pressure._log_matmul, pressure._log_matvec
+
+    def squaring(A, B):
+        events.append("S")
+        squaring_now.append(True)
+        try:
+            return matmul(A, B)
+        finally:
+            squaring_now.pop()
+
+    def sweeping(A, x):
+        if not squaring_now:
+            events.append(".")
+        return matvec(A, x)
+
+    monkeypatch.setattr(pressure, "_log_matmul", squaring)
+    monkeypatch.setattr(pressure, "_log_matvec", sweeping)
+    return events
+
+
+def test_squaring_stage_squares_in_runs(monkeypatch):
+    # a squaring costs about SQUARING_BREAK_EVEN sweeps and doubles the
+    # log contraction per sweep, so the stage squares until that many
+    # sweeps are left.  Sweeping each power until its projection passed
+    # the 60 sweeps it had left, at least twice per squaring, took 2,711
+    # sweeps and 349 squarings on the two-loops-path sweep, and 5,980 and
+    # 1,276 on the seed-14 tied-loops sweeps (1,828/364, 1,705/374,
+    # 1,593/349 and 854/189 at n = 3, 10, 30, 120)
+    events = _squaring_events(monkeypatch)
+    g, a, phi = two_loops_path_instance()
+    thermo_curve(g, a, phi, default_schedule(30.0, 0.5))
+    assert events.count(".") // 2 <= 280
+    assert events.count("S") <= 531
+    del events[:]
+    rng = np.random.default_rng(14)
+    for n in (3, 10, 30, 120):
+        g, a, phi = _tied_loops_instance(rng, n)
+        thermo_curve(g, a, phi, default_schedule(30.0, 0.5))
+    assert events.count(".") // 2 <= 718
+    assert events.count("S") <= 1_550
+
+
+def test_squaring_runs_count_towards_the_cap(monkeypatch):
+    # the beta = 16 two-loops-path point squares 11 times in a row after
+    # its first two sweeps; under a cap of 4 the run stops at the cap,
+    # and the next power, still projecting too many sweeps, raises
+    g, a, phi = two_loops_path_instance()
+    f = _damped(phi, a, 16.0)
+    events = _squaring_events(monkeypatch)
+    assert perron(f).stage == "squaring"
+    assert "".join(events).startswith("...." + "S" * 11 + ".")
+    del events[:]
+    monkeypatch.setattr(pressure, "MAX_SQUARINGS", 4)
+    with pytest.raises(ConvergenceError, match="after 4 squarings"):
+        perron(f)
+    assert "".join(events) == "....SSSS...."
 
 
 def test_catmap_plateau_stays_in_power_stage(monkeypatch):
@@ -863,10 +950,12 @@ def test_equilibrium_large_pressure_does_not_overflow():
     assert eq.log_lambda == pytest.approx(800.0 + math.log(2.0), rel=1e-15)
 
 
-def test_equilibrium_tied_loops_across_damping():
+def test_equilibrium_tied_loops_across_damping(monkeypatch):
     # two undamped self-loops of equal weight, joined through damped
     # edges: as beta grows the top two eigenvalues tie and the squaring
-    # stage runs; its eigenvectors must still give stochastic rows
+    # stage runs; its eigenvectors must still give stochastic rows, and
+    # each root is within its own enclosure of a 60-digit one
+    solves, _ = _recording_perron(monkeypatch)
     edges = [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 0.0), (1, 2, 1.0),
              (2, 2, 0.0), (2, 0, 1.0)]
     A = np.zeros((3, 3), dtype=bool)
@@ -878,7 +967,11 @@ def test_equilibrium_tied_loops_across_damping():
     for beta in np.arange(0.0, 40.25, 0.5):
         f = phi - float(beta) * a
         eq = equilibrium_state(g, f)
-        assert eq.log_lambda == pytest.approx(_eig_oracle(g, f), abs=1e-12)
+        data = solves[-1]
+        assert eq.log_lambda == data.log_rho
+        err = abs(mpmath.mpf(data.log_rho) - _mp_log_rho(f.log_matrix()))
+        assert err <= data.enclosure, beta
+    assert any(data.stage == "squaring" for data in solves)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
