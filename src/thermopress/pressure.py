@@ -430,8 +430,9 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
                       start=None) -> EquilibriumState:
     """Equilibrium state via P_ij = e^{f_ij} r_j / (lambda r_i) and
     p_i proportional to l_i r_i, from the Perron data of the transfer
-    matrix (start is passed to perron).  Rows are renormalized after the
-    eigenvector solve; the pre-normalization defect must be below 1e-10.
+    matrix (start is passed to perron).  The row defect of P after the
+    eigenvector solve must be below 1e-10; the measure's edge mass is
+    p_i P_ij / rowsum_i, so its rows are stochastic by construction.
     p is used as solved: MarkovMeasure checks p P = p to STATIONARY_TOL."""
     _require_irreducible(graph, f)
     data = perron(f, start=start)
@@ -444,7 +445,6 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
         raise ConvergenceError(
             f"equilibrium rows off stochastic by {defect:.3e} (> 1e-10)"
         )
-    P = P / rowsums[src]
     p = data.left * data.right
-    measure = MarkovMeasure(graph, P, p / p.sum())
+    measure = MarkovMeasure(graph, (p / (p.sum() * rowsums))[src] * P)
     return EquilibriumState(measure, data.log_rho, data.right, data.left)

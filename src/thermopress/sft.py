@@ -260,43 +260,42 @@ class CyclicWord:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """Shift-invariant Markov measure: transition probabilities stored per
-    edge, in the graph's edge order, plus their stationary distribution.
-
-    Rows may be degenerate (all zero) only on states of zero stationary
-    mass.  Stationarity ``p P = p`` is validated to STATIONARY_TOL.
+    """Shift-invariant Markov measure, stored as its edge mass: mass[k] =
+    p_i P_ij, the measure of the cylinder [i j] of edge k = (i, j).  The
+    stationary vector p (the row marginal) and the transitions P (mass /
+    p_i, 0 on zero-mass states) are derived from it, so rows of P are
+    stochastic by construction.  Validated: mass >= 0, total 1 to
+    STOCHASTIC_TOL, and equal marginals (p P = p) to STATIONARY_TOL.
     """
 
     graph: TransitionGraph
-    transitions: np.ndarray
-    stationary: np.ndarray
+    mass: np.ndarray
+    stationary: np.ndarray = field(init=False)
+    transitions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.graph
-        P = np.asarray(self.transitions, dtype=float)
-        p = np.asarray(self.stationary, dtype=float)
-        if P.shape != (g.n_edges,) or p.shape != (g.n_states,):
+        mass = np.asarray(self.mass, dtype=float)
+        if mass.shape != (g.n_edges,):
             raise ValueError("measure shape does not match graph")
-        if (P < 0).any() or (p < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
-            raise ValueError("stationary vector must sum to 1")
-        bad = np.abs(g.row_sums(P) - 1.0) > STOCHASTIC_TOL
-        # degenerate rows are tolerated only where the state carries no mass
-        if (bad & (p > STOCHASTIC_TOL)).any():
-            raise ValueError("rows of P must sum to 1 on charged states")
-        if np.abs(g.column_sums(p[g.src] * P) - p).max() > STATIONARY_TOL:
-            raise ValueError("stationary vector fails p P = p")
-        object.__setattr__(self, "transitions", _frozen_array(P, float))
-        object.__setattr__(self, "stationary", _frozen_array(p, float))
+        if not (mass >= 0).all():  # NaN fails too
+            raise ValueError("edge mass must be nonnegative")
+        if not abs(mass.sum() - 1.0) <= STOCHASTIC_TOL:
+            raise ValueError("edge mass must sum to 1")
+        p = g.row_sums(mass)
+        if np.abs(g.column_sums(mass) - p).max() > STATIONARY_TOL:
+            raise ValueError("edge mass fails p P = p: marginals differ")
+        P = np.divide(mass, p[g.src], out=np.zeros_like(mass),
+                      where=p[g.src] > 0)
+        for name, arr in (("mass", mass), ("stationary", p),
+                          ("transitions", P)):
+            object.__setattr__(self, name, _frozen_array(arr, float))
 
 
 def ks_entropy(mu: MarkovMeasure) -> float:
-    """Entropy rate -sum_i p_i sum_j P_ij log P_ij, with 0 log 0 = 0."""
+    """Entropy rate -sum_ij p_i P_ij log P_ij, with 0 log 0 = 0."""
     P = mu.transitions
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0, P * np.log(P), 0.0)
-    h = -float(mu.stationary @ mu.graph.row_sums(plogp))
+    h = -float(mu.mass @ np.log(P, out=np.zeros_like(P), where=P > 0))
     # roundoff can leave a tiny negative residue on deterministic measures
     return max(h, 0.0)
 
@@ -305,7 +304,7 @@ def integrate(f: EdgePotential, mu: MarkovMeasure) -> float:
     """Edge average sum_{ij} p_i P_ij f_ij."""
     if not f.graph.same_graph(mu.graph):
         raise ValueError("potential and measure live on different graphs")
-    return float(mu.stationary @ mu.graph.row_sums(mu.transitions * f.values))
+    return float(f.values @ mu.mass)
 
 
 # ---------------------------------------------------------------------------

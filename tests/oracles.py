@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: explicit enumeration of cyclic
 words with their Birkhoff sums, Markov measures built from a dense
-transition matrix by plain power iteration, Karp's min-mean-cycle
+transition matrix by plain power iteration, edge averages and entropy
+summed row by row over (stationary, transitions), Karp's min-mean-cycle
 recurrence with its dense table, the conversions between a graph
 and its dense 0-1 adjacency matrix, the damped-wave leapfrog written
 with np.roll, and the cat-map cell classifier that decides every
@@ -50,7 +51,9 @@ class MarkovMeasure(sft.MarkovMeasure):
 
         P is a dense row-stochastic n x n matrix with a unique stationary
         vector (e.g. irreducible on its support) and no mass on forbidden
-        pairs; the measure keeps P on the graph's edges, in edge order.
+        pairs; the measure's edge mass is p_i P_ij on the graph's edges,
+        in edge order, so rows of P that are not stochastic show up as a
+        total or a column marginal that the measure refuses.
         """
         P = np.asarray(P, dtype=float)
         if (P[~mask_of_graph(graph)] != 0).any():
@@ -64,7 +67,21 @@ class MarkovMeasure(sft.MarkovMeasure):
                 p = nxt
                 break
             p = nxt
-        return cls(graph, P[graph.src, graph.dst], p)
+        return cls(graph, p[graph.src] * P[graph.src, graph.dst])
+
+
+def integrate_by_rows(f: EdgePotential, mu: sft.MarkovMeasure) -> float:
+    """Edge average sum_i p_i sum_j P_ij f_ij, one row sum per state."""
+    return float(mu.stationary @ mu.graph.row_sums(mu.transitions * f.values))
+
+
+def entropy_by_rows(mu: sft.MarkovMeasure) -> float:
+    """Entropy rate -sum_i p_i sum_j P_ij log P_ij, one row sum per state,
+    with 0 log 0 = 0 and a negative roundoff residue clamped to 0."""
+    P = mu.transitions
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(P > 0, P * np.log(P), 0.0)
+    return max(-float(mu.stationary @ mu.graph.row_sums(plogp)), 0.0)
 
 
 def enumerate_cycles(graph: TransitionGraph, length: int,

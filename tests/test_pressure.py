@@ -42,8 +42,10 @@ from thermopress.thermo import _damped, default_schedule, thermo_curve
 from .oracles import (
     MarkovMeasure,
     birkhoff_sum,
+    entropy_by_rows,
     enumerate_cycles,
     graph_from_mask,
+    integrate_by_rows,
     mask_of_graph,
 )
 
@@ -701,28 +703,61 @@ def test_warm_and_cold_enclosures_intersect_on_tied_loops():
             previous = warm
 
 
-def test_equilibrium_states_are_stationary_as_solved(monkeypatch):
-    # equilibrium_state takes p = l r as the Perron solve returns it, and
-    # MarkovMeasure enforces p P = p to STATIONARY_TOL = 1e-10; these
-    # sweeps, squaring-stage points among them, stay 100 times inside it
-    solves, _ = _recording_perron(monkeypatch)
-    states, solve = [], thermo.equilibrium_state
-
-    def recording(*args, **kw):
-        states.append(solve(*args, **kw))
-        return states[-1]
-
-    monkeypatch.setattr(thermo, "equilibrium_state", recording)
+@pytest.fixture(scope="module")
+def equilibrium_sweeps():
+    """thermo_curve's equilibrium states and Perron solves, one entry
+    ((g, a, phi), states, solves) per sweep: the seed-14 tied-loops
+    instances (n = 3, 10, 30, 120) and the two-loops path at beta =
+    0..30, and catmap_instance(6) and (8) at beta = 0..50, in steps of
+    1/2, squaring-stage points among them."""
     rng = np.random.default_rng(14)
     sweeps = [(_tied_loops_instance(rng, n), 30.0) for n in (3, 10, 30, 120)]
-    sweeps += [(two_loops_path_instance(), 30.0), (catmap_instance(6), 50.0)]
-    for (g, a, phi), beta_max in sweeps:
-        thermo_curve(g, a, phi, default_schedule(beta_max, 0.5))
-    assert len(states) == len(solves) == 5 * 61 + 101
+    sweeps += [(two_loops_path_instance(), 30.0), (catmap_instance(6), 50.0),
+               (catmap_instance(8), 50.0)]
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        solves, _ = _recording_perron(mp)
+        states, solve = [], thermo.equilibrium_state
+
+        def recording(*args, **kw):
+            states.append(solve(*args, **kw))
+            return states[-1]
+
+        mp.setattr(thermo, "equilibrium_state", recording)
+        for instance, beta_max in sweeps:
+            thermo_curve(*instance, default_schedule(beta_max, 0.5))
+            out.append((instance, states[:], solves[:]))
+            states.clear()
+            solves.clear()
+    return out
+
+
+def test_equilibrium_states_are_stationary_as_solved(equilibrium_sweeps):
+    # equilibrium_state takes p = l r as the Perron solve returns it, and
+    # MarkovMeasure enforces p P = p to STATIONARY_TOL = 1e-10; these
+    # sweeps stay 100 times inside it
+    states = [eq for _, eqs, _ in equilibrium_sweeps for eq in eqs]
+    solves = [data for _, _, datas in equilibrium_sweeps for data in datas]
+    assert len(states) == len(solves) == 5 * 61 + 2 * 101
     assert any(data.stage == "squaring" for data in solves)
     for eq in states:
-        g, P, p = eq.measure.graph, eq.measure.transitions, eq.measure.stationary
-        assert np.abs(g.column_sums(p[g.src] * P) - p).max() <= 1e-12
+        mu = eq.measure
+        drift = mu.graph.column_sums(mu.mass) - mu.stationary
+        assert np.abs(drift).max() <= 1e-12
+
+
+def test_statistics_match_row_sum_formulas(equilibrium_sweeps):
+    # integrate and ks_entropy are single dot products with the edge
+    # mass; summed row by row over (stationary, transitions) instead,
+    # the same sums differ only by roundoff (at most 4.6e-15 here)
+    for (g, a, phi), states, _ in equilibrium_sweeps:
+        for eq in states:
+            mu = eq.measure
+            for f in (a, phi):
+                assert integrate(f, mu) == pytest.approx(
+                    integrate_by_rows(f, mu), rel=0, abs=1e-14)
+            assert ks_entropy(mu) == pytest.approx(
+                entropy_by_rows(mu), rel=0, abs=1e-14)
 
 
 def test_dense_routes_refuse_graphs_too_large_for_memory():
@@ -980,10 +1015,11 @@ def test_edge_equilibrium_matches_dense_formulas(n, extra, seed):
     # the per-edge measure, entropy and average against the dense n x n
     # formulas P = diag(1/r) L diag(r) / lambda, p ~ l * r and
     # h = -sum_ij p_i P_ij log P_ij, on the state's own Perron data (the
-    # solver is checked against eigvals above).  Rows are renormalized as
-    # equilibrium_state does: the formula's row defect is the eigenvector
-    # error, up to 4e-12 on 300-state pure cycles, whose equilibrium is
-    # P = 1 exactly; np.linalg.eig's vectors miss it by as much there
+    # solver is checked against eigvals above).  Rows are renormalized, as
+    # in equilibrium_state's edge mass: the formula's row defect is the
+    # eigenvector error, up to 4e-12 on 300-state pure cycles, whose
+    # equilibrium is P = 1 exactly; np.linalg.eig's vectors miss it by as
+    # much there
     rng = np.random.default_rng(seed)
     A = _cycle_plus_successors(rng, n, extra)
     g = graph_from_mask(A)

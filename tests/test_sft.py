@@ -268,10 +268,15 @@ def test_enumerate_rejects_zero_length():
 
 
 def test_measure_validates_stochastic():
+    # rows of P that are not stochastic leave the edge mass p_i P_ij off
+    # total 1 (row sums 1.1 and 1: its Perron root 1.048 is the total) or
+    # off shift invariance (row sums 0.75 and 1.5 around Perron root 1:
+    # row marginal (1/2, 1/2), column marginal (2/3, 1/3))
     g = full_shift(2)
-    P = np.array([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        MarkovMeasure.from_transitions(g, P)
+    for P, match in (([[0.5, 0.6], [0.5, 0.5]], "sum to 1"),
+                     ([[0.5, 0.25], [1.0, 0.5]], "p P = p")):
+        with pytest.raises(ValueError, match=match):
+            MarkovMeasure.from_transitions(g, np.array(P))
 
 
 def test_measure_rejects_mass_off_edges():
@@ -279,6 +284,73 @@ def test_measure_rejects_mass_off_edges():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])  # P[1,1] > 0 but (1,1) forbidden
     with pytest.raises(ValueError):
         MarkovMeasure.from_transitions(g, P)
+
+
+def test_measure_rejects_bad_mass():
+    g = full_shift(2)  # edges 00, 01, 10, 11
+    for mass, match in (([0.5, 0.5], "shape"),
+                        ([0.6, -0.1, -0.1, 0.6], "nonnegative"),
+                        ([0.5, np.nan, np.nan, 0.5], "nonnegative"),
+                        ([0.5, 0.1, 0.1, 0.5], "sum to 1"),
+                        ([1 - 1e-11, 0.0, 0.0, 1e-11 + 2e-12], "sum to 1")):
+        with pytest.raises(ValueError, match=match):
+            MarkovMeasure(g, mass)
+
+
+def test_measure_rejects_mass_that_is_not_shift_invariant():
+    # the row marginal is p and the column marginal p P: they may differ
+    # by STATIONARY_TOL = 1e-10 and no more
+    g = full_shift(2)
+    with pytest.raises(ValueError, match="p P = p"):
+        MarkovMeasure(g, [0.5, 0.5, 0.0, 0.0])
+    for d in (1e-10, 0.6e-10):  # marginals 2 d apart
+        with pytest.raises(ValueError, match="p P = p"):
+            MarkovMeasure(g, [0.5, 0.25 + d, 0.25 - d, 0.0])
+    mu = MarkovMeasure(g, [0.5, 0.25 + 2.5e-11, 0.25 - 2.5e-11, 0.0])
+    assert mu.stationary == pytest.approx([0.75, 0.25], abs=3e-11)
+
+
+def test_measure_has_stochastic_rows_on_every_charged_state():
+    # transition probabilities that sum to 50 on a state of mass 1e-13
+    # are no measure: as edge mass p_i P_ij they miss total 1 by 4.9e-12,
+    # and once that mass is normalized, state 1's row is (1/2, 1/2)
+    g = full_shift(2)
+    p, P = np.array([1 - 1e-13, 1e-13]), np.array([1.0, 0.0, 25.0, 25.0])
+    with pytest.raises(ValueError, match="sum to 1"):
+        MarkovMeasure(g, p[g.src] * P)
+    mu = MarkovMeasure(g, p[g.src] * P / (p[g.src] * P).sum())
+    assert mu.transitions.tolist() == [1.0, 0.0, 0.5, 0.5]
+    # mixtures of uniform measures on cycles, one of them of weight
+    # 1e-13: rows sum to 1 within 4 ulps wherever the state has mass,
+    # and states off every chosen cycle get all-zero rows
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        g = _random_irreducible(rng, int(rng.integers(2, 7)))
+        words = [w for length in (1, 2, 3) for w in enumerate_cycles(g, length)]
+        picks = rng.choice(len(words), size=min(3, len(words)), replace=False)
+        weights = rng.random(len(picks))
+        weights[0] = 1e-13
+        mass = np.zeros(g.n_edges)
+        for k, w in zip(picks, weights / weights.sum()):
+            for i, j in words[k].edges():
+                mass[g.edge_id(i, j)] += w / len(words[k])
+        mu = MarkovMeasure(g, mass)
+        charged = mu.stationary > 0
+        rows = g.row_sums(mu.transitions)
+        assert np.abs(rows[charged] - 1.0).max() <= 4 * eps
+        assert (rows[~charged] == 0).all()
+        assert np.array_equal(mu.transitions == 0, mass == 0)
+
+
+def test_measure_arrays_are_read_only():
+    g = golden_mean_shift()
+    mu = MarkovMeasure(g, [0.5, 0.25, 0.25])
+    assert mu.stationary.tolist() == [0.75, 0.25]
+    assert mu.transitions.tolist() == [2 / 3, 1 / 3, 1.0]
+    for arr in (mu.mass, mu.stationary, mu.transitions):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_stationary_vector_is_stationary():

@@ -22,7 +22,7 @@ from thermopress.instances import (
     two_loops_path_instance,
 )
 from thermopress.pressure import pressure_transfer
-from thermopress.sft import EdgePotential, full_shift
+from thermopress.sft import EdgePotential, TransitionGraph, full_shift
 from thermopress.thermo import (
     GAP_XTOL,
     ThermoCurve,
@@ -616,6 +616,27 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         at_star = cold(phi - beta * a)
         assert (abs(rep["pressure_at_beta_star"] - at_star.log_rho)
                 <= gap.at_hi.enclosure + at_star.enclosure), point
+
+
+def test_sweep_sums_each_measure_once(monkeypatch):
+    # per point, one row_sums for equilibrium_state's row defect and one
+    # each for the measure's two marginals; integrate and ks_entropy are
+    # dot products with its edge mass.  (606 passes while the measure was
+    # stored as (transitions, stationary): a second row check in its
+    # validation and one row_sums per statistic.)
+    g, a, phi = catmap_instance(6)
+    result = minimize(g, a, phi)
+    calls = []
+    for name in ("row_sums", "column_sums"):
+        def counting(self, x, _sums=getattr(TransitionGraph, name)):
+            calls.append(_sums)
+            return _sums(self, x)
+
+        monkeypatch.setattr(TransitionGraph, name, counting)
+    curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
+                         minimization=result)
+    assert len(curve) == 101
+    assert len(calls) <= 303
 
 
 @pytest.mark.parametrize("beta_max", [math.inf, math.nan])
