@@ -25,19 +25,13 @@ from .errors import ConvergenceError, NotIrreducibleError, ZeroMassError
 from .sft import EdgePotential, MarkovMeasure, TransitionGraph
 
 TRANSFER_TOL = 1e-13
-# most steps of the plain power stage before the squaring stage takes over;
-# smaller graphs get fewer (_plain_budget)
+# most plain power steps before squaring; smaller graphs get fewer
 PLAIN_BUDGET = 5000
-# fewest plain steps any graph gets, and the divisor of n^2 in the budget
-MIN_PLAIN_BUDGET = 300
-BREAK_EVEN_DIVISOR = 25
-# smallest rho(W) (largest entry of W scaled to 1) the plain stage returns
+# smallest rho(W) / sigma the plain stage returns (sigma: _plain_power_stage)
 MIN_PLAIN_ROOT = 0.01
-# the plain stage projects its contraction only once the bracket's
-# relative width is below STALL_GUARD, measured over STALL_WINDOW steps
+# the plain stage hands a bracket on only once its relative width is below
+# STALL_GUARD; most plain steps between brackets
 STALL_GUARD = 1e-3
-STALL_WINDOW = 50
-# most plain steps between brackets, and how many steps first form one
 CHECK_SPACING = 8
 # most squarings of the exact stage, and about the sweeps one squaring
 # costs there: a power whose sweeps project more to go squares instead
@@ -60,22 +54,22 @@ def _log_matmul(A, B):
     """Log-space matrix product out_ij = lse_k(A_ik + B_kj) in O(n^2) memory.
 
     Computed as the scaled BLAS product log(exp(A - r) @ exp(B - c)) + r + c,
-    with r the row maxima of A and c the column maxima of B.  Entries with
-    no finite term are -inf, read off the product of the finiteness masks.
-    Entries whose scaled product underflows are recomputed exactly, one row
-    at a time.
+    with r the row maxima of A and c the column maxima of B.  Only if a
+    scaled entry is at most _UNDERFLOW: entries with no finite term are
+    -inf, read off the product of the finiteness masks, and the others
+    that underflow are recomputed exactly, one row at a time.
     """
-    finite_a, finite_b = np.isfinite(A), np.isfinite(B)
-    reach = (finite_a.astype(float) @ finite_b.astype(float)) > 0
     r = A.max(axis=1, keepdims=True)
     c = B.max(axis=0, keepdims=True)
     r[~np.isfinite(r)] = 0.0
     c[~np.isfinite(c)] = 0.0
     P = np.exp(A - r) @ np.exp(B - c)
-    out = np.full(P.shape, -np.inf)
-    resolved = reach & (P > _UNDERFLOW)
+    resolved = P > _UNDERFLOW
+    if resolved.all():
+        return np.log(P) + r + c
+    reach = (np.isfinite(A).astype(float) @ np.isfinite(B).astype(float)) > 0
     with np.errstate(divide="ignore"):
-        out[resolved] = (np.log(P) + r + c)[resolved]
+        out = np.where(resolved & reach, np.log(P) + r + c, -np.inf)
     for i in np.flatnonzero((reach & ~resolved).any(axis=1)):
         out[i] = _log_matvec(B.T, A[i])
     return out
@@ -88,9 +82,9 @@ def _log_matvec(A, x):
     out = np.full(M.shape, -np.inf)
     finite = np.isfinite(M)
     if finite.any():
+        # exp(-inf) = 0 on rows with a finite maximum; the rest are dropped
         with np.errstate(invalid="ignore"):
-            T = np.exp(S - M[:, None])
-        total = np.where(np.isfinite(S), T, 0.0).sum(axis=1)
+            total = np.exp(S - M[:, None]).sum(axis=1)
         out[finite] = M[finite] + np.log(total[finite])
     return out
 
@@ -119,51 +113,49 @@ def _steps_to(target, width, earlier, window):
 
 
 def _plain_budget(n):
-    """Most plain power steps on an n-state graph: about as many as cost
-    one squaring-stage solve of it.  A squaring sweep is a dense n^2
-    log-sum-exp and a plain step O(edges) plus a fixed Python cost, so
-    the break-even grows like n^2; it is capped at PLAIN_BUDGET, which
-    it reaches at n = 354."""
-    return min(PLAIN_BUDGET,
-               max(MIN_PLAIN_BUDGET, n * n // BREAK_EVEN_DIVISOR))
+    """Most plain power steps on an n-state graph: about as many as one
+    squaring-stage solve of it costs, 100 + n^2 / 10 fitted to solves
+    measured at n = 3 to 120, capped at PLAIN_BUDGET from n = 222 on."""
+    return min(PLAIN_BUDGET, 100 + n * n // 10)
 
 
 def _plain_power_stage(ids, data, x, z):
-    """Shifted power iteration on W + I with Collatz-Wielandt brackets,
-    from positive right and left vectors x and z; ids holds the index
-    arrays of diag(W, W^T) and data its entries, so a step is one
-    in-place kernel call, y = v + diag(W, W^T) v, that allocates nothing.
+    """Shifted power iteration on W / sigma + I with Collatz-Wielandt
+    brackets, from positive right and left vectors x and z; ids holds the
+    index arrays of diag(W, W^T) and data its entries, divided in place by
+    sigma, so a step is one kernel call that allocates nothing.  sigma, a
+    quarter of the smaller upper bracket end of x and z on rho(W), comes
+    from the first kernel call, which also makes the first step; a real
+    subdominant eigenvalue mu then contracts at (sigma + mu) / (sigma + rho).
 
-    Returns (converged, lo, hi, x, z, iterations), lo <= rho(W) + 1 <= hi
-    being the bracket measured at the returned step, x and z the vectors
-    that step made.  The +I shift keeps the iteration convergent on
-    periodic matrices.  Only check steps bracket and normalize, and the
-    stage ends on one: the first CHECK_SPACING steps (warm brackets can
-    collapse at once), then the step halfway to the convergence the last
-    two brackets project, at most CHECK_SPACING on, or the next step if
-    that misses the budget.  In between, (W + I)v >= v lets no entry
-    underflow, and with W <= 1 entrywise none overflows in so few steps.
-    The stage takes at most _plain_budget(n) steps, n = len(x), and
-    stops early, unconverged, once the bracket shows rho(W) <
-    MIN_PLAIN_ROOT, or once it is narrower than STALL_GUARD and its
-    contraction over the last STALL_WINDOW steps projects past the rest
-    of that budget.  Wider brackets can sit on a plateau before they
-    contract, so they are never projected.
+    Returns (converged, lo, hi, sigma, x, z, iterations), lo <= rho(W) /
+    sigma + 1 <= hi measured at the returned step, which made x and z.
+    Only check steps bracket and normalize, and the stage ends on one:
+    steps 1 and 2, then the step halfway to the convergence the last two
+    brackets project, at most CHECK_SPACING on (a step never shrinks an
+    entry, and none overflows in so few steps).  It takes at most
+    _plain_budget(len(x)) steps, and stops early, unconverged, once the
+    bracket shows rho(W) / sigma < MIN_PLAIN_ROOT, or is narrower than
+    STALL_GUARD and its contraction over at least CHECK_SPACING steps
+    projects past the budget.  Wider brackets can sit on a plateau
+    before they collapse: they are never handed on.
     """
     n = len(x)
     budget = _plain_budget(n)
     v = np.concatenate((x, z))  # rows x and z
-    y = np.empty(2 * n)  # each step writes (W + I) v here, then swaps
+    y = np.zeros(2 * n)  # each step writes the next v here, then swaps
     ratios = np.empty((2, n))
     top, low, high = np.empty((2, 1)), np.empty(2), np.empty(2)
-    # best relative width by each step (geometric between checks)
-    best = np.empty(budget + 1)
-    best[0] = np.inf
-    check, last = 1, 0  # the next and the last check step
+    csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
+    sigma = min(np.divide(y, v, out=ratios.ravel()).reshape(2, n).max(1)) / 4
+    data /= sigma
+    v, y = np.add(v, np.divide(y, sigma, out=y), out=y), v
+    check, last, best = 1, 0, np.inf  # best relative width by the last check
     for it in range(1, budget + 1):
-        np.copyto(y, v)
-        csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
-        v, y = y, v
+        if it > 1:
+            np.copyto(y, v)
+            csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
+            v, y = y, v
         if it < check:
             continue
         rows, vectors = v.reshape(2, n), y.reshape(2, n)
@@ -173,27 +165,25 @@ def _plain_power_stage(ids, data, x, z):
         np.minimum.reduce(ratios, axis=1, out=low)
         np.maximum.reduce(ratios, axis=1, out=high)
         (rx_lo, rz_lo), (rx_hi, rz_hi) = low.tolist(), high.tolist()
-        # brackets from both sides enclose rho(W) + 1
+        # brackets from both sides enclose rho(W) / sigma + 1
         lo = max(rx_lo, rz_lo)
         hi = min(rx_hi, rz_hi)
         width = rx_hi - rx_lo + rz_hi - rz_lo
         if width <= TRANSFER_TOL * hi:
-            return True, lo, hi, rows[0], rows[1], it
+            return True, lo, hi, sigma, rows[0], rows[1], it
         if hi < 1.0 + MIN_PLAIN_ROOT:
             break
-        best[it] = min(width / hi, best[last])
-        if it - last > 1:
-            best[last + 1:it] = best[last] * (best[it] / best[last]) ** (
-                np.arange(1, it - last) / (it - last))
-        if (best[it] < STALL_GUARD and it > STALL_WINDOW
-                and _steps_to(TRANSFER_TOL, best[it], best[it - STALL_WINDOW],
-                              STALL_WINDOW) > budget - it):
+        relative = min(width / hi, best)
+        need = (0.0 if last == 0 else
+                _steps_to(TRANSFER_TOL, relative, best, it - last))
+        if need <= budget - it:
+            gap = min(max(1, int(need / 2)), CHECK_SPACING)
+        elif relative < STALL_GUARD and it - last >= CHECK_SPACING:
             break
-        need = 0.0 if it < CHECK_SPACING else _steps_to(
-            TRANSFER_TOL, best[it], best[last], it - last)
-        gap = 1 if need > budget - it else max(1, int(need / 2))
-        check, last = min(it + gap, it + CHECK_SPACING, budget), it
-    return False, lo, hi, rows[0], rows[1], it
+        else:
+            gap = CHECK_SPACING
+        check, last, best = min(it + gap, budget), it, relative
+    return False, lo, hi, sigma, rows[0], rows[1], it
 
 
 def _log_start(v):
@@ -260,19 +250,17 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     length n, and from all-ones vectors otherwise; the brackets enclose
     rho from any positive start, so only the step count depends on it.
 
-    One decision: shifted power iteration on W + I (two-sided
-    Collatz-Wielandt brackets, one in-place CSR kernel call per step) is
-    returned when it converges with rho(W) >= MIN_PLAIN_ROOT, W being L
-    scaled so its largest entry is 1; its bracket, enclosure and vectors
-    are the returned step's, and between brackets, unnormalized, no entry
-    underflows, as (W + I)v >= v.  It takes at most _plain_budget(n)
-    sparse steps on n states: about what one squaring solve costs there,
-    from 300 steps on small graphs up to PLAIN_BUDGET from n = 354 on.
+    One decision: shifted power iteration on W / sigma + I, W being L
+    scaled so its largest entry is 1 and sigma about rho(W) / 4, is
+    returned when it converges with rho(W) / sigma >= MIN_PLAIN_ROOT
+    within _plain_budget(n) steps, about what one squaring solve costs;
+    its bracket, enclosure and vectors are the returned step's.
     Otherwise -- a stalled bracket, e.g. a nearly degenerate Perron pair
-    at large inverse temperature, or a root so small that the +1 shift
-    swamps its digits -- exact log-space squaring of the dense log(W + I),
-    from the power stage's vectors, reaches TRANSFER_TOL whatever the
-    gap: it squares in runs, each sized to leave SQUARING_BREAK_EVEN sweeps.
+    at large inverse temperature, or a root so small against sigma that
+    the shift swamps its digits -- exact log-space squaring of the dense
+    log(W + I), from the power stage's vectors, reaches TRANSFER_TOL
+    whatever the gap: it squares in runs, each sized to leave
+    SQUARING_BREAK_EVEN sweeps.
     """
     graph = f.graph
     fmax = f.max()
@@ -284,17 +272,18 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
             v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
             for v in (start.right, start.left)):
         x, z = start.right, start.left
-    ok, lo, hi, x, z, it = _plain_power_stage(ids, data, x, z)
-    rho_w = 0.5 * (lo + hi) - 1.0
-    if ok and rho_w >= MIN_PLAIN_ROOT:
-        log_rho = fmax + np.log(rho_w)
-        # the measured bracket [lo - 1, hi - 1] on rho(W) in log form, plus
-        # the rounding of its ratios (each sums at most `terms` products),
-        # of the scaled entries of W and of log_rho itself
+    ok, lo, hi, sigma, x, z, it = _plain_power_stage(ids, data, x, z)
+    rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
+    if ok and rho_s >= MIN_PLAIN_ROOT:
+        log_sigma = np.log(sigma)
+        log_rho = fmax + log_sigma + np.log(rho_s)
+        # the measured bracket [lo - 1, hi - 1] on rho(W) / sigma in log
+        # form, plus the rounding of its ratios (each sums at most `terms`
+        # products), of W / sigma, of log sigma and of log_rho itself
         terms = np.diff(graph.indptr).max() + 1
         rounding = np.finfo(float).eps * (
-            (terms + 2) * hi / (lo - 1.0) + 1.0 + fmax - f.min()
-            + abs(fmax) + abs(log_rho))
+            (terms + 2) * hi / (lo - 1.0) + 2.0 + fmax - f.min()
+            + abs(fmax) + abs(log_sigma) + abs(log_rho))
         return PerronData(log_rho, x / x.sum(), z / z.sum(),
                           np.log((hi - 1.0) / (lo - 1.0)) + rounding, it,
                           "power")
@@ -305,15 +294,17 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     H[d, d] = np.logaddexp(H[d, d], 0.0)
     log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(
         H, _log_start(x), _log_start(z))
-    rho_w = np.expm1(log_shifted)  # rho(W) to relative TRANSFER_TOL
+    rho_w = np.expm1(log_shifted)
     if rho_w <= 0:
         raise ConvergenceError("spectral radius underflowed to zero")
     right = np.exp(x_log - x_log.max())
     left = np.exp(z_log - z_log.max())
+    # the bracket on log rho(W + I) plus a few ulps per squaring's n-term
+    # sums, carried to log rho(W) by the factor (1 + rho(W)) / rho(W)
+    error = relw * log_shifted + 2 * (graph.n_states + 2) * np.finfo(float).eps
     return PerronData(fmax + np.log(rho_w), right / right.sum(),
-                      left / left.sum(),
-                      relw * abs(log_shifted) + TRANSFER_TOL, it + squarings,
-                      "squaring")
+                      left / left.sum(), error * (1.0 + rho_w) / rho_w
+                      + TRANSFER_TOL, it + squarings, "squaring")
 
 
 @dataclass(frozen=True)

@@ -318,53 +318,62 @@ def integrate(f: EdgePotential, mu: MarkovMeasure) -> float:
 
 def load_system(path) -> tuple[TransitionGraph, EdgePotential, EdgePotential]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    n = None
-    entries = []
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if n is None:
-            if len(parts) != 1:
-                raise GraphFormatError("expected a single state count", line=lineno)
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise GraphFormatError(f"bad state count {parts[0]!r}", line=lineno)
-            if n < 1:
-                raise GraphFormatError("state count must be >= 1", line=lineno)
-            continue
-        if len(parts) != 4:
-            raise GraphFormatError(
-                f"expected 'i j a phi', got {len(parts)} fields", line=lineno
-            )
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            a_val, phi_val = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise GraphFormatError(f"could not parse edge {text!r}", line=lineno)
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}", line=lineno)
-        if not (np.isfinite(a_val) and np.isfinite(phi_val)):
-            raise GraphFormatError("edge weights must be finite", line=lineno)
-        if (i, j) in seen:
-            raise GraphFormatError(f"duplicate edge ({i}, {j})", line=lineno)
-        seen.add((i, j))
-        entries.append((lineno, i, j, a_val, phi_val))
-    if n is None:
+        content = [(k, text) for k, text in enumerate(map(str.strip, fh), 1)
+                   if text and not text.startswith("#")]
+    if not content:
         raise GraphFormatError("empty input: no state count found")
-    if not entries:
-        raise GraphFormatError("no edges given")
-    entries.sort(key=lambda e: (e[1], e[2]))  # the graph's edge order
-    _, src, dst, a_vals, phi_vals = zip(*entries)
+    lineno, header = content[0]
+    if len(header.split()) != 1:
+        raise GraphFormatError("expected a single state count", line=lineno)
     try:
-        graph = TransitionGraph(n, src, dst)
+        n = int(header)
+    except ValueError:
+        raise GraphFormatError(f"bad state count {header!r}", line=lineno)
+    if n < 1:
+        raise GraphFormatError("state count must be >= 1", line=lineno)
+    linenos, texts = zip(*content[1:]) if len(content) > 1 else ((), ())
+    fields = [len(text.split()) for text in texts]
+    # rows before the first malformed one are checked at once, in file order
+    end = next((k for k, m in enumerate(fields) if m != 4), len(fields))
+    error = (None if end == len(fields) else
+             f"expected 'i j a phi', got {fields[end]} fields")
+    tokens = " ".join(texts[:end]).split()
+    try:  # columns i, j, a, phi; i and j parse as int
+        table = np.concatenate((
+            np.array(tokens[0::4] + tokens[1::4], dtype=np.int64),
+            np.array(tokens[2::4] + tokens[3::4], dtype=float))).reshape(4, end).T
+    except (ValueError, OverflowError):  # find the row; Python ints are unbounded
+        parsed = []
+        for k, row in enumerate(map(str.split, texts[:end])):
+            try:  # states clamped to [-1, n] stay out of range if they were
+                parsed.append([*(max(-1, min(int(v), n)) for v in row[:2]),
+                               *map(float, row[2:])])
+            except ValueError:
+                end, error = k, f"could not parse edge {texts[k]!r}"
+                break
+        table = np.array(parsed, dtype=float).reshape(end, 4)
+    in_range = ((table[:, :2] >= 0) & (table[:, :2] < n)).all(axis=1)
+    finite = np.isfinite(table[:, 2:]).all(axis=1)
+    order = np.lexsort(table[:, 1::-1].T)  # stable: the graph's edge order
+    repeat = np.zeros(end, dtype=bool)
+    repeat[order[1:]] = (table[order[1:], :2] == table[order[:-1], :2]).all(
+        axis=1) & in_range[order[1:]]
+    if (bad := ~in_range | ~finite | repeat).any():
+        end = int(np.argmax(bad))
+        i, j = map(int, texts[end].split()[:2])
+        error = (f"edge ({i}, {j}) out of range for n={n}"
+                 if not in_range[end] else "edge weights must be finite"
+                 if not finite[end] else f"duplicate edge ({i}, {j})")
+    if error is not None:
+        raise GraphFormatError(error, line=linenos[end])
+    if not texts:
+        raise GraphFormatError("no edges given")
+    try:
+        graph = TransitionGraph(n, *table[order, :2].T.astype(np.int64))
     except ValueError as exc:
         raise GraphFormatError(str(exc))
-    return graph, EdgePotential(graph, a_vals), EdgePotential(graph, phi_vals)
+    return (graph, EdgePotential(graph, table[order, 2]),
+            EdgePotential(graph, table[order, 3]))
 
 
 def save_system(path, graph: TransitionGraph, a: EdgePotential,

@@ -3,7 +3,8 @@ words with their Birkhoff sums, Markov measures built from a dense
 transition matrix by plain power iteration, edge averages and entropy
 summed row by row over (stationary, transitions), Karp's min-mean-cycle
 recurrence with its dense table, the conversions between a graph
-and its dense 0-1 adjacency matrix, the damped-wave leapfrog written
+and its dense 0-1 adjacency matrix, the log-space matrix products with
+their finiteness masks formed on every call, the damped-wave leapfrog written
 with np.roll, and the cat-map cell classifier that decides every
 candidate cell exactly.  None of this is on a library path; the library
 computes the same quantities from matrix powers and Perron vectors,
@@ -16,6 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from thermopress import sft
 from thermopress.catmap import _CELLS, GOLDEN, Qs5, _reduction_candidates
 from thermopress.errors import InvariantViolation, ThermopressError
+from thermopress.pressure import _UNDERFLOW
 from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
 
 # Default cap on n_states**T for explicit word enumeration.
@@ -213,3 +215,38 @@ def classify_exact(x, y):
             f"point ({x}, {y}) hit {len(hits)} rectangles; tiling broken"
         )
     return hits[0][0]
+
+
+def log_matmul_masked(A, B):
+    """out_ij = lse_k(A_ik + B_kj) as the scaled BLAS product, with the
+    -inf entries read off the product of the finiteness masks and the
+    entries whose scaled product underflows recomputed one row at a time,
+    masks formed on every call."""
+    finite_a, finite_b = np.isfinite(A), np.isfinite(B)
+    reach = (finite_a.astype(float) @ finite_b.astype(float)) > 0
+    r = A.max(axis=1, keepdims=True)
+    c = B.max(axis=0, keepdims=True)
+    r[~np.isfinite(r)] = 0.0
+    c[~np.isfinite(c)] = 0.0
+    P = np.exp(A - r) @ np.exp(B - c)
+    out = np.full(P.shape, -np.inf)
+    resolved = reach & (P > _UNDERFLOW)
+    with np.errstate(divide="ignore"):
+        out[resolved] = (np.log(P) + r + c)[resolved]
+    for i in np.flatnonzero((reach & ~resolved).any(axis=1)):
+        out[i] = log_matvec_masked(B.T, A[i])
+    return out
+
+
+def log_matvec_masked(A, x):
+    """out_i = lse_j(A_ij + x_j), with the -inf terms masked to 0."""
+    S = A + x[None, :]
+    M = S.max(axis=1)
+    out = np.full(M.shape, -np.inf)
+    finite = np.isfinite(M)
+    if finite.any():
+        with np.errstate(invalid="ignore"):
+            T = np.exp(S - M[:, None])
+        total = np.where(np.isfinite(S), T, 0.0).sum(axis=1)
+        out[finite] = M[finite] + np.log(total[finite])
+    return out

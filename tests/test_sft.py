@@ -458,6 +458,35 @@ def test_load_rejects_duplicate_edge(tmp_path):
         load_system(path)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("# c\n2 3\n0 1 0.5 0.0\n", 2, "expected a single state count"),
+    ("\ntwo\n0 1 0.5 0.0\n", 2, "bad state count 'two'"),
+    ("0\n0 1 0.5 0.0\n", 1, "state count must be >= 1"),
+    ("2\n0 1 0.5 0.0\n\n1 0 0.5\n0 0 x 0.0\n", 4,
+     "expected 'i j a phi', got 3 fields"),
+    ("2\n0 1 0.5 0.0\n1.0 0 0.5 0.0\n", 3, "could not parse edge '1.0 0 0.5 0.0'"),
+    ("2\n0 1 0.5 0.0\n# c\n1 -1 0.5 0.0\n", 4, "edge (1, -1) out of range for n=2"),
+    ("2\n0 1 0.5 0.0\n1 0 0.5 inf\n0 1 0.5 0.0\n", 3, "edge weights must be finite"),
+    ("2\n1 0 0.5 0.0\n0 1 0.5 0.0\n1 1 0.5 0.0\n0 1 nan 0.0\n", 5,
+     "edge weights must be finite"),
+    ("2\n1 0 0.5 0.0\n0 1 0.5 0.0\n1 1 0.5 0.0\n0 1 0.2 0.0\n1 5 0.5 0.0\n",
+     5, "duplicate edge (0, 1)"),
+    ("2\n0 1 0.5 0.0\n1 0 0.5 0.0\n0 1 0.2 0.0\n1 0 1e999999 0.0\n", 4,
+     "duplicate edge (0, 1)"),
+    ("2\n0 1 0.5 0.0\n99999999999999999999 0 0.5 0.0\n0 1 0.5 0.0\n", 3,
+     "edge (99999999999999999999, 0) out of range for n=2"),
+])
+def test_load_error_names_its_line(tmp_path, text, line, message):
+    # each error names the first line that breaks a rule, checked in the
+    # order: fields, parse, range, finiteness, duplicate
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as exc:
+        load_system(path)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
 def test_load_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text(

@@ -211,6 +211,27 @@ def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
     assert max(d.iterations for _, _, d in solves[60:]) <= 3, point
 
 
+def test_refine_8_report_plain_step_count(monkeypatch):
+    # the whole refine-8 report at (1/2, 0), sweep and find_gap_beta, takes
+    # about 1 900 plain power steps, and no solve reaches the squaring stage
+    steps, plain = [], pressure._plain_power_stage
+
+    def counting(*args):
+        out = plain(*args)
+        steps.append(out[-1])
+        return out
+
+    def squaring(*args):
+        raise AssertionError("a refine-8 solve reached the squaring stage")
+
+    monkeypatch.setattr(pressure, "_plain_power_stage", counting)
+    monkeypatch.setattr(pressure, "_squared_power_stage", squaring)
+    report = catmap.orbit_damping_report(2.0 ** -8, point=(Fraction(1, 2), 0),
+                                         beta_max=50.0)
+    assert report["decays"]
+    assert sum(steps) <= 2_100
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        first=st.sampled_from([0.0, 0.3, 2.0]),
