@@ -17,10 +17,11 @@ point misses by more than 1e-9, and the map is iterated in exact
 rationals, so codings of rational points are reproducible.
 
 MarkovCoding is the one cat-map object: it codes points and refines the
-coding to words of a fixed length, refusing an order whose words cannot
-fit in physical memory.  A refinement expresses damping supported off a
-neighborhood of a periodic orbit, and orbit_damping_report runs the full
-pressure-decay computation for one orbit.
+coding to words of a fixed length, held as base-3 codes, refusing an
+order whose words cannot fit in physical memory.  A refinement expresses
+damping supported off a neighborhood of a periodic orbit, and
+orbit_damping_report runs the full pressure-decay computation for one
+orbit.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ _SQRT5 = math.sqrt(5.0)
 BOUNDARY_MARGIN = 1e-9
 # log of the expanding eigenvalue g^2 = (3 + sqrt 5)/2, in nats per step
 LYAPUNOV = math.log((3 + _SQRT5) / 2.0)
-# bytes per refined state of a catmap run (words, their index, the edge
-# lists, the solvers' vectors): peak RSS of `catmap --refine k --point
-# 1/2,0 --beta-max 50` is 99, 152 and 280 MB at k = 10, 11 and 12, that is
-# 741 and 681 B per added state
-STATE_BYTES = 700
+# bytes per refined state of a catmap run (codes, edge arrays, the
+# solvers' vectors and measures): peak RSS of `catmap --refine k --point
+# 1/2,0 --beta-max 50` is 87, 121, 199 and 413 MB at k = 10, 11, 12 and
+# 13, that is 468, 418 and 435 B per added state, rounded up
+STATE_BYTES = 500
 
 
 class Qs5:
@@ -185,24 +186,42 @@ def _classify(x, y):
     return hits[0]
 
 
+def _window_codes(itinerary, length):
+    """Base-3 codes of the cyclic windows of the given length, one per
+    start of the itinerary."""
+    p = len(itinerary)
+    at = (np.arange(p)[:, None] + np.arange(length)) % p
+    return np.asarray(itinerary, dtype=np.int64)[at] @ 3 ** np.arange(
+        length - 1, -1, -1, dtype=np.int64)
+
+
 class SymbolicRefinement:
     """Subshift on words of length order+1 of the partition coding,
-    conjugate to the original system; states are the sorted admissible
-    words, edges are overlaps.  Holds the word list and the word -> state
-    index that MarkovCoding.refine built."""
+    conjugate to the original system; edges are overlaps.  States are the
+    admissible words in lexicographic order, held as their ascending
+    base-3 codes: word w has code sum_i w_i 3^(order-i), and for words of
+    one length lexicographic order is numeric order of the codes."""
 
-    def __init__(self, order, words, index, graph):
+    def __init__(self, order, codes, graph):
         self.order = order
-        self.words = words
+        self.codes = codes
         self.graph = graph
-        self._index = index
 
     @property
     def n_states(self):
-        return len(self.words)
+        return self.codes.size
 
     def state_of_word(self, word):
-        return self._index[tuple(word)]
+        """State of an admissible word of length order+1; KeyError for any
+        other word, so that no word aliases another's code."""
+        word = tuple(word)
+        if len(word) != self.order + 1 or any(s not in (0, 1, 2) for s in word):
+            raise KeyError(word)
+        code = _window_codes(word, len(word))[0]
+        i = int(np.searchsorted(self.codes, code))
+        if i == self.codes.size or self.codes[i] != code:
+            raise KeyError(word)
+        return i
 
     def __repr__(self):
         return f"SymbolicRefinement(order={self.order}, states={self.n_states})"
@@ -239,35 +258,27 @@ class MarkovCoding:
         if order < 0:
             raise ValueError("order must be >= 0")
         if order not in self._refinements:
-            # count the words by the recurrence of PARTITION_MATRIX and
-            # refuse, before building any, an order that cannot fit
+            # count the words by last symbol and refuse, before building
+            # any, an order that cannot fit
+            allowed = np.array(PARTITION_MATRIX, dtype=bool)
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            counts = [1, 1, 1]
+            counts = np.ones(3, dtype=np.int64)
             for _ in range(order):
-                counts = [sum(c * row[t]
-                              for c, row in zip(counts, PARTITION_MATRIX))
-                          for t in range(3)]
-                if sum(counts) * STATE_BYTES > memory:
+                counts = counts @ allowed
+                if counts.sum() * STATE_BYTES > memory:
                     raise ValueError(
-                        f"refinement order {order} has at least {sum(counts)}"
+                        f"refinement order {order} has at least {counts.sum()}"
                         f" states, beyond physical memory at {STATE_BYTES} B"
                         " each")
-            words = [(s,) for s in range(3)]
+            codes = np.arange(3, dtype=np.int64)
             for _ in range(order):
-                words = [w + (t,) for w in words for t in range(3)
-                         if PARTITION_MATRIX[w[-1]][t]]
-            words.sort()
-            # u -> u[1:] + (t,): row-major, as words are sorted and t rises
-            index = {w: i for i, w in enumerate(words)}
-            ends = np.fromiter((w[-1] for w in words), np.intp, len(words))
-            src = np.repeat(np.arange(len(words)),
-                            np.sum(PARTITION_MATRIX, axis=1)[ends])
-            dst = np.fromiter((index[w[1:] + (t,)] for w in words for t in
-                               range(3) if PARTITION_MATRIX[w[-1]][t]),
-                              np.intp, len(src))
+                i, t = np.nonzero(allowed[codes % 3])
+                codes = 3 * codes[i] + t
+            # u -> (u mod 3^order)*3 + t: row-major, as codes rise and t rises
+            src, t = np.nonzero(allowed[codes % 3])
+            dst = np.searchsorted(codes, codes[src] % 3 ** order * 3 + t)
             self._refinements[order] = SymbolicRefinement(
-                order, words, index, TransitionGraph(len(words), src, dst)
-            )
+                order, codes, TransitionGraph(codes.size, src, dst))
         return self._refinements[order]
 
 
@@ -318,10 +329,7 @@ def damping_from_orbit(coding: MarkovCoding, orbit, epsilon: float,
     CyclicWord(coding.graph, itinerary)  # admissibility check
     order = refinement_for_scale(epsilon)
     ref = coding.refine(order)
-    p = len(itinerary)
-    windows = {tuple(itinerary[(t + i) % p] for i in range(order))
-               for t in range(p)}
-    zero_source = np.array([w[:order] in windows for w in ref.words])
+    zero_source = np.isin(ref.codes // 3, _window_codes(itinerary, order))
     graph = ref.graph
     return EdgePotential(graph, np.where(zero_source[graph.src], 0.0, strength))
 
@@ -335,15 +343,9 @@ def expansion_potential(refinement: SymbolicRefinement) -> EdgePotential:
 
 def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> tuple:
     """Edges of the orbit in the refined graph: consecutive windows."""
-    p = len(itinerary)
-    k = ref.order
-
-    def window(t):
-        return tuple(itinerary[(t + i) % p] for i in range(k + 1))
-
-    states = [ref.state_of_word(window(t)) for t in range(p)]
-    edges = {(states[t], states[(t + 1) % p]) for t in range(p)}
-    return tuple(sorted(edges))
+    states = np.searchsorted(ref.codes, _window_codes(itinerary, ref.order + 1))
+    return tuple(sorted({(int(u), int(v))
+                         for u, v in zip(states, np.roll(states, -1))}))
 
 
 def orbit_damping_report(epsilon: float, strength: float = 1.0,

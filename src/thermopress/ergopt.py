@@ -187,12 +187,6 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
     if abs(a0) > 1e-12:
         raise ValueError(f"minimum average is {a0!r}, not 0: no trajectory "
                          "avoids the weight entirely")
-    return _noncontrolled_edges(graph, a)
-
-
-def _noncontrolled_edges(graph, a):
-    """noncontrolled_set without its checks, for a weight already known to
-    be nonnegative with minimum average zero."""
     zero = a.values == 0.0
     src, dst = graph.src[zero], graph.dst[zero]
     seeds = np.unique([v for group in _edge_subgraph_components(graph, src, dst)
@@ -248,14 +242,12 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
 @dataclass(frozen=True)
 class MinimizationResult:
     """Everything the minimization yields: the optimal average, a witness
-    cycle attaining it, the critical edge set, the zero-weight edge set
-    (None unless the weight is nonnegative with zero minimum), and
-    optionally the pressure of a second potential on the critical set."""
+    cycle attaining it, the critical edge set, and optionally the pressure
+    of a second potential on the critical set."""
 
     value: float
     witness_cycle: CyclicWord
     critical_edges: tuple
-    noncontrolled_edges: tuple | None
     restricted_pressure: float | None = None
 
 
@@ -264,8 +256,7 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
     a0, critical, witness = _critical(graph, a)
-    zero = a.min() >= 0 and abs(a0) <= 1e-12
     return MinimizationResult(
-        a0, witness, critical, _noncontrolled_edges(graph, a) if zero else None,
+        a0, witness, critical,
         None if phi is None else pressure_on_set(graph, phi, critical))
 

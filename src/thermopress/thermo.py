@@ -173,11 +173,14 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
             t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
             start = _predicted_start(*solved, t)
         eq = equilibrium_state(graph, _damped(phi, a, beta), start=start)
-        solved = [*solved[-1:], eq]
         if beta == 0:  # the cold solve of phi itself
             pressure_phi = eq.log_lambda
         rows.append((eq.log_lambda + beta * a0, integrate(a, eq.measure),
                      ks_entropy(eq.measure), integrate(phi, eq.measure)))
+        # only the Perron vectors are kept: the measure goes before the
+        # next solve
+        solved = [*solved[-1:], SimpleNamespace(right=eq.right, left=eq.left)]
+        del eq
     values, avgs, ents, phis = map(np.array, zip(*rows))
     if pressure_phi is None:
         pressure_phi = pressure_transfer(graph, phi).value

@@ -5,8 +5,9 @@ summed row by row over (stationary, transitions), Karp's min-mean-cycle
 recurrence with its dense table, the conversions between a graph
 and its dense 0-1 adjacency matrix, the log-space matrix products with
 their finiteness masks formed on every call, the damped-wave leapfrog written
-with np.roll, and the cat-map cell classifier that decides every
-candidate cell exactly.  None of this is on a library path; the library
+with np.roll, the cat-map cell classifier that decides every
+candidate cell exactly, and the words of a refinement decoded from its
+base-3 state codes.  None of this is on a library path; the library
 computes the same quantities from matrix powers and Perron vectors,
 steps the wave with slice stencils into preallocated arrays, and rules
 out far cells in floats before deciding the rest exactly."""
@@ -215,6 +216,13 @@ def classify_exact(x, y):
             f"point ({x}, {y}) hit {len(hits)} rectangles; tiling broken"
         )
     return hits[0][0]
+
+
+def refinement_words(ref) -> list:
+    """The words of a SymbolicRefinement's states, in state order: each
+    base-3 code read back into order+1 symbols, most significant first."""
+    powers = 3 ** np.arange(ref.order, -1, -1, dtype=np.int64)
+    return [tuple(w) for w in (ref.codes[:, None] // powers % 3).tolist()]
 
 
 def log_matmul_masked(A, B):

@@ -1,5 +1,6 @@
 """Torus automorphism coding, refinements, orbit damping, decay report."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from thermopress.pressure import pressure_transfer
 from thermopress.sft import CyclicWord, EdgePotential
 from thermopress.thermo import find_gap_beta
 
-from .oracles import classify_exact
+from .oracles import classify_exact, refinement_words
 
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 LAMBDA = 2.0 * LOG_GOLDEN  # log of the expanding eigenvalue
@@ -152,7 +153,9 @@ def test_refinement_state_counts():
     for order, count in [(0, 3), (1, 8), (2, 21), (3, 55), (4, 144)]:
         ref = coding.refine(order)
         assert ref.n_states == count
-        assert all(len(w) == order + 1 for w in ref.words)
+        assert refinement_words(ref) == [
+            w for w in itertools.product(range(3), repeat=order + 1)
+            if all(PARTITION_MATRIX[s][t] for s, t in zip(w, w[1:]))]
     assert coding.refine(4).graph.n_edges == 377
     B = np.array(PARTITION_MATRIX, dtype=np.int64)
     row = np.ones(3, dtype=np.int64)  # words of length order+1 by last symbol
@@ -166,7 +169,7 @@ def test_refined_edges_follow_overlap_rule():
     # u by one symbol that the partition matrix allows after u's last
     coding = MarkovCoding()
     for order in range(6):
-        words = coding.refine(order).words
+        words = refinement_words(coding.refine(order))
         expected = [(u, v) for u, wu in enumerate(words)
                     for v, wv in enumerate(words)
                     if wu[1:] == wv[:-1] and PARTITION_MATRIX[wu[-1]][wv[-1]]]
@@ -175,15 +178,17 @@ def test_refined_edges_follow_overlap_rule():
 
 def test_refine_memory_is_per_edge():
     # order 9 has 17711 states and 46368 edges; an n x n bool mask of the
-    # edge set alone would take 314 MB
+    # edge set alone would take 314 MB.  What the refinement keeps is its
+    # codes and edge arrays, a few dozen bytes per state
     tracemalloc.start()
     try:
         ref = MarkovCoding().refine(9)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (ref.n_states, ref.graph.n_edges) == (17711, 46368)
     assert peak < 32 * 2**20
+    assert kept <= 100 * ref.n_states
 
 
 def test_minimize_memory_is_per_edge():
@@ -220,7 +225,21 @@ def test_refinement_encode_point_matches_code():
     ref = coding.refine(2)
     p = (Fraction(3, 7), Fraction(2, 7))
     state = ref.state_of_word(coding.code(p, ref.order + 1))
-    assert ref.words[state] == coding.code(p, 3)
+    assert refinement_words(ref)[state] == coding.code(p, 3)
+
+
+def test_state_of_word_rejects_words_without_a_state():
+    # codes collide where words do not: (0, 3) encodes 3 like (1, 0), and
+    # (1, -1) encodes 2 like (0, 2); each word without a state raises
+    ref = MarkovCoding().refine(1)
+    for i, word in enumerate(refinement_words(ref)):
+        assert ref.state_of_word(word) == i
+        assert ref.state_of_word(np.array(word)) == i
+    for word in [(0,), (0, 0, 0), (),                 # wrong length
+                 (0, 3), (1, -1), (-1, 0), (0, 1.5),  # symbols outside 0..2
+                 (1, 2)]:                             # inadmissible: 1 -> 2
+        with pytest.raises(KeyError):
+            ref.state_of_word(word)
 
 
 def test_refinement_rejects_negative_order():
@@ -302,8 +321,9 @@ def test_damping_zero_set_matches_window_rule():
     a = damping_from_orbit(coding, orbit, eps, strength=0.8)
     ref = coding.refine(3)
     assert a.graph.same_graph(ref.graph)
+    words = refinement_words(ref)
     for i, j in ref.graph.edges():
-        word = ref.words[i]
+        word = words[i]
         expected = 0.0 if word[:3] == (0, 0, 0) else 0.8
         assert a.value(i, j) == expected
     assert a.min() == 0.0

@@ -474,7 +474,7 @@ def test_minimize_report_fields():
     res = minimize(g, a, phi)
     assert res.value == 0.0
     assert res.critical_edges == ((0, 0), (2, 2))
-    assert res.noncontrolled_edges == ((0, 0), (0, 1), (1, 2), (2, 2))
+    assert noncontrolled_set(g, a) == ((0, 0), (0, 1), (1, 2), (2, 2))
     assert res.restricted_pressure == pytest.approx(0.0, abs=1e-12)
     # witness is one of the two loops
     assert tuple(res.witness_cycle.states) in ((0,), (2,))
@@ -496,6 +496,8 @@ def test_minimize_skips_noncontrolled_when_undefined():
     a = EdgePotential.constant(g, 0.3)
     res = minimize(g, a)
     assert res.value == pytest.approx(0.3, abs=1e-15)
-    assert res.noncontrolled_edges is None
     assert res.restricted_pressure is None
+    # the noncontrolled set is defined only at minimum average zero
+    with pytest.raises(ValueError, match="not 0"):
+        noncontrolled_set(g, a)
 
