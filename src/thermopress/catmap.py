@@ -341,11 +341,12 @@ def expansion_potential(refinement: SymbolicRefinement) -> EdgePotential:
     return EdgePotential.constant(refinement.graph, -0.5 * LYAPUNOV)
 
 
-def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> tuple:
-    """Edges of the orbit in the refined graph: consecutive windows."""
+def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> np.ndarray:
+    """Ascending ids of the orbit's edges in the refined graph: from each
+    window to the next."""
     states = np.searchsorted(ref.codes, _window_codes(itinerary, ref.order + 1))
-    return tuple(sorted({(int(u), int(v))
-                         for u, v in zip(states, np.roll(states, -1))}))
+    return np.unique([ref.graph.edge_id(u, v) for u, v in
+                      zip(states.tolist(), np.roll(states, -1).tolist())])
 
 
 def orbit_damping_report(epsilon: float, strength: float = 1.0,
@@ -355,12 +356,14 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     epsilon-neighborhood of one periodic orbit of the cat map.
 
     Builds the refinement matching epsilon, the orbit-window damping, and
-    the expansion potential, then checks whether the critical edge set is
-    exactly the orbit.  If it is (epsilon below the isolation threshold),
-    runs the damped pressure curve, audits it, and finds the strength
-    where the pressure turns negative (find_gap_beta: warm-started Newton
-    with certified signs).  Otherwise reports the above-threshold regime,
-    which is a finding, not an error.  All values are plain JSON types.
+    the expansion potential, then checks whether the critical edge set
+    (ascending edge ids) is exactly the orbit's.  If it is (epsilon below
+    the isolation threshold), runs the damped pressure curve, audits it,
+    and finds the strength where the pressure turns negative
+    (find_gap_beta: warm-started Newton with certified signs).  Otherwise
+    reports the above-threshold regime, which is a finding, not an error.
+    All values are plain JSON types; undamped_edges lists the critical
+    edges as [i, j] pairs in edge order.
     entropy is LYAPUNOV, as a higher-block recoding keeps h_top; each
     other number comes from one solve: pressure_undamped from the curve's
     beta = 0 point (from its own solve above the threshold), and
@@ -374,8 +377,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     a = damping_from_orbit(coding, orbit, epsilon, strength)
     phi = expansion_potential(ref)
     result = minimize(ref.graph, a, phi)
-    orbit_edges = _lift_orbit_edges(ref, orbit.states)
-    isolated = result.critical_edges == orbit_edges
+    crit = result.critical_edges
+    isolated = np.array_equal(crit, _lift_orbit_edges(ref, orbit.states))
     curve = thermo_curve(ref.graph, a, phi,
                          default_schedule(beta_max, beta_step),
                          minimization=result) if isolated else None
@@ -390,7 +393,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
         "orbit_itinerary": list(orbit.states),
         "strength": float(strength),
         "min_average": result.value,
-        "undamped_edges": [list(e) for e in result.critical_edges],
+        "undamped_edges": np.column_stack(
+            (ref.graph.src[crit], ref.graph.dst[crit])).tolist(),
         "pressure_on_undamped": result.restricted_pressure,
         "pressure_undamped": (curve.pressure_phi if isolated
                               else pressure_transfer(ref.graph, phi).value),

@@ -4,7 +4,7 @@ The minimum of the time average over all invariant measures equals the
 minimum mean weight over cycles, so the core computation is a min mean
 cycle: one Howard policy iteration on the whole graph, which yields per
 state the least reachable cycle mean and a bias.  From that one solve
-this module extracts
+this module extracts (each edge set as an array of ascending edge ids)
 
 * a witness cycle achieving the minimum, a cycle of the final policy,
 * the critical edge set: edges lying on minimizing cycles, found as the
@@ -121,31 +121,27 @@ def min_average(graph: TransitionGraph, a: EdgePotential) -> float:
     return float(_howard(graph, a)[0].min())
 
 
-def _edge_subgraph_components(graph, src, dst):
-    """Cyclic strongly connected node sets of the subgraph on the edges
-    (src[k], dst[k]), plus the edges internal to each, in input order."""
+def _cyclic_edges(graph, ids):
+    """Those of the ascending edge ids that lie on a cycle of the subgraph
+    they span, and the strong component label of each state there."""
     n = graph.n_states
-    sub = csr_matrix((np.ones(len(src), dtype=bool), (src, dst)), shape=(n, n))
-    sub.sum_duplicates()  # sorted unique indices fix the component labels
-    _, labels = connected_components(sub, directed=True, connection="strong")
-    groups = {}
-    for i, j in zip(src.tolist(), dst.tolist()):
-        if labels[i] == labels[j]:
-            groups.setdefault(labels[i], []).append((i, j))
-    return [sorted(g) for _, g in sorted(groups.items())]
+    src, dst = graph.src[ids], graph.dst[ids]
+    _, labels = connected_components(
+        csr_matrix((np.ones(ids.size, dtype=bool), (src, dst)), shape=(n, n)),
+        directed=True, connection="strong")
+    return ids[labels[src] == labels[dst]], labels
 
 
 def _critical(graph, a):
     """The one min-mean-cycle solve behind undamped_set and minimize: the
-    optimal average a0, the sorted critical edges (the cyclic part of the
-    edges that are tight for the bias, between states whose cycle mean is
-    within tol of a0) and a witness cycle of the final policy, checked to
-    attain a0."""
+    optimal average a0, the ascending ids of the critical edges (the
+    cyclic part of the edges that are tight for the bias, between states
+    whose cycle mean is within tol of a0) and a witness cycle of the final
+    policy, checked to attain a0."""
     eta, h, policy, tol = _howard(graph, a)
     src, dst, a0 = graph.src, graph.dst, eta.min()
     tight = ((eta[src] <= a0 + tol) & (eta[dst] <= a0 + tol)
              & (a.values - a0 + h[dst] - h[src] <= tol))
-    groups = _edge_subgraph_components(graph, src[tight], dst[tight])
     # walk the policy from the least state with eta == a0 into its cycle
     succ, seen, v = graph.dst[policy], {}, int(eta.argmin())
     while v not in seen:
@@ -156,24 +152,23 @@ def _critical(graph, a):
     if abs(wmean - a0) > 1e-12 * max(1.0, abs(a0)) + len(cycle) * tol:
         raise InvariantViolation(
             f"witness mean {wmean!r} deviates from optimum {a0!r}")
-    return (float(a0), tuple(sorted(e for g in groups for e in g)),
+    return (float(a0), _cyclic_edges(graph, np.flatnonzero(tight))[0],
             CyclicWord(graph, tuple(cycle)))
 
 
-def undamped_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
-    """Edges lying on cycles that achieve the minimum mean weight: edges
-    tight for the policy-iteration bias, restricted to the cyclic part.
-
-    Returned sorted; the subgraph they span carries every minimizing
-    invariant measure.
+def undamped_set(graph: TransitionGraph, a: EdgePotential) -> np.ndarray:
+    """Edges lying on cycles that achieve the minimum mean weight, as
+    ascending edge ids: edges tight for the policy-iteration bias,
+    restricted to the cyclic part.  The subgraph they span carries every
+    minimizing invariant measure.
     """
     return _critical(graph, a)[1]
 
 
-def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
+def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> np.ndarray:
     """Edges of bi-infinite admissible trajectories along which the weight
-    vanishes identically: within the exact-zero subgraph, edges reachable
-    from a zero cycle and leading back to one.
+    vanishes identically, as ascending edge ids: within the exact-zero
+    subgraph, edges reachable from a zero cycle and leading back to one.
 
     Defined only for a nonnegative weight whose minimum average is zero
     (within 1e-12); otherwise no such trajectory exists and the call is a
@@ -187,10 +182,9 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
     if abs(a0) > 1e-12:
         raise ValueError(f"minimum average is {a0!r}, not 0: no trajectory "
                          "avoids the weight entirely")
-    zero = a.values == 0.0
+    zero = np.flatnonzero(a.values == 0.0)
     src, dst = graph.src[zero], graph.dst[zero]
-    seeds = np.unique([v for group in _edge_subgraph_components(graph, src, dst)
-                       for e in group for v in e]).astype(np.intp)
+    seeds = graph.src[_cyclic_edges(graph, zero)[0]]  # repeats are harmless
     n = graph.n_states
 
     def reached(tails, heads):
@@ -204,50 +198,53 @@ def noncontrolled_set(graph: TransitionGraph, a: EdgePotential) -> tuple:
         mask[breadth_first_order(adj, n, return_predecessors=False)] = True
         return mask
 
-    keep = reached(src, dst)[src] & reached(dst, src)[dst]
-    return tuple(zip(src[keep].tolist(), dst[keep].tolist()))
+    return zero[reached(src, dst)[src] & reached(dst, src)[dst]]
 
 
 def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
                     edges) -> float:
     """Pressure of phi restricted to the subsystem spanned by the given
-    edges: the max log Perron root over the cyclic strongly connected
-    pieces of that subgraph."""
+    edge ids, ascending or not (a repeated id counts once): the max log
+    Perron root over the cyclic strongly connected pieces of that
+    subgraph."""
     if not phi.graph.same_graph(graph):
         raise ValueError("potential lives on a different graph")
-    ids = {}  # edge -> its position in the graph's edge arrays
-    for i, j in edges:
-        try:
-            ids[i, j] = graph.edge_id(i, j)
-        except KeyError:
-            raise ValueError(f"edge {(i, j)} is not allowed in the graph") from None
-    k = np.array(list(ids.values()), dtype=np.intp)
-    groups = _edge_subgraph_components(graph, graph.src[k], graph.dst[k])
-    if not groups:
+    ids = np.asarray(edges)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"edges must be integer edge ids, got {ids.dtype} "
+                         f"of shape {ids.shape}")
+    if ids.size and not 0 <= ids.min() <= ids.max() < graph.n_edges:
+        raise ValueError(f"edge ids must lie in 0..{graph.n_edges - 1}")
+    ids = np.flatnonzero(np.bincount(ids.astype(np.intp),  # sorted, unique
+                                     minlength=graph.n_edges))
+    keep, labels = _cyclic_edges(graph, ids)
+    if not keep.size:
         raise ZeroMassError(
             "edge set spans no cycles: no invariant measure lives on it")
+    piece_of = labels[graph.src[keep]]
+    order = np.argsort(piece_of, kind="stable")
     best = -np.inf
-    for group in groups:
-        # sorted edges keep row-major order under the monotone relabeling
-        src, dst = np.array(group).T
-        nodes, local = np.unique(np.concatenate([src, dst]),
-                                 return_inverse=True)
-        piece = EdgePotential(
-            TransitionGraph(nodes.size, local[:src.size], local[src.size:]),
-            phi.values[[ids[e] for e in group]])
-        best = max(best, perron(piece).log_rho)
+    for piece in np.split(keep[order],
+                          np.flatnonzero(np.diff(piece_of[order])) + 1):
+        # a piece's states are its sources; ascending ids keep row-major
+        # order under the monotone relabeling
+        src, dst = graph.src[piece], graph.dst[piece]
+        nodes, local = np.unique(src, return_inverse=True)
+        sub = TransitionGraph(nodes.size, local, np.searchsorted(nodes, dst))
+        best = max(best, perron(EdgePotential(sub, phi.values[piece])).log_rho)
     return float(best)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimizationResult:
-    """Everything the minimization yields: the optimal average, a witness
-    cycle attaining it, the critical edge set, and optionally the pressure
-    of a second potential on the critical set."""
+    """Everything the minimization yields, compared by identity: the
+    optimal average, a witness cycle attaining it, the critical edge set
+    as ascending edge ids, and optionally the pressure of a second
+    potential on the critical set."""
 
     value: float
     witness_cycle: CyclicWord
-    critical_edges: tuple
+    critical_edges: np.ndarray
     restricted_pressure: float | None = None
 
 

@@ -244,10 +244,9 @@ class CyclicWord:
         if len(states) < 1:
             raise ValueError("cyclic word must have length >= 1")
         for i, j in zip(states, states[1:] + states[:1]):
-            try:
-                self.graph.edge_id(i, j)
-            except KeyError:
-                raise ValueError(f"transition ({i}, {j}) is forbidden") from None
+            if not (0 <= i < self.graph.n_states
+                    and j in self.graph.successors(i)):
+                raise ValueError(f"transition ({i}, {j}) is forbidden")
         object.__setattr__(self, "states", states)
 
     def __len__(self):

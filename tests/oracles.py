@@ -3,7 +3,8 @@ words with their Birkhoff sums, Markov measures built from a dense
 transition matrix by plain power iteration, edge averages and entropy
 summed row by row over (stationary, transitions), Karp's min-mean-cycle
 recurrence with its dense table, the conversions between a graph
-and its dense 0-1 adjacency matrix, the log-space matrix products with
+and its dense 0-1 adjacency matrix and from edge ids to (i, j) pairs,
+the log-space matrix products with
 their finiteness masks formed on every call, the damped-wave leapfrog written
 with np.roll, the cat-map cell classifier that decides every
 candidate cell exactly, and the words of a refinement decoded from its
@@ -39,6 +40,17 @@ def mask_of_graph(graph) -> np.ndarray:
     A = np.zeros((graph.n_states, graph.n_states), dtype=bool)
     A[graph.src, graph.dst] = True
     return A
+
+
+def edge_pairs(graph, ids) -> tuple:
+    """The sorted tuple of (i, j) pairs of strictly ascending edge ids, the
+    form the cycle-enumerating oracles give edge sets in; ids that are not
+    strictly ascending are an error, so the comparison also checks order."""
+    ids = np.asarray(ids)
+    if (ids.ndim != 1 or ids.dtype.kind not in "iu"
+            or np.any(np.diff(ids) <= 0)):
+        raise AssertionError(f"not strictly ascending edge ids: {ids!r}")
+    return tuple(zip(graph.src[ids].tolist(), graph.dst[ids].tolist()))
 
 
 class EnumerationCapError(ThermopressError):

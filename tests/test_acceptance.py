@@ -47,7 +47,8 @@ from thermopress.wave import (
     spectrum_gap,
 )
 
-from .oracles import MarkovMeasure, graph_from_mask, mask_of_graph
+from .oracles import (MarkovMeasure, edge_pairs, graph_from_mask,
+                      mask_of_graph)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -180,7 +181,7 @@ def _critical_set_invariants(g, a):
     a0 = min_average(g, a)
     cycles = _simple_cycles(g)
     assert a0 == min(_cycle_mean(a, c) for c in cycles)
-    K = undamped_set(g, a)
+    K = edge_pairs(g, undamped_set(g, a))
     kset = set(K)
     # every invariant measure on K averages a to a0: equivalently every
     # simple cycle lying inside K has mean exactly a0
@@ -192,7 +193,7 @@ def _critical_set_invariants(g, a):
         # the weight vanishes identically on the critical set
         for i, j in K:
             assert a.value(i, j) == 0.0
-        assert kset <= set(noncontrolled_set(g, a))
+        assert kset <= set(edge_pairs(g, noncontrolled_set(g, a)))
 
 
 def test_criterion_3_ergodic_optimization():
@@ -222,8 +223,8 @@ def test_criterion_3_ergodic_optimization():
             _critical_set_invariants(g, a)
         # strict inclusion on the dedicated builtin
         g, a, _ = two_loops_path_instance()
-        K = set(undamped_set(g, a))
-        N = set(noncontrolled_set(g, a))
+        K = set(edge_pairs(g, undamped_set(g, a)))
+        N = set(edge_pairs(g, noncontrolled_set(g, a)))
         assert K < N
 
 

@@ -24,11 +24,11 @@ from thermopress.catmap import (
     refinement_for_scale,
 )
 from thermopress.ergopt import noncontrolled_set, pressure_on_set, undamped_set
-from thermopress.pressure import pressure_transfer
-from thermopress.sft import CyclicWord, EdgePotential
+from thermopress.pressure import perron, pressure_transfer
+from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
 from thermopress.thermo import find_gap_beta
 
-from .oracles import classify_exact, refinement_words
+from .oracles import classify_exact, edge_pairs, refinement_words
 
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 LAMBDA = 2.0 * LOG_GOLDEN  # log of the expanding eigenvalue
@@ -209,6 +209,25 @@ def test_minimize_memory_is_per_edge():
     assert peak < 16 * 2**20
 
 
+def test_zero_damping_edge_sets_at_refinement_scale(monkeypatch):
+    # without damping every edge is critical and noncontrolled, and the
+    # pressure restricted to all of them is the plain one, bit for bit;
+    # edge sets stay arrays of ids, so no per-edge lookup runs
+    ref = MarkovCoding().refine(8)
+    g = ref.graph
+    a = EdgePotential.constant(g, 0.0)
+    phi = expansion_potential(ref)
+
+    def lookup(*args):
+        raise AssertionError("per-edge lookup on a refinement")
+
+    monkeypatch.setattr(TransitionGraph, "edge_id", lookup)
+    res = ergopt.minimize(g, a, phi)
+    assert np.array_equal(res.critical_edges, np.arange(g.n_edges))
+    assert np.array_equal(noncontrolled_set(g, a), np.arange(g.n_edges))
+    assert res.restricted_pressure == perron(phi).log_rho
+
+
 def test_refinement_preserves_entropy():
     # a higher-block recoding keeps h_top, which orbit_damping_report
     # reports as LYAPUNOV without a solve; here each order is solved
@@ -305,7 +324,8 @@ def test_orbit_pressure_bound_value():
     coding = MarkovCoding()
     w = periodic_itinerary(coding, (0, 0))
     val = pressure_on_set(coding.graph, expansion_potential(coding.refine(0)),
-                          sorted(set(w.edges())))
+                          [coding.graph.edge_id(i, j)
+                           for i, j in sorted(set(w.edges()))])
     assert val == pytest.approx(-LAMBDA / 2.0, abs=1e-12)
     assert val < 0
 
@@ -365,8 +385,9 @@ def test_fixed_orbit_isolated_at_every_positive_order():
         a = damping_from_orbit(coding, orbit, eps)
         ref = coding.refine(order)
         z = ref.state_of_word((0,) * (order + 1))
-        assert undamped_set(ref.graph, a) == ((z, z),)
-        assert noncontrolled_set(ref.graph, a) == ((z, z),)
+        assert edge_pairs(ref.graph, undamped_set(ref.graph, a)) == ((z, z),)
+        assert (edge_pairs(ref.graph, noncontrolled_set(ref.graph, a))
+                == ((z, z),))
 
 
 def test_half_expansion_and_potential():

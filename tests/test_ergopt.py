@@ -31,8 +31,8 @@ from thermopress.sft import (
     golden_mean_shift,
 )
 
-from .oracles import (birkhoff_sum, graph_from_mask, karp_min_mean,
-                      mask_of_graph)
+from .oracles import (birkhoff_sum, edge_pairs, graph_from_mask,
+                      karp_min_mean, mask_of_graph)
 
 
 def _simple_cycles(graph):
@@ -187,7 +187,8 @@ def test_min_mean_cycle_matches_karp_and_cycle_oracles(n, kind, tenths, seed):
         tol = 0.0
     a0 = min_average(g, a)
     assert abs(a0 - karp_min_mean(g, a)) <= tol
-    assert undamped_set(g, a) == _brute_critical_edges(g, a, a0)
+    assert (edge_pairs(g, undamped_set(g, a))
+            == _brute_critical_edges(g, a, a0))
     witness = minimize(g, a).witness_cycle
     assert abs(birkhoff_sum(a, witness) / len(witness) - a0) <= tol
 
@@ -211,7 +212,7 @@ def test_cycle_means_that_round_apart_tie(edges, a0, critical):
     g = TransitionGraph(max(src) + 1, src, dst)
     a = EdgePotential(g, np.array(w))
     assert min_average(g, a) == pytest.approx(a0, abs=1e-15)
-    assert undamped_set(g, a) == critical
+    assert edge_pairs(g, undamped_set(g, a)) == critical
 
 
 def _loop_chain(n):
@@ -308,7 +309,7 @@ def test_undamped_set_exhaustive_small_graphs():
                 a = _dyadic_potential(rng, g)
                 a0 = _brute_min_mean(g, a)
                 want = _brute_critical_edges(g, a, a0)
-                assert undamped_set(g, a) == want
+                assert edge_pairs(g, undamped_set(g, a)) == want
                 checked += 1
     assert checked > 60
 
@@ -320,12 +321,13 @@ def test_undamped_set_random_graphs():
         g = _random_graph(rng, n)
         a = _dyadic_potential(rng, g)
         a0 = _brute_min_mean(g, a)
-        assert undamped_set(g, a) == _brute_critical_edges(g, a, a0)
+        assert (edge_pairs(g, undamped_set(g, a))
+                == _brute_critical_edges(g, a, a0))
 
 
 def test_undamped_set_golden_mean_indicator():
     g, a, _ = golden_mean_instance()
-    assert undamped_set(g, a) == ((0, 0),)
+    assert edge_pairs(g, undamped_set(g, a)) == ((0, 0),)
 
 
 def test_weight_vanishes_on_critical_set_when_minimum_is_zero():
@@ -340,7 +342,7 @@ def test_weight_vanishes_on_critical_set_when_minimum_is_zero():
         if min_average(g, a) != 0.0:
             continue
         found += 1
-        for i, j in undamped_set(g, a):
+        for i, j in edge_pairs(g, undamped_set(g, a)):
             assert a.value(i, j) == 0.0
 
 
@@ -391,8 +393,8 @@ def test_noncontrolled_contains_undamped():
         if min_average(g, a) != 0.0:
             continue
         found += 1
-        K = set(undamped_set(g, a))
-        N = noncontrolled_set(g, a)
+        K = set(edge_pairs(g, undamped_set(g, a)))
+        N = edge_pairs(g, noncontrolled_set(g, a))
         assert K <= set(N)
         assert N == _brute_noncontrolled(g, a)
 
@@ -401,8 +403,8 @@ def test_two_loops_path_strict_inclusion():
     # the loops minimize, the connecting path carries no weight: the
     # noncontrolled set strictly exceeds the critical set
     g, a, _ = two_loops_path_instance()
-    K = undamped_set(g, a)
-    N = noncontrolled_set(g, a)
+    K = edge_pairs(g, undamped_set(g, a))
+    N = edge_pairs(g, noncontrolled_set(g, a))
     assert K == ((0, 0), (2, 2))
     assert N == ((0, 0), (0, 1), (1, 2), (2, 2))
     assert set(K) < set(N)
@@ -434,35 +436,45 @@ def test_pressure_on_full_edge_set_is_plain_pressure():
         vals = {e: float(rng.uniform(-1, 1)) for e in g.edges()}
         phi = EdgePotential.from_edges(g, vals)
         want = pressure_transfer(g, phi).value
-        got = pressure_on_set(g, phi, g.edges())
+        got = pressure_on_set(g, phi,
+                              [g.edge_id(i, j) for i, j in g.edges()])
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_pressure_on_subset_is_monotone():
     g, a, phi = two_loops_path_instance()
     sub = pressure_on_set(g, phi, undamped_set(g, a))
-    full = pressure_on_set(g, phi, g.edges())
+    full = pressure_on_set(g, phi, [g.edge_id(i, j) for i, j in g.edges()])
     assert sub <= full + 1e-12
 
 
 def test_pressure_on_single_loop():
     g = golden_mean_shift()
     phi = EdgePotential(g, np.array([[0.25, 0.0], [0.0, 0.0]])[mask_of_graph(g)])
-    assert pressure_on_set(g, phi, [(0, 0)]) == pytest.approx(0.25, abs=1e-12)
+    assert pressure_on_set(g, phi, [g.edge_id(0, 0)]) == pytest.approx(
+        0.25, abs=1e-12)
 
 
 def test_pressure_on_acyclic_subset_raises():
     g = golden_mean_shift()
     phi = EdgePotential.constant(g, 0.0)
     with pytest.raises(ZeroMassError):
-        pressure_on_set(g, phi, [(0, 1)])
+        pressure_on_set(g, phi, [g.edge_id(0, 1)])
 
 
-def test_pressure_on_set_rejects_foreign_edges():
+@pytest.mark.parametrize("edges", [
+    pytest.param([(1, 1)], id="forbidden-pair"),
+    pytest.param([(0, 0), (0, 1)], id="allowed-pairs"),  # ids only
+    pytest.param(np.array([True, False, True]), id="mask"),  # not ids 0, 1
+    pytest.param([-1], id="negative"),  # would index from the end
+    pytest.param([3], id="past-the-end"),  # the golden mean shift has 3
+    pytest.param([0.0, 1.0], id="floats"),
+])
+def test_pressure_on_set_rejects_foreign_edges(edges):
     g = golden_mean_shift()
     phi = EdgePotential.constant(g, 0.0)
     with pytest.raises(ValueError):
-        pressure_on_set(g, phi, [(1, 1)])
+        pressure_on_set(g, phi, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +485,9 @@ def test_minimize_report_fields():
     g, a, phi = two_loops_path_instance()
     res = minimize(g, a, phi)
     assert res.value == 0.0
-    assert res.critical_edges == ((0, 0), (2, 2))
-    assert noncontrolled_set(g, a) == ((0, 0), (0, 1), (1, 2), (2, 2))
+    assert edge_pairs(g, res.critical_edges) == ((0, 0), (2, 2))
+    assert edge_pairs(g, noncontrolled_set(g, a)) == (
+        (0, 0), (0, 1), (1, 2), (2, 2))
     assert res.restricted_pressure == pytest.approx(0.0, abs=1e-12)
     # witness is one of the two loops
     assert tuple(res.witness_cycle.states) in ((0,), (2,))
