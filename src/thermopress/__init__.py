@@ -19,7 +19,7 @@ from .thermo import (ThermoCurve, default_schedule, find_gap_beta,
 from .catmap import (LYAPUNOV, MarkovCoding, SymbolicRefinement,
                      damping_from_orbit, expansion_potential,
                      orbit_damping_report, periodic_itinerary,
-                     refinement_for_scale)
+                     refinement_for_scale, window_automaton)
 from .wave import (EnergyTrace, WaveSystem, build_system, energy, evolve,
                    fit_decay_rate, mode_frequencies, parse_profile,
                    spectrum_gap)
@@ -41,7 +41,7 @@ __all__ = [
     "measure_convergence", "find_gap_beta",
     "LYAPUNOV", "MarkovCoding", "SymbolicRefinement", "periodic_itinerary",
     "refinement_for_scale", "damping_from_orbit", "expansion_potential",
-    "orbit_damping_report",
+    "orbit_damping_report", "window_automaton",
     "WaveSystem", "EnergyTrace", "parse_profile", "build_system",
     "mode_frequencies", "spectrum_gap", "energy", "evolve",
     "fit_decay_rate",

@@ -19,9 +19,10 @@ rationals, so codings of rational points are reproducible.
 MarkovCoding is the one cat-map object: it codes points and refines the
 coding to words of a fixed length, held as base-3 codes, refusing an
 order whose words cannot fit in physical memory.  A refinement expresses
-damping supported off a neighborhood of a periodic orbit, and
-orbit_damping_report runs the full pressure-decay computation for one
-orbit.
+damping supported off a neighborhood of a periodic orbit;
+window_automaton is the same damped coding on at most p*order + 3
+states, and orbit_damping_report runs the full pressure-decay
+computation for one orbit, solving its pressures on that automaton.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import os
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvariantViolation
 from .ergopt import minimize
@@ -341,6 +344,50 @@ def expansion_potential(refinement: SymbolicRefinement) -> EdgePotential:
     return EdgePotential.constant(refinement.graph, -0.5 * LYAPUNOV)
 
 
+def window_automaton(itinerary, order: int, strength: float = 1.0):
+    """The coding read by an Aho-Corasick automaton over the cyclic windows
+    of length `order` of an admissible periodic itinerary, with the
+    damping of damping_from_orbit and the phi of expansion_potential.
+
+    A state is (s, c): s the longest suffix read that is a prefix of a
+    window, c the last symbol; states are numbered in ascending order of
+    (s, c).  Reading t, where PARTITION_MATRIX allows it after c, leads to
+    (the longest suffix of s + t that is a window prefix, t), and the edge
+    costs 0 when s is a whole window, `strength` otherwise: the refined
+    edge whose source word is the last `order` symbols read, then t,
+    costs the same.  After `order` symbols the state depends on those
+    symbols alone, so the terminal strongly connected class, the only
+    one kept, is a right-resolving presentation of the refinement with
+    the same Pr(phi - beta a) for every beta (Lind and Marcus, ch. 3), on
+    at most p*order + 3 states.  Returns (graph, a, phi), as load_system.
+    """
+    p = len(itinerary)
+    prefixes = {tuple(itinerary[(i + j) % p] for j in range(m))
+                for i in range(p) for m in range(order + 1)}
+    keys = sorted({(s, s[-1]) for s in prefixes if s}
+                  | {((), c) for c in range(3)})
+    index = {key: i for i, key in enumerate(keys)}
+    edges = []
+    for i, (s, c) in enumerate(keys):
+        for t in np.flatnonzero(PARTITION_MATRIX[c]).tolist():
+            u = s + (t,)
+            while u not in prefixes:
+                u = u[1:]
+            edges.append((i, index[u, t], 0.0 if len(s) == order else strength))
+    src, dst, cost = (np.array(x) for x in zip(*sorted(edges)))
+    n = len(keys)
+    _, label = connected_components(
+        csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n)),
+        connection="strong")
+    (terminal,) = np.setdiff1d(label, label[src[label[src] != label[dst]]])
+    keep = label == terminal
+    new = np.cumsum(keep) - 1
+    kept = keep[src]
+    graph = TransitionGraph(keep.sum(), new[src[kept]], new[dst[kept]])
+    return (graph, EdgePotential(graph, cost[kept]),
+            EdgePotential.constant(graph, -0.5 * LYAPUNOV))
+
+
 def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> np.ndarray:
     """Ascending ids of the orbit's edges in the refined graph: from each
     window to the next."""
@@ -360,7 +407,10 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     (ascending edge ids) is exactly the orbit's.  If it is (epsilon below
     the isolation threshold), runs the damped pressure curve, audits it,
     and finds the strength where the pressure turns negative
-    (find_gap_beta: warm-started Newton with certified signs).  Otherwise
+    (find_gap_beta: warm-started Newton with certified signs), both on
+    the window_automaton of the orbit, whose pressures are the
+    refinement's, with a0 and the limit target from the refinement's
+    minimization.  Otherwise
     reports the above-threshold regime, which is a finding, not an error.
     All values are plain JSON types; undamped_edges lists the critical
     edges as [i, j] pairs in edge order.
@@ -379,9 +429,10 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     result = minimize(ref.graph, a, phi)
     crit = result.critical_edges
     isolated = np.array_equal(crit, _lift_orbit_edges(ref, orbit.states))
-    curve = thermo_curve(ref.graph, a, phi,
-                         default_schedule(beta_max, beta_step),
-                         minimization=result) if isolated else None
+    if isolated:
+        small = window_automaton(orbit.states, order, strength)
+        curve = thermo_curve(*small, default_schedule(beta_max, beta_step),
+                             minimization=result)
     report = {
         "lyapunov": LYAPUNOV,
         "entropy": LYAPUNOV,
@@ -415,8 +466,7 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     # bracketing and monotonicity checks signal an actual bug
     if not ok and diag["failed_check"] != "limit-gap":
         raise InvariantViolation(f"pressure curve failed audit: {diag}")
-    gap = find_gap_beta(ref.graph, a, phi, beta_max=beta_max,
-                        minimization=result)
+    gap = find_gap_beta(*small, beta_max=beta_max, minimization=result)
     found = gap.hi is not None
     report["regime"] = "below-threshold"
     report["limit_verified"] = bool(ok)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,8 +23,10 @@ from thermopress.catmap import (
     orbit_damping_report,
     periodic_itinerary,
     refinement_for_scale,
+    window_automaton,
 )
-from thermopress.ergopt import noncontrolled_set, pressure_on_set, undamped_set
+from thermopress.ergopt import (minimize, noncontrolled_set, pressure_on_set,
+                                undamped_set)
 from thermopress.pressure import perron, pressure_transfer
 from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
 from thermopress.thermo import find_gap_beta
@@ -514,6 +517,126 @@ def test_refinement_ladder_tends_to_half_lyapunov(point):
     assert _richardson_gap(d[-2] + LAMBDA / 2, d[-1] + LAMBDA / 2) < 1e-5
     for shift in (1e-4, -1e-4):
         assert _richardson_gap(*_ladder(coding, point, (8, 9), shift)) > 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the orbit-window automaton: the refinement's damped coding on p*k + 3
+# states
+#
+# A refined edge from the word w (k+1 symbols) costs 0 exactly when w[:k]
+# is a cyclic window of the orbit.  Read w[:k] into the automaton: the
+# state reached is (the longest suffix of w[:k] that is a window prefix,
+# w[k-1]), computed here by brute force over the suffixes, and its edge
+# reading w[k] must cost what the refined edge costs.  Shifting the
+# damping by one symbol (the cost read off the state an edge enters)
+# adds a coboundary, so no pressure can tell it apart: the edge map is
+# what catches it.
+
+WINDOW_POINTS = CATMAP_POINTS + ((Fraction(1, 2), Fraction(1, 2)),)
+
+
+def _window_prefixes(itinerary, k):
+    p = len(itinerary)
+    return {tuple(itinerary[(i + j) % p] for j in range(m))
+            for i in range(p) for m in range(k + 1)}
+
+
+def _automaton_state(word, prefixes):
+    suffix = next(word[m:] for m in range(len(word) + 1)
+                  if word[m:] in prefixes)
+    return suffix, word[-1]
+
+
+def _edge_map_mismatches(coding, k, itinerary, graph, a_values):
+    """Edges of the order-k refinement whose image in the automaton is no
+    edge or costs a different damping; the image must also cover every
+    automaton edge."""
+    ref = coding.refine(k)
+    prefixes = _window_prefixes(itinerary, k)
+    labels = [_automaton_state(w[:k], prefixes) for w in refinement_words(ref)]
+    index = {key: i for i, key in enumerate(sorted(set(labels)))}
+    assert len(index) == graph.n_states
+    state = np.array([index[key] for key in labels])
+    a_ref = damping_from_orbit(coding, itinerary, 2.0 ** -k).values
+    bad, hit = 0, np.zeros(graph.n_edges, dtype=bool)
+    for e, (u, v) in enumerate(ref.graph.edges()):
+        try:
+            f = graph.edge_id(state[u], state[v])
+        except KeyError:
+            bad += 1
+            continue
+        hit[f] = True
+        bad += a_values[f] != a_ref[e]
+    assert hit.all()
+    return bad
+
+
+@pytest.mark.parametrize("point", WINDOW_POINTS)
+def test_window_automaton_is_the_refinement_read_by_windows(point):
+    coding = MarkovCoding()
+    itinerary = periodic_itinerary(coding, point).states
+    for k in range(1, 9):
+        graph, a, phi = window_automaton(itinerary, k)
+        assert graph.irreducible
+        assert np.all(phi.values == -0.5 * LYAPUNOV)
+        assert _edge_map_mismatches(coding, k, itinerary, graph, a.values) == 0
+        late = a.values[graph.indptr[graph.dst]]  # cost of the state entered
+        assert _edge_map_mismatches(coding, k, itinerary, graph, late) > 0, k
+
+
+def _exact_root(graph, a, bracket, digits=40):
+    """The beta at which Pr(phi - beta a) = log rho(A) - lambda/2 is 0,
+    that is rho(A) = g, found as a root of det(g I - A) by secant steps
+    from the float bracket; A is the automaton's matrix, 1 on undamped
+    edges and e^-beta on damped ones."""
+    with mpmath.workdps(digits):
+        g = (1 + mpmath.sqrt(5)) / 2
+
+        def f(beta):
+            M = g * mpmath.eye(graph.n_states)
+            for u, v, damped in zip(graph.src.tolist(), graph.dst.tolist(),
+                                    a.values.tolist()):
+                M[u, v] -= mpmath.exp(-beta) if damped else 1
+            return mpmath.det(M)
+
+        # findroot verifies the residual and raises when it is not small
+        return mpmath.findroot(f, tuple(map(mpmath.mpf, bracket)))
+
+
+@pytest.mark.parametrize("point", WINDOW_POINTS)
+def test_window_automaton_pressure_and_beta_star_match_refinement(point):
+    # at each beta, the two pressures agree within the sum of the two
+    # solves' enclosures (0.39 of it at most, measured); where the orbit
+    # is isolated, both beta* brackets hold the automaton's 40-digit root
+    coding = MarkovCoding()
+    orbit = periodic_itinerary(coding, point)
+    for k in range(1, 9):
+        ref = coding.refine(k)
+        a = damping_from_orbit(coding, orbit, 2.0 ** -k)
+        phi = expansion_potential(ref)
+        small = window_automaton(orbit.states, k)
+        _, wa, wphi = small
+        for beta in (0.0, 0.5, 1.0, 7.5, 30.0):
+            refined, auto = perron(phi - beta * a), perron(wphi - beta * wa)
+            assert (abs(refined.log_rho - auto.log_rho)
+                    <= refined.enclosure + auto.enclosure), (k, beta)
+        result = minimize(ref.graph, a, phi)
+        if result.critical_edges.size != len(orbit):
+            continue  # the orbit is not isolated at this order
+        brackets = [find_gap_beta(graph, b, f, 50.0, minimization=result)
+                    for graph, b, f in ((ref.graph, a, phi), small)]
+        root = _exact_root(small[0], wa, (brackets[1].lo, brackets[1].hi))
+        for gap in brackets:
+            assert gap.lo <= root < gap.hi, (k, gap, root)
+
+
+def test_window_automaton_size_bound():
+    coding = MarkovCoding()
+    for point in WINDOW_POINTS:
+        itinerary = periodic_itinerary(coding, point).states
+        for k in range(25):
+            graph, _, _ = window_automaton(itinerary, k)
+            assert graph.n_states <= len(itinerary) * k + 3, (point, k)
 
 
 # ---------------------------------------------------------------------------

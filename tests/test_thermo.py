@@ -212,8 +212,15 @@ def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
 
 
 def test_refine_8_report_plain_step_count(monkeypatch):
-    # the whole refine-8 report at (1/2, 0), sweep and find_gap_beta, takes
-    # about 1 900 plain power steps, and no solve reaches the squaring stage
+    # the refine-8 report's sweep and find_gap_beta at (1/2, 0), solved on
+    # the refined graph itself, take about 1 900 plain power steps, and no
+    # solve reaches the squaring stage
+    coding = MarkovCoding()
+    ref = coding.refine(8)
+    phi = expansion_potential(ref)
+    a = damping_from_orbit(coding, periodic_itinerary(
+        coding, (Fraction(1, 2), 0)), 2.0 ** -8)
+    result = minimize(ref.graph, a, phi)
     steps, plain = [], pressure._plain_power_stage
 
     def counting(*args):
@@ -226,9 +233,10 @@ def test_refine_8_report_plain_step_count(monkeypatch):
 
     monkeypatch.setattr(pressure, "_plain_power_stage", counting)
     monkeypatch.setattr(pressure, "_squared_power_stage", squaring)
-    report = catmap.orbit_damping_report(2.0 ** -8, point=(Fraction(1, 2), 0),
-                                         beta_max=50.0)
-    assert report["decays"]
+    thermo_curve(ref.graph, a, phi, default_schedule(50.0, 0.5),
+                 minimization=result)
+    gap = find_gap_beta(ref.graph, a, phi, beta_max=50.0, minimization=result)
+    assert gap.hi is not None
     assert sum(steps) <= 2_100
 
 
@@ -588,11 +596,9 @@ def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
     assert np.nextafter(gap.hi, np.inf) - gap.lo > GAP_XTOL
 
 
-@pytest.mark.parametrize("order", [4, 6])
-def test_report_solves_each_potential_once(order, monkeypatch):
-    # every Perron solve of the report is one sweep point, one search step
-    # or one piece of the undamped set; the entropy is LYAPUNOV, and Pr(phi)
-    # and Pr(phi - beta* a) are read off the sweep and the search
+def _record_phases(monkeypatch):
+    """Record (caller, potential) for every Perron solve, the caller being
+    the report stage that asked for it."""
     cold, phases = pressure.perron, []
     names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
              "find_gap_beta")
@@ -601,11 +607,22 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         frame = sys._getframe(1)
         while frame.f_code.co_name not in names:
             frame = frame.f_back
-        phases.append(frame.f_code.co_name)
+        phases.append((frame.f_code.co_name, f))
         return cold(f, **kw)
 
     for module in (pressure, thermo, ergopt):
         monkeypatch.setattr(module, "perron", counting)
+    return phases
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_report_solves_each_potential_once(order, monkeypatch):
+    # every Perron solve of the report is one sweep point, one search step
+    # or one piece of the undamped set; the entropy is LYAPUNOV, and Pr(phi)
+    # and Pr(phi - beta* a) are read off the sweep and the search, which
+    # run on the orbit-window automaton
+    cold = pressure.perron
+    solves = _record_phases(monkeypatch)
     gaps = []
 
     def recording(*args, **kw):
@@ -617,10 +634,11 @@ def test_report_solves_each_potential_once(order, monkeypatch):
     ref = coding.refine(order)
     phi = expansion_potential(ref)
     for point in CATMAP_POINTS:
-        phases.clear()
+        solves.clear()
         gaps.clear()
         rep = catmap.orbit_damping_report(2.0 ** -order, point=point,
                                           beta_max=50.0)
+        phases = [name for name, _ in solves]
         (gap,) = gaps
         steps = phases.count("find_gap_beta")
         assert rep["undamped_set_is_orbit"] and 0 < steps <= 8
@@ -629,14 +647,32 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         assert phases.count("pressure_on_set") == 1, point
         assert phases.count("thermo_curve") == 101, point
         assert len(phases) == 102 + steps, point
-        assert rep["pressure_undamped"] == cold(phi).log_rho
+        orbit = periodic_itinerary(coding, point)
+        _, _, small_phi = catmap.window_automaton(orbit.states, order)
+        at_zero, refined = cold(small_phi), cold(phi)
+        assert rep["pressure_undamped"] == at_zero.log_rho
+        assert (abs(refined.log_rho - at_zero.log_rho)
+                <= refined.enclosure + at_zero.enclosure), point
         beta = rep["beta_star"]
         assert beta == gap.hi and rep["beta_star_enclosure"] == gap.hi - gap.lo
-        a = damping_from_orbit(coding, periodic_itinerary(coding, point),
-                               2.0 ** -order)
+        a = damping_from_orbit(coding, orbit, 2.0 ** -order)
         at_star = cold(phi - beta * a)
         assert (abs(rep["pressure_at_beta_star"] - at_star.log_rho)
                 <= gap.at_hi.enclosure + at_star.enclosure), point
+
+
+def test_refine_12_report_solves_on_the_automaton(monkeypatch):
+    # the refine-12 report at (1/2, 0) has 317 811 refined states; its
+    # sweep and search solve on the orbit-window automaton, at most
+    # p*k + 3 = 39 states
+    solves = _record_phases(monkeypatch)
+    rep = catmap.orbit_damping_report(2.0 ** -12, point=(Fraction(1, 2), 0),
+                                      beta_max=50.0)
+    assert rep["n_states"] == 317_811 and rep["decays"]
+    sizes = [f.graph.n_states for name, f in solves
+             if name in ("thermo_curve", "find_gap_beta")]
+    assert len(sizes) > 101
+    assert max(sizes) <= 39
 
 
 def test_sweep_sums_each_measure_once(monkeypatch):
