@@ -16,7 +16,7 @@ from .ergopt import (MinimizationResult, min_average, minimize,
                      noncontrolled_set, pressure_on_set, undamped_set)
 from .thermo import (ThermoCurve, default_schedule, find_gap_beta,
                      measure_convergence, thermo_curve, verify_limit)
-from .catmap import (LYAPUNOV, MarkovCoding, SymbolicRefinement,
+from .catmap import (LYAPUNOV, SymbolicRefinement,
                      damping_from_orbit, expansion_potential,
                      orbit_damping_report, periodic_itinerary,
                      refinement_for_scale, window_automaton)
@@ -39,7 +39,7 @@ __all__ = [
     "pressure_on_set", "minimize",
     "ThermoCurve", "default_schedule", "thermo_curve", "verify_limit",
     "measure_convergence", "find_gap_beta",
-    "LYAPUNOV", "MarkovCoding", "SymbolicRefinement", "periodic_itinerary",
+    "LYAPUNOV", "SymbolicRefinement", "periodic_itinerary",
     "refinement_for_scale", "damping_from_orbit", "expansion_potential",
     "orbit_damping_report", "window_automaton",
     "WaveSystem", "EnergyTrace", "parse_profile", "build_system",

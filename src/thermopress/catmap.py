@@ -16,13 +16,14 @@ decided in exact Q(sqrt 5) arithmetic, floats only ruling out the cells a
 point misses by more than 1e-9, and the map is iterated in exact
 rationals, so codings of rational points are reproducible.
 
-MarkovCoding is the one cat-map object: it codes points and refines the
-coding to words of a fixed length, held as base-3 codes, refusing an
-order whose words cannot fit in physical memory.  A refinement expresses
-damping supported off a neighborhood of a periodic orbit;
-window_automaton is the same damped coding on at most p*order + 3
-states, and orbit_damping_report runs the full pressure-decay
-computation for one orbit, solving its pressures on that automaton.
+cell_map and code give the cells a point visits; refine recodes on
+words of a fixed length, held as base-3 codes, refusing an order
+whose words cannot fit in physical memory.  damping_from_orbit damps a
+refinement off a neighborhood of a periodic orbit, given by its
+itinerary; window_automaton is the same damped coding on at most
+p*order + 3 states, and orbit_damping_report runs the full
+pressure-decay computation for one orbit, solving its pressures on that
+automaton.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InvariantViolation
 from .ergopt import minimize
 from .pressure import pressure_transfer
-from .sft import CyclicWord, EdgePotential, TransitionGraph
+from .sft import EdgePotential, TransitionGraph
 from .thermo import default_schedule, find_gap_beta, thermo_curve, verify_limit
 
 _SQRT5 = math.sqrt(5.0)
@@ -230,73 +231,62 @@ class SymbolicRefinement:
         return f"SymbolicRefinement(order={self.order}, states={self.n_states})"
 
 
-class MarkovCoding:
-    """Coding of a point by which partition rectangle each iterate of the
-    [[2,1],[1,1]] map visits; the cells and PARTITION_MATRIX are that
-    map's."""
-
-    def __init__(self):
-        self._refinements = {}
-        self.graph = self.refine(0).graph
-
-    def cell_map(self, point) -> int:
-        """Rectangle index of a torus point, boundary-exact for rational
-        coordinates (floats are rationals too, so any input is decidable)."""
-        return _classify(Fraction(point[0]) % 1, Fraction(point[1]) % 1)
-
-    def code(self, point, length: int) -> tuple:
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        x, y = Fraction(point[0]) % 1, Fraction(point[1]) % 1
-        out = []
-        for _ in range(length):
-            out.append(self.cell_map((x, y)))
-            x, y = _cat_step(x, y)
-        return tuple(out)
-
-    def refine(self, order: int) -> SymbolicRefinement:
-        """Recode on words of length order+1; order 0 is the coding itself.
-        Results are cached per coding instance.  ValueError when the words
-        would not fit in physical memory at STATE_BYTES each."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order not in self._refinements:
-            # count the words by last symbol and refuse, before building
-            # any, an order that cannot fit
-            allowed = np.array(PARTITION_MATRIX, dtype=bool)
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            counts = np.ones(3, dtype=np.int64)
-            for _ in range(order):
-                counts = counts @ allowed
-                if counts.sum() * STATE_BYTES > memory:
-                    raise ValueError(
-                        f"refinement order {order} has at least {counts.sum()}"
-                        f" states, beyond physical memory at {STATE_BYTES} B"
-                        " each")
-            codes = np.arange(3, dtype=np.int64)
-            for _ in range(order):
-                i, t = np.nonzero(allowed[codes % 3])
-                codes = 3 * codes[i] + t
-            # u -> (u mod 3^order)*3 + t: row-major, as codes rise and t rises
-            src, t = np.nonzero(allowed[codes % 3])
-            dst = np.searchsorted(codes, codes[src] % 3 ** order * 3 + t)
-            self._refinements[order] = SymbolicRefinement(
-                order, codes, TransitionGraph(codes.size, src, dst))
-        return self._refinements[order]
+def cell_map(point) -> int:
+    """Rectangle index of a torus point, boundary-exact for rational
+    coordinates (floats are rationals too, so any input is decidable)."""
+    return _classify(Fraction(point[0]) % 1, Fraction(point[1]) % 1)
 
 
-def periodic_itinerary(coding: MarkovCoding, point, limit: int = 1024):
-    """Itinerary of a periodic point over one period, as a CyclicWord on
-    the coding graph; ValueError if the point does not return within
-    `limit` steps."""
+def code(point, length: int) -> tuple:
+    """Cells visited by the first `length` iterates of a torus point."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    x, y = Fraction(point[0]) % 1, Fraction(point[1]) % 1
+    out = []
+    for _ in range(length):
+        out.append(_classify(x, y))
+        x, y = _cat_step(x, y)
+    return tuple(out)
+
+
+def refine(order: int) -> SymbolicRefinement:
+    """Recode on words of length order+1; order 0 is the coding itself.
+    ValueError when the words would not fit in physical memory at
+    STATE_BYTES each."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    # count the words by last symbol and refuse, before building any, an
+    # order that cannot fit
+    allowed = np.array(PARTITION_MATRIX, dtype=bool)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    counts = np.ones(3, dtype=np.int64)
+    for _ in range(order):
+        counts = counts @ allowed
+        if counts.sum() * STATE_BYTES > memory:
+            raise ValueError(
+                f"refinement order {order} has at least {counts.sum()}"
+                f" states, beyond physical memory at {STATE_BYTES} B each")
+    codes = np.arange(3, dtype=np.int64)
+    for _ in range(order):
+        i, t = np.nonzero(allowed[codes % 3])
+        codes = 3 * codes[i] + t
+    # u -> (u mod 3^order)*3 + t: row-major, as codes rise and t rises
+    src, t = np.nonzero(allowed[codes % 3])
+    dst = np.searchsorted(codes, codes[src] % 3 ** order * 3 + t)
+    return SymbolicRefinement(order, codes, TransitionGraph(codes.size, src, dst))
+
+
+def periodic_itinerary(point, limit: int = 1024) -> tuple:
+    """Cells visited by a periodic point over one period; ValueError if
+    the point does not return within `limit` steps."""
     start = (Fraction(point[0]) % 1, Fraction(point[1]) % 1)
     seq = []
     p = start
     for _ in range(limit):
-        seq.append(coding.cell_map(p))
+        seq.append(_classify(*p))
         p = _cat_step(*p)
         if p == start:
-            return CyclicWord(coding.graph, tuple(seq))
+            return tuple(seq)
     raise ValueError(f"point {point} did not return within {limit} steps")
 
 
@@ -311,43 +301,54 @@ def refinement_for_scale(epsilon: float) -> int:
     return max(0, math.ceil(-math.log2(epsilon) - 1e-12))
 
 
-def damping_from_orbit(coding: MarkovCoding, orbit, epsilon: float,
-                       strength: float = 1.0) -> EdgePotential:
-    """Damping that vanishes exactly on the symbolic epsilon-neighborhood
-    of a periodic orbit and equals `strength` elsewhere.
-
-    The coding is refined so cylinders are no wider than epsilon; an edge
-    of the refined graph costs 0 when the first `order` symbols of its
-    source word match some cyclic window of the orbit (those cylinders
-    meet the neighborhood), else `strength`.  The returned potential lives
-    on coding.refine(order).graph.  At order 0 every cylinder meets the
-    neighborhood and the weight is identically zero.
-    """
+def _check_orbit_damping(itinerary, order: int, strength: float) -> tuple:
+    """The itinerary as a tuple of ints; ValueError unless it is nonempty,
+    PARTITION_MATRIX allows each step, the last back to the first, and
+    order and strength are nonnegative."""
+    itinerary = tuple(int(s) for s in itinerary)
+    if not itinerary:
+        raise ValueError("itinerary must have length >= 1")
+    for s, t in zip(itinerary, itinerary[1:] + itinerary[:1]):
+        if not (0 <= s < 3 and 0 <= t < 3 and PARTITION_MATRIX[s][t]):
+            raise ValueError(f"transition ({s}, {t}) is forbidden")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if strength < 0:
         raise ValueError("strength must be nonnegative")
-    if isinstance(orbit, CyclicWord):
-        itinerary = orbit.states
-    else:
-        itinerary = tuple(int(s) for s in orbit)
-    CyclicWord(coding.graph, itinerary)  # admissibility check
-    order = refinement_for_scale(epsilon)
-    ref = coding.refine(order)
-    zero_source = np.isin(ref.codes // 3, _window_codes(itinerary, order))
-    graph = ref.graph
+    return itinerary
+
+
+def damping_from_orbit(refinement: SymbolicRefinement, itinerary,
+                       strength: float = 1.0) -> EdgePotential:
+    """Damping on the refined graph that vanishes exactly on the symbolic
+    2^-order neighborhood of the periodic orbit with this itinerary and
+    equals `strength` elsewhere.
+
+    An edge costs 0 when the first `order` symbols of its source word
+    match some cyclic window of the orbit (those cylinders meet the
+    neighborhood), else `strength`.  At order 0 every cylinder meets the
+    neighborhood and the weight is identically zero.
+    """
+    order = refinement.order
+    itinerary = _check_orbit_damping(itinerary, order, strength)
+    zero_source = np.isin(refinement.codes // 3,
+                          _window_codes(itinerary, order))
+    graph = refinement.graph
     return EdgePotential(graph, np.where(zero_source[graph.src], 0.0, strength))
 
 
-def expansion_potential(refinement: SymbolicRefinement) -> EdgePotential:
-    """Constant potential: half the log of the backward unstable Jacobian,
-    which is minus half the expansion rate.  Its pressure controls energy
-    decay rates for the damped flow, and it is negative."""
-    return EdgePotential.constant(refinement.graph, -0.5 * LYAPUNOV)
+def expansion_potential(graph: TransitionGraph) -> EdgePotential:
+    """Constant potential on a coding's graph: half the log of the backward
+    unstable Jacobian, which is minus half the expansion rate.  Its
+    pressure controls energy decay rates for the damped flow."""
+    return EdgePotential.constant(graph, -0.5 * LYAPUNOV)
 
 
 def window_automaton(itinerary, order: int, strength: float = 1.0):
     """The coding read by an Aho-Corasick automaton over the cyclic windows
-    of length `order` of an admissible periodic itinerary, with the
-    damping of damping_from_orbit and the phi of expansion_potential.
+    of length `order` of a periodic itinerary, with the damping of
+    damping_from_orbit and the phi of expansion_potential; the inputs are
+    checked as damping_from_orbit checks them.
 
     A state is (s, c): s the longest suffix read that is a prefix of a
     window, c the last symbol; states are numbered in ascending order of
@@ -361,6 +362,7 @@ def window_automaton(itinerary, order: int, strength: float = 1.0):
     the same Pr(phi - beta a) for every beta (Lind and Marcus, ch. 3), on
     at most p*order + 3 states.  Returns (graph, a, phi), as load_system.
     """
+    itinerary = _check_orbit_damping(itinerary, order, strength)
     p = len(itinerary)
     prefixes = {tuple(itinerary[(i + j) % p] for j in range(m))
                 for i in range(p) for m in range(order + 1)}
@@ -384,8 +386,7 @@ def window_automaton(itinerary, order: int, strength: float = 1.0):
     new = np.cumsum(keep) - 1
     kept = keep[src]
     graph = TransitionGraph(keep.sum(), new[src[kept]], new[dst[kept]])
-    return (graph, EdgePotential(graph, cost[kept]),
-            EdgePotential.constant(graph, -0.5 * LYAPUNOV))
+    return graph, EdgePotential(graph, cost[kept]), expansion_potential(graph)
 
 
 def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> np.ndarray:
@@ -402,16 +403,16 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     """End-to-end pressure-decay computation for damping supported off the
     epsilon-neighborhood of one periodic orbit of the cat map.
 
-    Builds the refinement matching epsilon, the orbit-window damping, and
-    the expansion potential, then checks whether the critical edge set
-    (ascending edge ids) is exactly the orbit's.  If it is (epsilon below
-    the isolation threshold), runs the damped pressure curve, audits it,
-    and finds the strength where the pressure turns negative
-    (find_gap_beta: warm-started Newton with certified signs), both on
-    the window_automaton of the orbit, whose pressures are the
+    Builds the refinement matching epsilon once, the orbit-window damping
+    on it, and the expansion potential, then checks whether the critical
+    edge set (ascending edge ids) is exactly the orbit's.  If it is
+    (epsilon below the isolation threshold), runs the damped pressure
+    curve, audits it, and finds the strength where the pressure turns
+    negative (find_gap_beta: warm-started Newton with certified signs),
+    both on the window_automaton of the orbit, whose pressures are the
     refinement's, with a0 and the limit target from the refinement's
-    minimization.  Otherwise
-    reports the above-threshold regime, which is a finding, not an error.
+    minimization.  Otherwise reports the above-threshold regime, which
+    is a finding, not an error.
     All values are plain JSON types; undamped_edges lists the critical
     edges as [i, j] pairs in edge order.
     entropy is LYAPUNOV, as a higher-block recoding keeps h_top; each
@@ -420,17 +421,16 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     beta_star, beta_star_enclosure and pressure_at_beta_star from
     find_gap_beta's bracket and the solve that certified beta_star.
     """
-    coding = MarkovCoding()
     order = refinement_for_scale(epsilon)
-    ref = coding.refine(order)
-    orbit = periodic_itinerary(coding, point)
-    a = damping_from_orbit(coding, orbit, epsilon, strength)
-    phi = expansion_potential(ref)
+    ref = refine(order)
+    itinerary = periodic_itinerary(point)
+    a = damping_from_orbit(ref, itinerary, strength)
+    phi = expansion_potential(ref.graph)
     result = minimize(ref.graph, a, phi)
     crit = result.critical_edges
-    isolated = np.array_equal(crit, _lift_orbit_edges(ref, orbit.states))
+    isolated = np.array_equal(crit, _lift_orbit_edges(ref, itinerary))
     if isolated:
-        small = window_automaton(orbit.states, order, strength)
+        small = window_automaton(itinerary, order, strength)
         curve = thermo_curve(*small, default_schedule(beta_max, beta_step),
                              minimization=result)
     report = {
@@ -440,8 +440,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
         "refinement_order": order,
         "symbolic_scale": 2.0 ** (-order),
         "n_states": ref.n_states,
-        "orbit_period": len(orbit),
-        "orbit_itinerary": list(orbit.states),
+        "orbit_period": len(itinerary),
+        "orbit_itinerary": list(itinerary),
         "strength": float(strength),
         "min_average": result.value,
         "undamped_edges": np.column_stack(

@@ -4,8 +4,8 @@ weight and phi the base potential."""
 
 from __future__ import annotations
 
-from .catmap import (MarkovCoding, damping_from_orbit, expansion_potential,
-                     periodic_itinerary)
+from .catmap import (damping_from_orbit, expansion_potential,
+                     periodic_itinerary, refine)
 from .sft import EdgePotential, TransitionGraph, full_shift, golden_mean_shift
 
 
@@ -39,13 +39,9 @@ def catmap_instance(order: int = 4, strength: float = 1.0):
     """Refined coding of the torus automorphism with damping vanishing on
     the 2^-order neighborhood of the fixed point and the half-expansion
     base potential."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
-    a = damping_from_orbit(coding, orbit, 2.0 ** (-order), strength)
-    ref = coding.refine(order)
-    return ref.graph, a, expansion_potential(ref)
+    ref = refine(order)
+    a = damping_from_orbit(ref, periodic_itinerary((0, 0)), strength)
+    return ref.graph, a, expansion_potential(ref.graph)
 
 
 BUILTINS = {

@@ -155,9 +155,10 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     changes only the step count.  When the schedule starts at 0, that
     point's solve also gives pressure_phi.
 
-    minimization is the result of minimize(graph, a, phi) for these same
-    arguments; it supplies a0 and the limit target.  When omitted, that
-    call is made here.
+    minimization supplies a0 and the limit target: the value and
+    restricted_pressure of minimize(graph, a, phi), which every
+    presentation of one damped shift shares.  When omitted, that call is
+    made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
@@ -319,9 +320,9 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     raises.  Returns a GapBracket: the root is in [lo, hi), and at_hi is
     the solve that certified hi negative.
 
-    minimization is the result of minimize(graph, a, phi) for these same
-    arguments and supplies the restricted pressure; when omitted, that
-    call is made here.
+    minimization supplies the restricted pressure of minimize(graph, a,
+    phi), which every presentation of one damped shift shares; when
+    omitted, that call is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")

@@ -10,25 +10,27 @@ import numpy as np
 import pytest
 
 import thermopress
-from thermopress import ergopt
+from thermopress import catmap, ergopt
 from thermopress.catmap import (
     GOLDEN,
     LYAPUNOV,
     PARTITION_MATRIX,
-    MarkovCoding,
     Qs5,
     _cat_step,
+    cell_map,
+    code,
     damping_from_orbit,
     expansion_potential,
     orbit_damping_report,
     periodic_itinerary,
+    refine,
     refinement_for_scale,
     window_automaton,
 )
 from thermopress.ergopt import (minimize, noncontrolled_set, pressure_on_set,
                                 undamped_set)
 from thermopress.pressure import perron, pressure_transfer
-from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
+from thermopress.sft import EdgePotential, TransitionGraph
 from thermopress.thermo import find_gap_beta
 
 from .oracles import classify_exact, edge_pairs, refinement_words
@@ -91,7 +93,6 @@ def test_cell_map_agrees_with_exact_classifier():
     # random rationals, every (a/q, b/q) with q <= 8 (most of them on
     # rectangle boundaries) and random floats, against the classifier that
     # decides all 75 candidate cells exactly
-    coding = MarkovCoding()
     rng = np.random.default_rng(88)
     points = [(Fraction(int(rng.integers(0, 997)), 997),
                Fraction(int(rng.integers(0, 991)), 991)) for _ in range(300)]
@@ -100,39 +101,36 @@ def test_cell_map_agrees_with_exact_classifier():
     points += [tuple(p) for p in rng.random((300, 2)).tolist()]
     assert len(points) == 804
     for x, y in points:
-        assert (coding.cell_map((x, y))
+        assert (cell_map((x, y))
                 == classify_exact(Fraction(x), Fraction(y))), (x, y)
 
 
 def test_cell_map_many_float_points():
     # the classifier must place every point in exactly one rectangle; the
     # exact fallback raises if the tiling ever double-covers
-    coding = MarkovCoding()
     rng = np.random.default_rng(89)
     pts = rng.random((10_000, 2))
-    cells = [coding.cell_map(p) for p in pts]
+    cells = [cell_map(p) for p in pts]
     assert set(cells) == {0, 1, 2}
 
 
 def test_cell_map_boundary_points_decidable():
-    coding = MarkovCoding()
     # corners and edges of the unit square sit on rectangle boundaries
     for p in [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
               (Fraction(1, 2), Fraction(1, 2))]:
-        assert coding.cell_map(p) in (0, 1, 2)
+        assert cell_map(p) in (0, 1, 2)
 
 
 def test_codings_follow_partition_matrix():
     # no sampled transition may use the single forbidden pair, and all
     # eight allowed pairs must occur
-    coding = MarkovCoding()
     rng = np.random.default_rng(90)
     B = np.array(PARTITION_MATRIX, dtype=bool)
     seen = set()
     for _ in range(400):
         x = Fraction(int(rng.integers(0, 9973)), 9973)
         y = Fraction(int(rng.integers(0, 9967)), 9967)
-        word = coding.code((x, y), 4)
+        word = code((x, y), 4)
         for s, t in zip(word, word[1:]):
             assert B[s, t], (s, t)
             seen.add((s, t))
@@ -140,9 +138,8 @@ def test_codings_follow_partition_matrix():
 
 
 def test_code_rejects_zero_length():
-    coding = MarkovCoding()
     with pytest.raises(ValueError):
-        coding.code((0, 0), 0)
+        code((0, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +149,29 @@ def test_code_rejects_zero_length():
 def test_refinement_state_counts():
     # admissible words of length k+1 over the coding graph; the count
     # satisfies the Fibonacci-like recursion of the partition matrix
-    coding = MarkovCoding()
     for order, count in [(0, 3), (1, 8), (2, 21), (3, 55), (4, 144)]:
-        ref = coding.refine(order)
+        ref = refine(order)
         assert ref.n_states == count
         assert refinement_words(ref) == [
             w for w in itertools.product(range(3), repeat=order + 1)
             if all(PARTITION_MATRIX[s][t] for s, t in zip(w, w[1:]))]
-    assert coding.refine(4).graph.n_edges == 377
+    assert refine(4).graph.n_edges == 377
     B = np.array(PARTITION_MATRIX, dtype=np.int64)
     row = np.ones(3, dtype=np.int64)  # words of length order+1 by last symbol
     for order in range(10):
-        assert coding.refine(order).n_states == row.sum(), order
+        assert refine(order).n_states == row.sum(), order
         row = row @ B
 
 
 def test_refined_edges_follow_overlap_rule():
     # brute force over all pairs of words: u -> v is an edge iff v shifts
     # u by one symbol that the partition matrix allows after u's last
-    coding = MarkovCoding()
     for order in range(6):
-        words = refinement_words(coding.refine(order))
+        words = refinement_words(refine(order))
         expected = [(u, v) for u, wu in enumerate(words)
                     for v, wv in enumerate(words)
                     if wu[1:] == wv[:-1] and PARTITION_MATRIX[wu[-1]][wv[-1]]]
-        assert coding.refine(order).graph.edges() == expected, order
+        assert refine(order).graph.edges() == expected, order
 
 
 def test_refine_memory_is_per_edge():
@@ -185,7 +180,7 @@ def test_refine_memory_is_per_edge():
     # codes and edge arrays, a few dozen bytes per state
     tracemalloc.start()
     try:
-        ref = MarkovCoding().refine(9)
+        ref = refine(9)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -197,10 +192,9 @@ def test_refine_memory_is_per_edge():
 def test_minimize_memory_is_per_edge():
     # order 9 has 17711 states; Karp's (n+1) x n table of floats alone
     # would take 2.5 GB
-    coding = MarkovCoding()
-    ref = coding.refine(9)
-    orbit = periodic_itinerary(coding, (Fraction(1, 3), 0))
-    a = damping_from_orbit(coding, orbit, 2.0 ** -9)
+    ref = refine(9)
+    orbit = periodic_itinerary((Fraction(1, 3), 0))
+    a = damping_from_orbit(ref, orbit)
     tracemalloc.start()
     try:
         res = ergopt.minimize(ref.graph, a)
@@ -216,10 +210,10 @@ def test_zero_damping_edge_sets_at_refinement_scale(monkeypatch):
     # without damping every edge is critical and noncontrolled, and the
     # pressure restricted to all of them is the plain one, bit for bit;
     # edge sets stay arrays of ids, so no per-edge lookup runs
-    ref = MarkovCoding().refine(8)
+    ref = refine(8)
     g = ref.graph
     a = EdgePotential.constant(g, 0.0)
-    phi = expansion_potential(ref)
+    phi = expansion_potential(g)
 
     def lookup(*args):
         raise AssertionError("per-edge lookup on a refinement")
@@ -234,26 +228,24 @@ def test_zero_damping_edge_sets_at_refinement_scale(monkeypatch):
 def test_refinement_preserves_entropy():
     # a higher-block recoding keeps h_top, which orbit_damping_report
     # reports as LYAPUNOV without a solve; here each order is solved
-    coding = MarkovCoding()
     for order in range(9):
-        g = coding.refine(order).graph
+        g = refine(order).graph
         assert g.irreducible
         ent = pressure_transfer(g, EdgePotential.constant(g, 0.0))
         assert abs(ent.value - LYAPUNOV) <= ent.tolerance, order
 
 
 def test_refinement_encode_point_matches_code():
-    coding = MarkovCoding()
-    ref = coding.refine(2)
+    ref = refine(2)
     p = (Fraction(3, 7), Fraction(2, 7))
-    state = ref.state_of_word(coding.code(p, ref.order + 1))
-    assert refinement_words(ref)[state] == coding.code(p, 3)
+    state = ref.state_of_word(code(p, ref.order + 1))
+    assert refinement_words(ref)[state] == code(p, 3)
 
 
 def test_state_of_word_rejects_words_without_a_state():
     # codes collide where words do not: (0, 3) encodes 3 like (1, 0), and
     # (1, -1) encodes 2 like (0, 2); each word without a state raises
-    ref = MarkovCoding().refine(1)
+    ref = refine(1)
     for i, word in enumerate(refinement_words(ref)):
         assert ref.state_of_word(word) == i
         assert ref.state_of_word(np.array(word)) == i
@@ -265,19 +257,17 @@ def test_state_of_word_rejects_words_without_a_state():
 
 
 def test_refinement_rejects_negative_order():
-    coding = MarkovCoding()
     with pytest.raises(ValueError):
-        coding.refine(-1)
+        refine(-1)
 
 
 def test_refine_refuses_order_beyond_memory():
     # order 40 has F(84) ~ 1.6e17 words; the refusal counts them by the
     # recurrence, stopping once past physical memory, and builds none
-    coding = MarkovCoding()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="order 40 has at least"):
-            coding.refine(40)
+            refine(40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -303,32 +293,28 @@ def test_refinement_for_scale():
 
 
 def test_fixed_point_itinerary():
-    coding = MarkovCoding()
-    w = periodic_itinerary(coding, (0, 0))
-    assert w.states == (0,)
+    assert periodic_itinerary((0, 0)) == (0,)
 
 
 def test_period_two_itinerary():
-    coding = MarkovCoding()
     p = (Fraction(1, 5), Fraction(2, 5))
-    w = periodic_itinerary(coding, p)
+    w = periodic_itinerary(p)
     assert len(w) == 2
-    assert w.states == coding.code(p, 2)
+    assert w == code(p, 2)
 
 
 def test_non_returning_point_rejected():
-    coding = MarkovCoding()
     with pytest.raises(ValueError):
-        periodic_itinerary(coding, (Fraction(1, 3), 0), limit=2)
+        periodic_itinerary((Fraction(1, 3), 0), limit=2)
 
 
 def test_orbit_pressure_bound_value():
     # zero entropy plus the constant potential: minus half the expansion
-    coding = MarkovCoding()
-    w = periodic_itinerary(coding, (0, 0))
-    val = pressure_on_set(coding.graph, expansion_potential(coding.refine(0)),
-                          [coding.graph.edge_id(i, j)
-                           for i, j in sorted(set(w.edges()))])
+    w = periodic_itinerary((0, 0))
+    g = refine(0).graph
+    edges = sorted(set(zip(w, w[1:] + w[:1])))
+    val = pressure_on_set(g, expansion_potential(g),
+                          [g.edge_id(i, j) for i, j in edges])
     assert val == pytest.approx(-LAMBDA / 2.0, abs=1e-12)
     assert val < 0
 
@@ -338,11 +324,9 @@ def test_orbit_pressure_bound_value():
 
 
 def test_damping_zero_set_matches_window_rule():
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
-    eps = 2.0 ** -3
-    a = damping_from_orbit(coding, orbit, eps, strength=0.8)
-    ref = coding.refine(3)
+    orbit = periodic_itinerary((0, 0))
+    ref = refine(3)
+    a = damping_from_orbit(ref, orbit, strength=0.8)
     assert a.graph.same_graph(ref.graph)
     words = refinement_words(ref)
     for i, j in ref.graph.edges():
@@ -354,39 +338,56 @@ def test_damping_zero_set_matches_window_rule():
 
 
 def test_damping_trivial_at_scale_one():
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
-    a = damping_from_orbit(coding, orbit, 1.0)
+    orbit = periodic_itinerary((0, 0))
+    a = damping_from_orbit(refine(0), orbit)
     assert a.max() == 0.0  # neighborhood covers everything
 
 
 def test_damping_zero_strength():
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
-    a = damping_from_orbit(coding, orbit, 0.25, strength=0.0)
+    orbit = periodic_itinerary((0, 0))
+    a = damping_from_orbit(refine(2), orbit, strength=0.0)
     assert a.max() == 0.0
 
 
+DAMPING_BUILDERS = {
+    "damping_from_orbit": lambda itinerary, order, strength:
+        damping_from_orbit(refine(order), itinerary, strength),
+    "window_automaton": window_automaton,
+}
+
+
+@pytest.mark.parametrize("builder", DAMPING_BUILDERS.values(),
+                         ids=DAMPING_BUILDERS.keys())
+@pytest.mark.parametrize("itinerary, order, strength", [
+    ((0,), -1, 1.0),     # negative order
+    ((), 3, 1.0),        # empty itinerary
+    ((1, 2), 3, 1.0),    # the step 1 -> 2 is forbidden
+    ((5,), 2, 1.0),      # symbol outside 0..2
+    ((2, -1), 2, 1.0),   # a negative symbol must not index from the end
+    ((0,), 2, -1.0),     # negative strength
+])
+def test_damping_builders_reject_bad_inputs(builder, itinerary, order,
+                                            strength):
+    with pytest.raises(ValueError):
+        builder(itinerary, order, strength)
+    builder((0,), max(order, 0), abs(strength))  # valid inputs pass
+
+
 def test_damping_validation():
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
+    orbit = periodic_itinerary((0, 0))
     with pytest.raises(ValueError):
-        damping_from_orbit(coding, orbit, 0.25, strength=-1.0)
+        damping_from_orbit(refine(2), orbit, strength=-1.0)
     with pytest.raises(ValueError):
-        damping_from_orbit(coding, orbit, 1.5)
-    with pytest.raises(ValueError):
-        damping_from_orbit(coding, (0, 1, 2), 0.25)  # inadmissible word
+        damping_from_orbit(refine(2), (0, 1, 2))  # inadmissible word
 
 
 def test_fixed_orbit_isolated_at_every_positive_order():
     # the only cycle through cylinders shadowing the fixed point is the
     # fixed point's own loop: expansivity at work, checked for each order
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, (0, 0))
+    orbit = periodic_itinerary((0, 0))
     for order in (1, 2, 3, 4):
-        eps = 2.0 ** -order
-        a = damping_from_orbit(coding, orbit, eps)
-        ref = coding.refine(order)
+        ref = refine(order)
+        a = damping_from_orbit(ref, orbit)
         z = ref.state_of_word((0,) * (order + 1))
         assert edge_pairs(ref.graph, undamped_set(ref.graph, a)) == ((z, z),)
         assert (edge_pairs(ref.graph, noncontrolled_set(ref.graph, a))
@@ -394,14 +395,13 @@ def test_fixed_orbit_isolated_at_every_positive_order():
 
 
 def test_half_expansion_and_potential():
-    coding = MarkovCoding()
     assert 0.5 * LYAPUNOV == pytest.approx(LOG_GOLDEN, rel=1e-15)
-    ref = coding.refine(1)
-    phi = expansion_potential(ref)
+    ref = refine(1)
+    phi = expansion_potential(ref.graph)
     assert phi.max() == phi.min() == pytest.approx(-LOG_GOLDEN, rel=1e-15)
     # bitwise, at every order the report uses
     for order in range(7):
-        assert np.all(expansion_potential(coding.refine(order)).values
+        assert np.all(expansion_potential(refine(order).graph).values
                       == -0.48121182505960347)
 
 
@@ -448,6 +448,24 @@ def test_report_solves_min_mean_cycle_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("order", [2, 6])
+def test_report_builds_one_refinement(order, monkeypatch):
+    # the report refines once, to the order of its scale, and passes that
+    # refinement down; no order-0 coding is built to check the itinerary
+    built = []
+
+    class Recording(catmap.SymbolicRefinement):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.order)
+
+    monkeypatch.setattr(catmap, "SymbolicRefinement", Recording)
+    epsilon = 2.0 ** -order
+    rep = orbit_damping_report(epsilon, beta_max=10.0)
+    assert rep["regime"] == "below-threshold"
+    assert built == [refinement_for_scale(epsilon)] == [order]
+
+
 def test_report_above_threshold():
     rep = orbit_damping_report(1.0)
     assert rep["regime"] == "above-threshold"
@@ -491,13 +509,13 @@ def test_report_period_two_orbit():
 # same bound tells a wrong potential from a right one.
 
 
-def _ladder(coding, point, orders, shift=0.0):
-    orbit = periodic_itinerary(coding, point)
+def _ladder(point, orders, shift=0.0):
+    orbit = periodic_itinerary(point)
     betas = []
     for k in orders:
-        ref = coding.refine(k)
-        a = damping_from_orbit(coding, orbit, 2.0 ** -k)
-        phi = expansion_potential(ref) + shift
+        ref = refine(k)
+        a = damping_from_orbit(ref, orbit)
+        phi = expansion_potential(ref.graph) + shift
         betas.append(find_gap_beta(ref.graph, a, phi, 50.0).hi)
     return betas
 
@@ -508,15 +526,14 @@ def _richardson_gap(b8, b9):
 
 @pytest.mark.parametrize("point", CATMAP_POINTS)
 def test_refinement_ladder_tends_to_half_lyapunov(point):
-    coding = MarkovCoding()
-    d = [b - LAMBDA / 2 for b in _ladder(coding, point, range(5, 10))]
+    d = [b - LAMBDA / 2 for b in _ladder(point, range(5, 10))]
     assert all(x > 0 for x in d), d
     assert all(x > y for x, y in zip(d, d[1:])), d
     for prev, cur in zip(d, d[1:]):
         assert 2.5 <= prev / cur <= 2.7, d
     assert _richardson_gap(d[-2] + LAMBDA / 2, d[-1] + LAMBDA / 2) < 1e-5
     for shift in (1e-4, -1e-4):
-        assert _richardson_gap(*_ladder(coding, point, (8, 9), shift)) > 1e-5
+        assert _richardson_gap(*_ladder(point, (8, 9), shift)) > 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +564,17 @@ def _automaton_state(word, prefixes):
     return suffix, word[-1]
 
 
-def _edge_map_mismatches(coding, k, itinerary, graph, a_values):
+def _edge_map_mismatches(k, itinerary, graph, a_values):
     """Edges of the order-k refinement whose image in the automaton is no
     edge or costs a different damping; the image must also cover every
     automaton edge."""
-    ref = coding.refine(k)
+    ref = refine(k)
     prefixes = _window_prefixes(itinerary, k)
     labels = [_automaton_state(w[:k], prefixes) for w in refinement_words(ref)]
     index = {key: i for i, key in enumerate(sorted(set(labels)))}
     assert len(index) == graph.n_states
     state = np.array([index[key] for key in labels])
-    a_ref = damping_from_orbit(coding, itinerary, 2.0 ** -k).values
+    a_ref = damping_from_orbit(ref, itinerary).values
     bad, hit = 0, np.zeros(graph.n_edges, dtype=bool)
     for e, (u, v) in enumerate(ref.graph.edges()):
         try:
@@ -573,15 +590,14 @@ def _edge_map_mismatches(coding, k, itinerary, graph, a_values):
 
 @pytest.mark.parametrize("point", WINDOW_POINTS)
 def test_window_automaton_is_the_refinement_read_by_windows(point):
-    coding = MarkovCoding()
-    itinerary = periodic_itinerary(coding, point).states
+    itinerary = periodic_itinerary(point)
     for k in range(1, 9):
         graph, a, phi = window_automaton(itinerary, k)
         assert graph.irreducible
         assert np.all(phi.values == -0.5 * LYAPUNOV)
-        assert _edge_map_mismatches(coding, k, itinerary, graph, a.values) == 0
+        assert _edge_map_mismatches(k, itinerary, graph, a.values) == 0
         late = a.values[graph.indptr[graph.dst]]  # cost of the state entered
-        assert _edge_map_mismatches(coding, k, itinerary, graph, late) > 0, k
+        assert _edge_map_mismatches(k, itinerary, graph, late) > 0, k
 
 
 def _exact_root(graph, a, bracket, digits=40):
@@ -608,13 +624,12 @@ def test_window_automaton_pressure_and_beta_star_match_refinement(point):
     # at each beta, the two pressures agree within the sum of the two
     # solves' enclosures (0.39 of it at most, measured); where the orbit
     # is isolated, both beta* brackets hold the automaton's 40-digit root
-    coding = MarkovCoding()
-    orbit = periodic_itinerary(coding, point)
+    orbit = periodic_itinerary(point)
     for k in range(1, 9):
-        ref = coding.refine(k)
-        a = damping_from_orbit(coding, orbit, 2.0 ** -k)
-        phi = expansion_potential(ref)
-        small = window_automaton(orbit.states, k)
+        ref = refine(k)
+        a = damping_from_orbit(ref, orbit)
+        phi = expansion_potential(ref.graph)
+        small = window_automaton(orbit, k)
         _, wa, wphi = small
         for beta in (0.0, 0.5, 1.0, 7.5, 30.0):
             refined, auto = perron(phi - beta * a), perron(wphi - beta * wa)
@@ -631,9 +646,8 @@ def test_window_automaton_pressure_and_beta_star_match_refinement(point):
 
 
 def test_window_automaton_size_bound():
-    coding = MarkovCoding()
     for point in WINDOW_POINTS:
-        itinerary = periodic_itinerary(coding, point).states
+        itinerary = periodic_itinerary(point)
         for k in range(25):
             graph, _, _ = window_automaton(itinerary, k)
             assert graph.n_states <= len(itinerary) * k + 3, (point, k)
@@ -649,14 +663,16 @@ def test_public_names_resolve():
     namespace = {}
     exec("from thermopress import *", namespace)
     removed = {"ToralMap", "build_cat_map", "half_expansion_rate",
-               "orbit_pressure_bound", "format_edge_set", "parse_edge_set"}
+               "orbit_pressure_bound", "format_edge_set", "parse_edge_set",
+               "MarkovCoding"}
     assert not removed & set(thermopress.__all__)
     assert not removed & set(namespace)
 
 
 def test_cyclic_word_from_ints_matches_itinerary():
-    coding = MarkovCoding()
-    w = periodic_itinerary(coding, (0, 0))
-    a1 = damping_from_orbit(coding, w, 0.25)
-    a2 = damping_from_orbit(coding, (0,), 0.25)
-    assert np.array_equal(a1.values, a2.values)
+    # the itinerary tuple, a list and an int array damp alike
+    ref = refine(2)
+    a1 = damping_from_orbit(ref, periodic_itinerary((0, 0)))
+    for itinerary in ([0], np.array([0])):
+        a2 = damping_from_orbit(ref, itinerary)
+        assert np.array_equal(a1.values, a2.values)

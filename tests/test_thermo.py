@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermopress import catmap, cli, ergopt, pressure, thermo
-from thermopress.catmap import (MarkovCoding, damping_from_orbit,
-                                expansion_potential, periodic_itinerary)
+from thermopress.catmap import (damping_from_orbit, expansion_potential,
+                                periodic_itinerary, refine)
 from thermopress.errors import InvariantViolation
 from thermopress.ergopt import minimize, pressure_on_set, undamped_set
 from thermopress.instances import (
@@ -194,11 +194,10 @@ def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
     # with each point started from the previous point's vectors; the
     # predictor brings it to about 2 200, with 1-3 steps per point from
     # beta = 30 on, where the log vectors are nearly linear in beta
-    coding = MarkovCoding()
-    ref = coding.refine(6)
-    phi = expansion_potential(ref)
-    orbit = periodic_itinerary(coding, point)
-    a = damping_from_orbit(coding, orbit, 2.0 ** -6)
+    ref = refine(6)
+    phi = expansion_potential(ref.graph)
+    orbit = periodic_itinerary(point)
+    a = damping_from_orbit(ref, orbit)
     result = minimize(ref.graph, a, phi)
     solves = _recording_sweep(monkeypatch)
     curve = thermo_curve(ref.graph, a, phi, default_schedule(50.0, 0.5),
@@ -215,11 +214,9 @@ def test_refine_8_report_plain_step_count(monkeypatch):
     # the refine-8 report's sweep and find_gap_beta at (1/2, 0), solved on
     # the refined graph itself, take about 1 900 plain power steps, and no
     # solve reaches the squaring stage
-    coding = MarkovCoding()
-    ref = coding.refine(8)
-    phi = expansion_potential(ref)
-    a = damping_from_orbit(coding, periodic_itinerary(
-        coding, (Fraction(1, 2), 0)), 2.0 ** -8)
+    ref = refine(8)
+    phi = expansion_potential(ref.graph)
+    a = damping_from_orbit(ref, periodic_itinerary((Fraction(1, 2), 0)))
     result = minimize(ref.graph, a, phi)
     steps, plain = [], pressure._plain_power_stage
 
@@ -566,13 +563,12 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(thermo, "perron", counting)
-    coding = MarkovCoding()
-    ref = coding.refine(order)
-    phi = expansion_potential(ref)
+    ref = refine(order)
+    phi = expansion_potential(ref.graph)
     for point in ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
                   (Fraction(1, 5), Fraction(2, 5))):
-        orbit = periodic_itinerary(coding, point)
-        a = damping_from_orbit(coding, orbit, 2.0 ** -order)
+        orbit = periodic_itinerary(point)
+        a = damping_from_orbit(ref, orbit)
         result = minimize(ref.graph, a, phi)
         solves.clear()
         beta = find_gap_beta(ref.graph, a, phi, beta_max=50.0,
@@ -587,11 +583,11 @@ def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
 def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
     # at refine 4, lo + GAP_XTOL rounds up at all four points; the last
     # candidate is the largest float at most GAP_XTOL above lo
-    coding = MarkovCoding()
-    ref = coding.refine(4)
-    orbit = periodic_itinerary(coding, point)
-    a = damping_from_orbit(coding, orbit, 2.0 ** -4)
-    gap = find_gap_beta(ref.graph, a, expansion_potential(ref), beta_max=50.0)
+    ref = refine(4)
+    orbit = periodic_itinerary(point)
+    a = damping_from_orbit(ref, orbit)
+    gap = find_gap_beta(ref.graph, a, expansion_potential(ref.graph),
+                        beta_max=50.0)
     assert gap.hi is not None and 0.0 < gap.hi - gap.lo <= GAP_XTOL
     assert np.nextafter(gap.hi, np.inf) - gap.lo > GAP_XTOL
 
@@ -630,9 +626,8 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         return gaps[-1]
 
     monkeypatch.setattr(catmap, "find_gap_beta", recording)
-    coding = MarkovCoding()
-    ref = coding.refine(order)
-    phi = expansion_potential(ref)
+    ref = refine(order)
+    phi = expansion_potential(ref.graph)
     for point in CATMAP_POINTS:
         solves.clear()
         gaps.clear()
@@ -647,15 +642,15 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         assert phases.count("pressure_on_set") == 1, point
         assert phases.count("thermo_curve") == 101, point
         assert len(phases) == 102 + steps, point
-        orbit = periodic_itinerary(coding, point)
-        _, _, small_phi = catmap.window_automaton(orbit.states, order)
+        orbit = periodic_itinerary(point)
+        _, _, small_phi = catmap.window_automaton(orbit, order)
         at_zero, refined = cold(small_phi), cold(phi)
         assert rep["pressure_undamped"] == at_zero.log_rho
         assert (abs(refined.log_rho - at_zero.log_rho)
                 <= refined.enclosure + at_zero.enclosure), point
         beta = rep["beta_star"]
         assert beta == gap.hi and rep["beta_star_enclosure"] == gap.hi - gap.lo
-        a = damping_from_orbit(coding, orbit, 2.0 ** -order)
+        a = damping_from_orbit(ref, orbit)
         at_star = cold(phi - beta * a)
         assert (abs(rep["pressure_at_beta_star"] - at_star.log_rho)
                 <= gap.at_hi.enclosure + at_star.enclosure), point
