@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Walk the hyperbolic-torus-map pipeline end to end.
 
-Steps, in order: build the area-preserving torus map and its 3-cell
-Markov partition, refine the partition to the requested symbolic scale,
-switch on damping everywhere except an epsilon-window around a chosen
-periodic orbit, locate the undamped set, and then push beta up until
-the damped pressure (offset by half the expansion rate) goes negative.
+Steps, in order: code a chosen periodic orbit by the 3-cell Markov
+partition of the area-preserving torus map, read the partition's
+refinement at the requested symbolic scale through an automaton over
+the orbit's windows (the refinement itself is counted, never built),
+switch on damping everywhere except an epsilon-window around the orbit,
+locate the undamped set, and then push beta up until the damped
+pressure (offset by half the expansion rate) goes negative.
 
 The headline numbers: undamped pressure is +lambda/2, the pressure
 restricted to the bare orbit is -lambda/2, and a finite beta already

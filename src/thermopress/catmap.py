@@ -17,13 +17,12 @@ point misses by more than 1e-9, and the map is iterated in exact
 rationals, so codings of rational points are reproducible.
 
 cell_map and code give the cells a point visits; refine recodes on
-words of a fixed length, held as base-3 codes, refusing an order
-whose words cannot fit in physical memory.  damping_from_orbit damps a
-refinement off a neighborhood of a periodic orbit, given by its
-itinerary; window_automaton is the same damped coding on at most
-p*order + 3 states, and orbit_damping_report runs the full
-pressure-decay computation for one orbit, solving its pressures on that
-automaton.
+words of a fixed length, held as base-3 codes, refusing an order whose
+words cannot fit in physical memory; state_of_word counts a word's
+state.  damping_from_orbit damps a refinement off a neighborhood of a
+periodic orbit, given by its itinerary; window_automaton is the same
+damped coding on at most p*order + 3 states, and orbit_damping_report
+runs the full pressure-decay computation for one orbit on it alone.
 """
 
 from __future__ import annotations
@@ -49,10 +48,10 @@ _SQRT5 = math.sqrt(5.0)
 BOUNDARY_MARGIN = 1e-9
 # log of the expanding eigenvalue g^2 = (3 + sqrt 5)/2, in nats per step
 LYAPUNOV = math.log((3 + _SQRT5) / 2.0)
-# bytes per refined state of a catmap run (codes, edge arrays, the
-# solvers' vectors and measures): peak RSS of `catmap --refine k --point
-# 1/2,0 --beta-max 50` is 87, 121, 199 and 413 MB at k = 10, 11, 12 and
-# 13, that is 468, 418 and 435 B per added state, rounded up
+# bytes per refined state (codes, edge arrays, solver vectors, measures):
+# peak RSS of `catmap --refine k --point 1/2,0 --beta-max 50` was 87, 121,
+# 199 and 413 MB at k = 10-13 while that report solved on the refinement,
+# 468, 418 and 435 B per added state, rounded up
 STATE_BYTES = 500
 
 
@@ -190,13 +189,10 @@ def _classify(x, y):
     return hits[0]
 
 
-def _window_codes(itinerary, length):
-    """Base-3 codes of the cyclic windows of the given length, one per
-    start of the itinerary."""
+def _windows(itinerary, length):
+    """The cyclic windows of the given length, one row per start."""
     p = len(itinerary)
-    at = (np.arange(p)[:, None] + np.arange(length)) % p
-    return np.asarray(itinerary, dtype=np.int64)[at] @ 3 ** np.arange(
-        length - 1, -1, -1, dtype=np.int64)
+    return np.asarray(itinerary)[(np.arange(p)[:, None] + np.arange(length)) % p]
 
 
 class SymbolicRefinement:
@@ -214,18 +210,6 @@ class SymbolicRefinement:
     @property
     def n_states(self):
         return self.codes.size
-
-    def state_of_word(self, word):
-        """State of an admissible word of length order+1; KeyError for any
-        other word, so that no word aliases another's code."""
-        word = tuple(word)
-        if len(word) != self.order + 1 or any(s not in (0, 1, 2) for s in word):
-            raise KeyError(word)
-        code = _window_codes(word, len(word))[0]
-        i = int(np.searchsorted(self.codes, code))
-        if i == self.codes.size or self.codes[i] != code:
-            raise KeyError(word)
-        return i
 
     def __repr__(self):
         return f"SymbolicRefinement(order={self.order}, states={self.n_states})"
@@ -249,23 +233,49 @@ def code(point, length: int) -> tuple:
     return tuple(out)
 
 
+def _word_counts(order: int) -> np.ndarray:
+    """Row m counts the admissible words of m + 1 symbols by first symbol,
+    m = 0..order; ValueError from order 45 on, where they outnumber int64."""
+    allowed = np.array(PARTITION_MATRIX, dtype=object)  # exact Python ints
+    rows = [np.ones(3, dtype=object)]
+    for _ in range(order):
+        rows.append(allowed @ rows[-1])
+        if rows[-1].sum() > np.iinfo(np.int64).max:
+            raise ValueError(f"refinement order {order} has more than 2**63 - 1"
+                             " states: its state ids overflow int64")
+    return np.array(rows, dtype=np.int64)
+
+
+def state_of_word(word) -> int:
+    """State of a word in refine(len(word) - 1): its rank among the
+    admissible words of its length, per position those that agree before
+    it and read a smaller symbol there.  KeyError for a word with no state."""
+    word = tuple(word)
+    if not word or not set(word) <= {0, 1, 2}:
+        raise KeyError(word)
+    rank, after = 0, (1, 1, 1)
+    counts = _word_counts(len(word) - 1)[::-1].tolist()
+    for s, row in zip(map(int, word), counts):
+        if not after[s]:
+            raise KeyError(word)
+        rank += sum(n for n, ok in zip(row[:s], after) if ok)
+        after = PARTITION_MATRIX[s]
+    return rank
+
+
 def refine(order: int) -> SymbolicRefinement:
     """Recode on words of length order+1; order 0 is the coding itself.
     ValueError when the words would not fit in physical memory at
     STATE_BYTES each."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    # count the words by last symbol and refuse, before building any, an
-    # order that cannot fit
+    # count the words and refuse, before building any, an order that
+    # cannot fit
+    n = int(_word_counts(order)[-1].sum())
+    if n * STATE_BYTES > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"refinement order {order} has {n} states, beyond"
+                         f" physical memory at {STATE_BYTES} B each")
     allowed = np.array(PARTITION_MATRIX, dtype=bool)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    counts = np.ones(3, dtype=np.int64)
-    for _ in range(order):
-        counts = counts @ allowed
-        if counts.sum() * STATE_BYTES > memory:
-            raise ValueError(
-                f"refinement order {order} has at least {counts.sum()}"
-                f" states, beyond physical memory at {STATE_BYTES} B each")
     codes = np.arange(3, dtype=np.int64)
     for _ in range(order):
         i, t = np.nonzero(allowed[codes % 3])
@@ -331,8 +341,8 @@ def damping_from_orbit(refinement: SymbolicRefinement, itinerary,
     """
     order = refinement.order
     itinerary = _check_orbit_damping(itinerary, order, strength)
-    zero_source = np.isin(refinement.codes // 3,
-                          _window_codes(itinerary, order))
+    zero_source = np.isin(refinement.codes // 3, _windows(itinerary, order)
+                          @ 3 ** np.arange(order - 1, -1, -1))
     graph = refinement.graph
     return EdgePotential(graph, np.where(zero_source[graph.src], 0.0, strength))
 
@@ -360,12 +370,13 @@ def window_automaton(itinerary, order: int, strength: float = 1.0):
     symbols alone, so the terminal strongly connected class, the only
     one kept, is a right-resolving presentation of the refinement with
     the same Pr(phi - beta a) for every beta (Lind and Marcus, ch. 3), on
-    at most p*order + 3 states.  Returns (graph, a, phi), as load_system.
+    at most p*order + 3 states.  Returns (graph, a, phi), as load_system,
+    and words: row e is the refined word s + (t,) edge e reads where s is
+    a whole window, else -1s; edges e -> f read words[e] -> words[f].
     """
     itinerary = _check_orbit_damping(itinerary, order, strength)
-    p = len(itinerary)
-    prefixes = {tuple(itinerary[(i + j) % p] for j in range(m))
-                for i in range(p) for m in range(order + 1)}
+    prefixes = {tuple(w[:m]) for w in _windows(itinerary, order).tolist()
+                for m in range(order + 1)}
     keys = sorted({(s, s[-1]) for s in prefixes if s}
                   | {((), c) for c in range(3)})
     index = {key: i for i, key in enumerate(keys)}
@@ -375,8 +386,10 @@ def window_automaton(itinerary, order: int, strength: float = 1.0):
             u = s + (t,)
             while u not in prefixes:
                 u = u[1:]
-            edges.append((i, index[u, t], 0.0 if len(s) == order else strength))
-    src, dst, cost = (np.array(x) for x in zip(*sorted(edges)))
+            whole = len(s) == order
+            edges.append((i, index[u, t], 0.0 if whole else strength,
+                          s + (t,) if whole else (-1,) * (order + 1)))
+    src, dst, cost, words = (np.array(x) for x in zip(*sorted(edges)))
     n = len(keys)
     _, label = connected_components(
         csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n)),
@@ -386,15 +399,8 @@ def window_automaton(itinerary, order: int, strength: float = 1.0):
     new = np.cumsum(keep) - 1
     kept = keep[src]
     graph = TransitionGraph(keep.sum(), new[src[kept]], new[dst[kept]])
-    return graph, EdgePotential(graph, cost[kept]), expansion_potential(graph)
-
-
-def _lift_orbit_edges(ref: SymbolicRefinement, itinerary) -> np.ndarray:
-    """Ascending ids of the orbit's edges in the refined graph: from each
-    window to the next."""
-    states = np.searchsorted(ref.codes, _window_codes(itinerary, ref.order + 1))
-    return np.unique([ref.graph.edge_id(u, v) for u, v in
-                      zip(states.tolist(), np.roll(states, -1).tolist())])
+    return (graph, EdgePotential(graph, cost[kept]), expansion_potential(graph),
+            words[kept])
 
 
 def orbit_damping_report(epsilon: float, strength: float = 1.0,
@@ -403,18 +409,17 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     """End-to-end pressure-decay computation for damping supported off the
     epsilon-neighborhood of one periodic orbit of the cat map.
 
-    Builds the refinement matching epsilon once, the orbit-window damping
-    on it, and the expansion potential, then checks whether the critical
-    edge set (ascending edge ids) is exactly the orbit's.  If it is
+    Builds no refinement: n_states counts its words, and one minimize on
+    the orbit's window_automaton gives a0, the limit target and the
+    refined critical edges, between the state_of_word of the words that
+    consecutive critical edges read.  If those are exactly the orbit's
     (epsilon below the isolation threshold), runs the damped pressure
     curve, audits it, and finds the strength where the pressure turns
     negative (find_gap_beta: warm-started Newton with certified signs),
-    both on the window_automaton of the orbit, whose pressures are the
-    refinement's, with a0 and the limit target from the refinement's
-    minimization.  Otherwise reports the above-threshold regime, which
-    is a finding, not an error.
-    All values are plain JSON types; undamped_edges lists the critical
-    edges as [i, j] pairs in edge order.
+    both on the automaton.  Otherwise reports the above-threshold regime,
+    which is a finding, not an error.
+    All values are plain JSON types; undamped_edges lists the refined
+    critical edges as ascending [i, j] pairs.
     entropy is LYAPUNOV, as a higher-block recoding keeps h_top; each
     other number comes from one solve: pressure_undamped from the curve's
     beta = 0 point (from its own solve above the threshold), and
@@ -422,34 +427,37 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     find_gap_beta's bracket and the solve that certified beta_star.
     """
     order = refinement_for_scale(epsilon)
-    ref = refine(order)
+    n_states = int(_word_counts(order)[-1].sum())
     itinerary = periodic_itinerary(point)
-    a = damping_from_orbit(ref, itinerary, strength)
-    phi = expansion_potential(ref.graph)
-    result = minimize(ref.graph, a, phi)
+    graph, a, phi, words = window_automaton(itinerary, order, strength)
+    result = minimize(graph, a, phi)
     crit = result.critical_edges
-    isolated = np.array_equal(crit, _lift_orbit_edges(ref, itinerary))
+    if (words[crit] < 0).any():  # strength within Howard's tolerance of 0
+        raise ValueError(f"strength {strength!r} leaves a damped edge critical")
+    ranks = [state_of_word(w) for w in words[crit]]
+    follows = np.nonzero(graph.dst[crit][:, None] == graph.src[crit])
+    undamped = sorted({(ranks[e], ranks[f]) for e, f in zip(*follows)})
+    orbit = [state_of_word(w) for w in _windows(itinerary, order + 1)]
+    isolated = undamped == sorted(set(zip(orbit, orbit[1:] + orbit[:1])))
     if isolated:
-        small = window_automaton(itinerary, order, strength)
-        curve = thermo_curve(*small, default_schedule(beta_max, beta_step),
-                             minimization=result)
+        curve = thermo_curve(graph, a, phi, default_schedule(
+            beta_max, beta_step), minimization=result)
     report = {
         "lyapunov": LYAPUNOV,
         "entropy": LYAPUNOV,
         "epsilon": float(epsilon),
         "refinement_order": order,
         "symbolic_scale": 2.0 ** (-order),
-        "n_states": ref.n_states,
+        "n_states": n_states,
         "orbit_period": len(itinerary),
         "orbit_itinerary": list(itinerary),
         "strength": float(strength),
         "min_average": result.value,
-        "undamped_edges": np.column_stack(
-            (ref.graph.src[crit], ref.graph.dst[crit])).tolist(),
+        "undamped_edges": [list(e) for e in undamped],
         "pressure_on_undamped": result.restricted_pressure,
         "pressure_undamped": (curve.pressure_phi if isolated
-                              else pressure_transfer(ref.graph, phi).value),
-        "undamped_set_is_orbit": bool(isolated),
+                              else pressure_transfer(graph, phi).value),
+        "undamped_set_is_orbit": isolated,
     }
     if not isolated:
         # neighborhood admits cycles besides the orbit; the restricted
@@ -466,7 +474,7 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     # bracketing and monotonicity checks signal an actual bug
     if not ok and diag["failed_check"] != "limit-gap":
         raise InvariantViolation(f"pressure curve failed audit: {diag}")
-    gap = find_gap_beta(*small, beta_max=beta_max, minimization=result)
+    gap = find_gap_beta(graph, a, phi, beta_max=beta_max, minimization=result)
     found = gap.hi is not None
     report["regime"] = "below-threshold"
     report["limit_verified"] = bool(ok)

@@ -432,7 +432,7 @@ def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
     P = np.exp(f.values + logr[dst] - logr[src] - data.log_rho)
     rowsums = graph.row_sums(P)
     defect = np.abs(rowsums - 1.0).max()
-    if defect > 1e-10:
+    if not defect <= 1e-10:  # NaN, from a zero entry of right, fails too
         raise ConvergenceError(
             f"equilibrium rows off stochastic by {defect:.3e} (> 1e-10)"
         )

@@ -156,9 +156,8 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     point's solve also gives pressure_phi.
 
     minimization supplies a0 and the limit target: the value and
-    restricted_pressure of minimize(graph, a, phi), which every
-    presentation of one damped shift shares.  When omitted, that call is
-    made here.
+    restricted_pressure of minimize(graph, a, phi), for a caller that
+    has already made that call.  When omitted, it is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
@@ -321,8 +320,8 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     the solve that certified hi negative.
 
     minimization supplies the restricted pressure of minimize(graph, a,
-    phi), which every presentation of one damped shift shares; when
-    omitted, that call is made here.
+    phi), for a caller that has already made that call; when omitted, it
+    is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")

@@ -25,6 +25,7 @@ from thermopress.catmap import (
     periodic_itinerary,
     refine,
     refinement_for_scale,
+    state_of_word,
     window_automaton,
 )
 from thermopress.ergopt import (minimize, noncontrolled_set, pressure_on_set,
@@ -238,22 +239,37 @@ def test_refinement_preserves_entropy():
 def test_refinement_encode_point_matches_code():
     ref = refine(2)
     p = (Fraction(3, 7), Fraction(2, 7))
-    state = ref.state_of_word(code(p, ref.order + 1))
+    state = state_of_word(code(p, ref.order + 1))
     assert refinement_words(ref)[state] == code(p, 3)
 
 
 def test_state_of_word_rejects_words_without_a_state():
-    # codes collide where words do not: (0, 3) encodes 3 like (1, 0), and
-    # (1, -1) encodes 2 like (0, 2); each word without a state raises
-    ref = refine(1)
-    for i, word in enumerate(refinement_words(ref)):
-        assert ref.state_of_word(word) == i
-        assert ref.state_of_word(np.array(word)) == i
-    for word in [(0,), (0, 0, 0), (),                 # wrong length
+    # base-3 codes collide where words do not: (0, 3) encodes 3 like
+    # (1, 0), and (1, -1) encodes 2 like (0, 2); each word without a state
+    # raises, and a word's length picks the refinement it is ranked in
+    for order in (0, 1, 2):
+        for i, word in enumerate(refinement_words(refine(order))):
+            assert state_of_word(word) == i
+            assert state_of_word(np.array(word)) == i
+    for word in [(),                                  # no symbols
                  (0, 3), (1, -1), (-1, 0), (0, 1.5),  # symbols outside 0..2
-                 (1, 2)]:                             # inadmissible: 1 -> 2
+                 (1, 2), (0, 1, 2, 0)]:               # inadmissible: 1 -> 2
         with pytest.raises(KeyError):
-            ref.state_of_word(word)
+            state_of_word(word)
+
+
+def test_state_of_word_is_the_refined_state():
+    # the rank counted from the words is the state refine gives the word:
+    # every word up to order 8, every 7th and the last at orders 9 and 10
+    for order in range(11):
+        words = refinement_words(refine(order))
+        step = 1 if order <= 8 else 7
+        for i in [*range(0, len(words), step), len(words) - 1]:
+            assert state_of_word(words[i]) == i, (order, i)
+    # F(92) words of 45 symbols fit in int64; F(94) words of 46 do not
+    assert state_of_word((2,) * 45) == 7_540_113_804_746_346_428
+    with pytest.raises(ValueError, match="overflow int64"):
+        state_of_word((0,) * 46)
 
 
 def test_refinement_rejects_negative_order():
@@ -263,10 +279,11 @@ def test_refinement_rejects_negative_order():
 
 def test_refine_refuses_order_beyond_memory():
     # order 40 has F(84) ~ 1.6e17 words; the refusal counts them by the
-    # recurrence, stopping once past physical memory, and builds none
+    # recurrence and builds none
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="order 40 has at least"):
+        with pytest.raises(ValueError,
+                           match="order 40 has 160500643816367088 states"):
             refine(40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -388,7 +405,7 @@ def test_fixed_orbit_isolated_at_every_positive_order():
     for order in (1, 2, 3, 4):
         ref = refine(order)
         a = damping_from_orbit(ref, orbit)
-        z = ref.state_of_word((0,) * (order + 1))
+        z = state_of_word((0,) * (order + 1))
         assert edge_pairs(ref.graph, undamped_set(ref.graph, a)) == ((z, z),)
         assert (edge_pairs(ref.graph, noncontrolled_set(ref.graph, a))
                 == ((z, z),))
@@ -449,9 +466,9 @@ def test_report_solves_min_mean_cycle_once(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [2, 6])
-def test_report_builds_one_refinement(order, monkeypatch):
-    # the report refines once, to the order of its scale, and passes that
-    # refinement down; no order-0 coding is built to check the itinerary
+def test_report_builds_no_refinement(order, monkeypatch):
+    # the report solves on the orbit-window automaton alone: it counts the
+    # refined states and ranks the refined words without building them
     built = []
 
     class Recording(catmap.SymbolicRefinement):
@@ -460,10 +477,20 @@ def test_report_builds_one_refinement(order, monkeypatch):
             built.append(self.order)
 
     monkeypatch.setattr(catmap, "SymbolicRefinement", Recording)
-    epsilon = 2.0 ** -order
-    rep = orbit_damping_report(epsilon, beta_max=10.0)
+    rep = orbit_damping_report(2.0 ** -order, beta_max=10.0)
     assert rep["regime"] == "below-threshold"
-    assert built == [refinement_for_scale(epsilon)] == [order]
+    assert built == []
+    assert rep["n_states"] == refine(order).n_states
+
+
+def test_report_rejects_a_strength_that_damps_nothing():
+    # at strength 0 every edge is critical, and an edge from no whole
+    # window stands for many refined edges, which the report cannot list
+    with pytest.raises(ValueError, match="leaves a damped edge critical"):
+        orbit_damping_report(2.0 ** -2, strength=0.0)
+    # at order 0 every edge reads one word: the whole partition graph
+    rep = orbit_damping_report(1.0, strength=0.0)
+    assert rep["undamped_edges"] == [list(e) for e in refine(0).graph.edges()]
 
 
 def test_report_above_threshold():
@@ -564,13 +591,15 @@ def _automaton_state(word, prefixes):
     return suffix, word[-1]
 
 
-def _edge_map_mismatches(k, itinerary, graph, a_values):
+def _edge_map_mismatches(k, itinerary, graph, a_values, words=None):
     """Edges of the order-k refinement whose image in the automaton is no
-    edge or costs a different damping; the image must also cover every
-    automaton edge."""
+    edge, costs a different damping or, where given words[f] is a word,
+    reads a word other than the refined edge's source; the image must
+    also cover every automaton edge."""
     ref = refine(k)
     prefixes = _window_prefixes(itinerary, k)
-    labels = [_automaton_state(w[:k], prefixes) for w in refinement_words(ref)]
+    ref_words = refinement_words(ref)
+    labels = [_automaton_state(w[:k], prefixes) for w in ref_words]
     index = {key: i for i, key in enumerate(sorted(set(labels)))}
     assert len(index) == graph.n_states
     state = np.array([index[key] for key in labels])
@@ -584,6 +613,8 @@ def _edge_map_mismatches(k, itinerary, graph, a_values):
             continue
         hit[f] = True
         bad += a_values[f] != a_ref[e]
+        if words is not None and words[f, 0] >= 0:
+            bad += tuple(words[f]) != ref_words[u]
     assert hit.all()
     return bad
 
@@ -592,10 +623,12 @@ def _edge_map_mismatches(k, itinerary, graph, a_values):
 def test_window_automaton_is_the_refinement_read_by_windows(point):
     itinerary = periodic_itinerary(point)
     for k in range(1, 9):
-        graph, a, phi = window_automaton(itinerary, k)
+        graph, a, phi, words = window_automaton(itinerary, k)
         assert graph.irreducible
         assert np.all(phi.values == -0.5 * LYAPUNOV)
-        assert _edge_map_mismatches(k, itinerary, graph, a.values) == 0
+        # an edge reads one refined word exactly when it is undamped
+        assert np.array_equal(words[:, 0] < 0, a.values > 0)
+        assert _edge_map_mismatches(k, itinerary, graph, a.values, words) == 0
         late = a.values[graph.indptr[graph.dst]]  # cost of the state entered
         assert _edge_map_mismatches(k, itinerary, graph, late) > 0, k
 
@@ -629,7 +662,7 @@ def test_window_automaton_pressure_and_beta_star_match_refinement(point):
         ref = refine(k)
         a = damping_from_orbit(ref, orbit)
         phi = expansion_potential(ref.graph)
-        small = window_automaton(orbit, k)
+        small = window_automaton(orbit, k)[:3]
         _, wa, wphi = small
         for beta in (0.0, 0.5, 1.0, 7.5, 30.0):
             refined, auto = perron(phi - beta * a), perron(wphi - beta * wa)
@@ -649,8 +682,97 @@ def test_window_automaton_size_bound():
     for point in WINDOW_POINTS:
         itinerary = periodic_itinerary(point)
         for k in range(25):
-            graph, _, _ = window_automaton(itinerary, k)
+            graph, _, _, _ = window_automaton(itinerary, k)
             assert graph.n_states <= len(itinerary) * k + 3, (point, k)
+
+
+def test_report_runs_beyond_the_refinements_reach(monkeypatch):
+    # refine 24 has F(52) ~ 3.3e10 states, 16 TB at STATE_BYTES each; the
+    # report solves on at most 3*24 + 3 automaton states, and its beta*
+    # bracket holds the automaton's 40-digit root
+    gaps = []
+
+    def recording(*args, **kw):
+        gaps.append(find_gap_beta(*args, **kw))
+        return gaps[-1]
+
+    monkeypatch.setattr(catmap, "find_gap_beta", recording)
+    point = (Fraction(1, 2), 0)
+    rep = orbit_damping_report(2.0 ** -24, point=point, beta_max=30.0)
+    assert rep["decays"] is True
+    assert rep["n_states"] == 32_951_280_099
+    (gap,) = gaps
+    graph, a, _, _ = window_automaton(periodic_itinerary(point), 24)
+    root = _exact_root(graph, a, (gap.lo, gap.hi))
+    assert gap.lo <= root < gap.hi
+
+
+# ---------------------------------------------------------------------------
+# the report's core against the refinement
+#
+# The report never refines: it reads the isolation verdict, a0, the
+# restricted pressure and the undamped edges off the automaton and counts
+# n_states.  Here each is computed on the refinement as well, at seeded
+# random rational points besides the named ones; every rational point of
+# the torus is periodic.
+
+
+def _random_rational_points(n, seed):
+    """n distinct points with denominators 2..10, none of WINDOW_POINTS."""
+    rng = np.random.default_rng(seed)
+    points = set()
+    while len(points) < n:
+        q = int(rng.integers(2, 11))
+        points.add((Fraction(int(rng.integers(q)), q),
+                    Fraction(int(rng.integers(q)), q)))
+        points -= set(WINDOW_POINTS)
+    return tuple(sorted(points))
+
+
+@pytest.mark.parametrize("point", WINDOW_POINTS
+                         + _random_rational_points(25, seed=3))
+def test_report_core_matches_the_refinement(point, monkeypatch):
+    # pressure_on_set's solves are recorded to bound the restricted
+    # pressures' difference by the two sides' enclosures
+    enclosures = []
+
+    def recording(f, **kw):
+        data = perron(f, **kw)
+        enclosures.append(data.enclosure)
+        return data
+
+    monkeypatch.setattr(ergopt, "perron", recording)
+    orbit = periodic_itinerary(point)
+    p = len(orbit)
+    for k in range(9):
+        enclosures.clear()
+        ref = refine(k)
+        phi = expansion_potential(ref.graph)
+        result = minimize(ref.graph, damping_from_orbit(ref, orbit), phi)
+        tol = max(enclosures)
+        index = {w: i for i, w in enumerate(refinement_words(ref))}
+        windows = [tuple(orbit[(i + j) % p] for j in range(k + 1))
+                   for i in range(p)]
+        orbit_edges = sorted({(index[u], index[v]) for u, v in
+                              zip(windows, windows[1:] + windows[:1])})
+        critical = edge_pairs(ref.graph, result.critical_edges)
+        isolated = list(critical) == orbit_edges
+        if isolated and result.restricted_pressure >= 0:
+            # the orbit repeats a window, so its edges close cycles besides
+            # its own; the verdict holds them isolated all the same, and
+            # the search finds no crossing
+            with pytest.raises(ValueError, match="is nonnegative"):
+                orbit_damping_report(2.0 ** -k, point=point, beta_max=1.0)
+            continue
+        enclosures.clear()
+        rep = orbit_damping_report(2.0 ** -k, point=point, beta_max=1.0)
+        tol += max(enclosures)
+        assert rep["undamped_set_is_orbit"] == isolated, k
+        assert rep["min_average"] == result.value, k
+        assert rep["n_states"] == ref.n_states, k
+        assert rep["undamped_edges"] == [list(e) for e in critical], k
+        assert (abs(rep["pressure_on_undamped"] - result.restricted_pressure)
+                <= tol), k
 
 
 # ---------------------------------------------------------------------------

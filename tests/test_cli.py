@@ -197,14 +197,20 @@ def test_catmap_epsilon_form(tmp_path):
     assert rep["n_states"] == 21
 
 
-def test_catmap_refuses_refinement_beyond_memory(tmp_path):
-    # order 40 would need about 1e11 GB of words; refused before building
-    r = run_cli("catmap", "--refine", "40", "--beta-max", "5",
+def test_catmap_refuses_order_beyond_int64(tmp_path):
+    # order 44 has F(92) < 2**63 refined states, which the report counts
+    # without building; order 45 has F(94) > 2**63 and is refused
+    r = run_cli("catmap", "--refine", "45", "--beta-max", "5",
                 "--out", str(tmp_path))
     assert r.returncode == 2
-    assert r.stderr.startswith("error: refinement order 40")
-    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr == ("error: refinement order 45 has more than 2**63 - 1"
+                        " states: its state ids overflow int64\n")
     assert not (tmp_path / "catmap_report.json").exists()
+    r = run_cli("catmap", "--refine", "44", "--beta-max", "5",
+                "--out", str(tmp_path))
+    assert r.returncode == 0
+    rep = json.loads((tmp_path / "catmap_report.json").read_text())
+    assert rep["n_states"] == 7_540_113_804_746_346_429
 
 
 @pytest.mark.parametrize("argv, name", [

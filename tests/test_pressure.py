@@ -1054,6 +1054,25 @@ def test_equilibrium_large_pressure_does_not_overflow():
     assert eq.log_lambda == pytest.approx(800.0 + math.log(2.0), rel=1e-15)
 
 
+def test_equilibrium_rejects_a_nan_row_defect(monkeypatch):
+    # a zero entry in the right Perron vector, as an underflowed solve
+    # gives, makes log r -inf and the row defect NaN, which compares false
+    # with any bound: it must be a ConvergenceError, not a bad measure
+    solve = pressure.perron
+
+    def zeroed(f, **kw):
+        data = solve(f, **kw)
+        right = data.right.copy()
+        right[0] = 0.0
+        return dataclasses.replace(data, right=right)
+
+    monkeypatch.setattr(pressure, "perron", zeroed)
+    g = full_shift(2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="off stochastic by nan"):
+            equilibrium_state(g, EdgePotential.constant(g, 0.0))
+
+
 def test_equilibrium_tied_loops_across_damping(monkeypatch):
     # two undamped self-loops of equal weight, joined through damped
     # edges: as beta grows the top two eigenvalues tie and the squaring

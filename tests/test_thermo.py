@@ -643,7 +643,7 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         assert phases.count("thermo_curve") == 101, point
         assert len(phases) == 102 + steps, point
         orbit = periodic_itinerary(point)
-        _, _, small_phi = catmap.window_automaton(orbit, order)
+        _, _, small_phi, _ = catmap.window_automaton(orbit, order)
         at_zero, refined = cold(small_phi), cold(phi)
         assert rep["pressure_undamped"] == at_zero.log_rho
         assert (abs(refined.log_rho - at_zero.log_rho)
