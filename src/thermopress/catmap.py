@@ -412,12 +412,12 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     Builds no refinement: n_states counts its words, and one minimize on
     the orbit's window_automaton gives a0, the limit target and the
     refined critical edges, between the state_of_word of the words that
-    consecutive critical edges read.  If those are exactly the orbit's
-    (epsilon below the isolation threshold), runs the damped pressure
-    curve, audits it, and finds the strength where the pressure turns
-    negative (find_gap_beta: warm-started Newton with certified signs),
-    both on the automaton.  Otherwise reports the above-threshold regime,
-    which is a finding, not an error.
+    consecutive critical edges read.  If those are exactly the orbit's,
+    between its p distinct states (epsilon below the isolation threshold),
+    runs the damped pressure curve, audits it, and finds the strength
+    where the pressure turns negative (find_gap_beta: warm-started Newton
+    with certified signs), both on the automaton.  Otherwise reports the
+    above-threshold regime, which is a finding, not an error.
     All values are plain JSON types; undamped_edges lists the refined
     critical edges as ascending [i, j] pairs.
     entropy is LYAPUNOV, as a higher-block recoding keeps h_top; each
@@ -438,7 +438,9 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     follows = np.nonzero(graph.dst[crit][:, None] == graph.src[crit])
     undamped = sorted({(ranks[e], ranks[f]) for e, f in zip(*follows)})
     orbit = [state_of_word(w) for w in _windows(itinerary, order + 1)]
-    isolated = undamped == sorted(set(zip(orbit, orbit[1:] + orbit[:1])))
+    # a state the orbit visits twice closes cycles besides the orbit
+    isolated = len(set(orbit)) == len(orbit) and undamped == sorted(
+        zip(orbit, orbit[1:] + orbit[:1]))
     if isolated:
         curve = thermo_curve(graph, a, phi, default_schedule(
             beta_max, beta_step), minimization=result)

@@ -419,23 +419,29 @@ class EquilibriumState:
 
 def equilibrium_state(graph: TransitionGraph, f: EdgePotential, *,
                       start=None) -> EquilibriumState:
-    """Equilibrium state via P_ij = e^{f_ij} r_j / (lambda r_i) and
-    p_i proportional to l_i r_i, from the Perron data of the transfer
-    matrix (start is passed to perron).  The row defect of P after the
-    eigenvector solve must be below 1e-10; the measure's edge mass is
-    p_i P_ij / rowsum_i, so its rows are stochastic by construction.
-    p is used as solved: MarkovMeasure checks p P = p to STATIONARY_TOL."""
+    """Equilibrium state of f from the Perron data of its transfer matrix
+    (start is passed to perron): the one-row case of _equilibrium_rows."""
     _require_irreducible(graph, f)
     data = perron(f, start=start)
-    logr = np.log(data.right)
+    mass = _equilibrium_rows(graph, f.values[None], [data])[0]
+    return EquilibriumState(MarkovMeasure(graph, mass), data.log_rho,
+                            data.right, data.left)
+
+
+def _equilibrium_rows(graph, F, solves):
+    """Edge masses p_i P_ij / rowsum_i of the equilibrium states of the rows
+    of F, from their Perron solves: P_ij = e^{f_ij} r_j / (lambda r_i), with
+    row defect below 1e-10, and p = l r as solved (MarkovMeasure checks p P
+    = p to STATIONARY_TOL)."""
     src, dst = graph.src, graph.dst
-    P = np.exp(f.values + logr[dst] - logr[src] - data.log_rho)
+    right = np.array([data.right for data in solves])
+    logr, log_rho = np.log(right), np.array([[d.log_rho] for d in solves])
+    P = np.exp(F + logr[:, dst] - logr[:, src] - log_rho)
     rowsums = graph.row_sums(P)
-    defect = np.abs(rowsums - 1.0).max()
-    if not defect <= 1e-10:  # NaN, from a zero entry of right, fails too
-        raise ConvergenceError(
-            f"equilibrium rows off stochastic by {defect:.3e} (> 1e-10)"
-        )
-    p = data.left * data.right
-    measure = MarkovMeasure(graph, (p / (p.sum() * rowsums))[src] * P)
-    return EquilibriumState(measure, data.log_rho, data.right, data.left)
+    defect = np.abs(rowsums - 1.0).max(axis=1)
+    bad = ~(defect <= 1e-10)  # NaN, from a zero entry of right, fails too
+    if bad.any():
+        raise ConvergenceError(f"equilibrium rows off stochastic by "
+                               f"{defect[bad][0]:.3e} (> 1e-10)")
+    p = np.array([data.left for data in solves]) * right
+    return (p / (p.sum(axis=1, keepdims=True) * rowsums))[:, src] * P

@@ -115,12 +115,19 @@ class TransitionGraph:
         raise KeyError(f"edge ({i}, {j}) is forbidden")
 
     def row_sums(self, x) -> np.ndarray:
-        """sum_j x_ij per state i, for per-edge values x."""
-        return np.bincount(self.src, weights=x, minlength=self.n_states)
+        """sum_j x_ij per state i, for per-edge values x (or per row of x)."""
+        return self._bin_sums(self.src, x)
 
     def column_sums(self, x) -> np.ndarray:
-        """sum_i x_ij per state j, for per-edge values x."""
-        return np.bincount(self.dst, weights=x, minlength=self.n_states)
+        """sum_i x_ij per state j, for per-edge values x (or per row of x)."""
+        return self._bin_sums(self.dst, x)
+
+    def _bin_sums(self, ends, x):
+        """One bincount of x by edge ends, row b of a 2-d x offset by b n:
+        as each state has edges in and out, no bin is missing at the end."""
+        x, n = np.asarray(x), self.n_states
+        bins = ends + n * np.arange(x.size // self.n_edges)[:, None]
+        return np.bincount(bins.ravel(), x.ravel()).reshape(x.shape[:-1] + (n,))
 
     def edges(self) -> list[tuple[int, int]]:
         """All allowed (i, j) pairs in lexicographic order."""
@@ -277,26 +284,36 @@ class MarkovMeasure:
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (g.n_edges,):
             raise ValueError("measure shape does not match graph")
-        if not (mass >= 0).all():  # NaN fails too
-            raise ValueError("edge mass must be nonnegative")
-        if not abs(mass.sum() - 1.0) <= STOCHASTIC_TOL:
-            raise ValueError("edge mass must sum to 1")
-        p = g.row_sums(mass)
-        if np.abs(g.column_sums(mass) - p).max() > STATIONARY_TOL:
-            raise ValueError("edge mass fails p P = p: marginals differ")
-        P = np.divide(mass, p[g.src], out=np.zeros_like(mass),
-                      where=p[g.src] > 0)
+        (p,), (P,) = _markov_rows(g, mass[None])
         for name, arr in (("mass", mass), ("stationary", p),
                           ("transitions", P)):
             object.__setattr__(self, name, _frozen_array(arr, float))
 
 
+def _markov_rows(graph, mass):
+    """MarkovMeasure's checks and (stationary, transitions), per row."""
+    if not (mass >= 0).all():  # NaN fails too
+        raise ValueError("edge mass must be nonnegative")
+    if not (np.abs(mass.sum(axis=1) - 1.0) <= STOCHASTIC_TOL).all():
+        raise ValueError("edge mass must sum to 1")
+    p = graph.row_sums(mass)
+    if np.abs(graph.column_sums(mass) - p).max() > STATIONARY_TOL:
+        raise ValueError("edge mass fails p P = p: marginals differ")
+    at_src = p[:, graph.src]
+    return p, np.divide(mass, at_src, out=np.zeros_like(mass),
+                        where=at_src > 0)
+
+
 def ks_entropy(mu: MarkovMeasure) -> float:
     """Entropy rate -sum_ij p_i P_ij log P_ij, with 0 log 0 = 0."""
-    P = mu.transitions
-    h = -float(mu.mass @ np.log(P, out=np.zeros_like(P), where=P > 0))
+    return _entropy_rows(mu.mass[None], mu.transitions[None])[0]
+
+
+def _entropy_rows(mass, P):
+    """ks_entropy per row of edge masses and their transitions."""
+    logP = np.log(P, out=np.zeros_like(P), where=P > 0)
     # roundoff can leave a tiny negative residue on deterministic measures
-    return max(h, 0.0)
+    return [max(-float(m @ h), 0.0) for m, h in zip(mass, logP)]
 
 
 def integrate(f: EdgePotential, mu: MarkovMeasure) -> float:

@@ -17,11 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import pressure
 from .errors import ConvergenceError, InvariantViolation
 from .ergopt import MinimizationResult, minimize
-from .pressure import (PerronData, _require_irreducible, equilibrium_state,
-                       perron, pressure_transfer)
-from .sft import EdgePotential, TransitionGraph, _frozen_array, integrate, ks_entropy
+from .pressure import (PerronData, _equilibrium_rows, _require_irreducible,
+                       pressure_transfer)
+from .sft import (EdgePotential, TransitionGraph, _entropy_rows, _frozen_array,
+                  _markov_rows)
 
 SANDWICH_TOL = 1e-9
 # bracket width of find_gap_beta's warm-started, certified Newton search
@@ -32,6 +34,10 @@ MAX_SCHEDULE_POINTS = 10**6
 # a normal float, and the first power step's ratios (W x + x) / x, at most
 # (out-degree + 1) / 2^-990, stay below the largest float, 2^1024
 _LOG_FLOOR = -990 * np.log(2.0)
+# most edge entries in a block of thermo_curve's points: a numpy call costs
+# about what 10^3 entries of its work do, so the overhead stays a few percent,
+# and the ten or so B x E arrays of a block stay near 1 MB
+BLOCK_ENTRIES = 2**14
 
 
 def default_schedule(beta_max: float = 40.0, step: float = 0.5) -> tuple:
@@ -126,19 +132,16 @@ def _damped(phi, a, beta):
 
 
 def _predicted_start(older, newer, t):
-    """Perron start vectors for the next point of a sweep: each log
-    vector extrapolated linearly from two solved points, log x(newer) +
-    t * (log x(newer) - log x(older)), t being the next step over the
-    last one.  The max is subtracted before exp and the logs are floored
-    at _LOG_FLOOR, so entries that exp would flush to 0 stay positive.
-    A zero entry in a solved vector can make the start non-finite; perron
-    then starts cold."""
-    vectors = []
-    for x2, x1 in ((older.right, newer.right), (older.left, newer.left)):
-        log_x1 = np.log(x1)
-        log_x = log_x1 + t * (log_x1 - np.log(x2))
-        vectors.append(np.exp(np.maximum(log_x - log_x.max(), _LOG_FLOOR)))
-    return SimpleNamespace(right=vectors[0], left=vectors[1])
+    """Perron start vectors for the next point of a sweep: the log vectors
+    (rows right, left) of two solved points extrapolated linearly, newer +
+    t * (newer - older), t being the next step over the last one.  The max
+    is subtracted before exp and the logs are floored at _LOG_FLOOR, so
+    entries that exp would flush to 0 stay positive.  A zero entry in a
+    solved vector can make the start non-finite; perron then starts cold."""
+    log_x = newer + t * (newer - older)
+    x = np.exp(np.maximum(log_x - log_x.max(axis=1, keepdims=True),
+                          _LOG_FLOOR))
+    return SimpleNamespace(right=x[0], left=x[1])
 
 
 def thermo_curve(graph: TransitionGraph, a: EdgePotential,
@@ -152,8 +155,11 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     extrapolation through the two points before it (_predicted_start),
     since log of the Perron vectors becomes linear in beta as beta grows.
     The brackets enclose the root from any positive start, so the start
-    changes only the step count.  When the schedule starts at 0, that
-    point's solve also gives pressure_phi.
+    changes only the step count.  Each block of solved points (at most
+    BLOCK_ENTRIES edge entries, else one point) then gets the measures and
+    statistics of equilibrium_state, integrate and ks_entropy in 2-d array
+    operations.  When the schedule starts at 0, that point's solve also
+    gives pressure_phi.
 
     minimization supplies a0 and the limit target: the value and
     restricted_pressure of minimize(graph, a, phi), for a caller that
@@ -166,24 +172,29 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     betas = np.array([float(b) for b in betas])
     _check_schedule(betas)
     a0, limit_target = _minimum_and_limit(graph, a, phi, minimization)
-    pressure_phi, rows, solved = None, [], []  # solved: last two points
-    for k, beta in enumerate(betas):
-        start = solved[-1] if solved else None
-        if len(solved) == 2:
-            t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
-            start = _predicted_start(*solved, t)
-        eq = equilibrium_state(graph, _damped(phi, a, beta), start=start)
-        if beta == 0:  # the cold solve of phi itself
-            pressure_phi = eq.log_lambda
-        rows.append((eq.log_lambda + beta * a0, integrate(a, eq.measure),
-                     ks_entropy(eq.measure), integrate(phi, eq.measure)))
-        # only the Perron vectors are kept: the measure goes before the
-        # next solve
-        solved = [*solved[-1:], SimpleNamespace(right=eq.right, left=eq.left)]
-        del eq
+    for f in (a, phi):
+        _require_irreducible(graph, f)
+    size = max(1, BLOCK_ENTRIES // graph.n_edges)
+    rows, start, logs = [], None, []  # logs: log (right, left) per point
+    for first in range(0, len(betas), size):
+        fs = [_damped(phi, a, beta) for beta in betas[first:first + size]]
+        solves, logs = [], logs[-2:]
+        for k, f in enumerate(fs, first):
+            if k >= 2:
+                t = (betas[k] - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
+                start = _predicted_start(*logs[-2:], t)
+            solves.append(start := pressure.perron(f, start=start))
+            logs.append(np.log((start.right, start.left)))
+        mass = _equilibrium_rows(graph, np.array([f.values for f in fs]), solves)
+        rows += zip([d.log_rho + b * a0 for d, b in zip(solves, betas[first:])],
+                    [a.values @ m for m in mass],
+                    _entropy_rows(mass, _markov_rows(graph, mass)[1]),
+                    [phi.values @ m for m in mass])
+        del fs, f, mass  # before the next block takes its own
     values, avgs, ents, phis = map(np.array, zip(*rows))
-    if pressure_phi is None:
-        pressure_phi = pressure_transfer(graph, phi).value
+    # the cold solve of phi itself, when the schedule starts at 0
+    pressure_phi = (values[0] if betas[0] == 0
+                    else pressure_transfer(graph, phi).value)
     return ThermoCurve(betas, values, avgs, ents, phis,
                        limit_target, pressure_phi, a0)
 
@@ -339,7 +350,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     _require_irreducible(graph, phi)
 
     lo, hi, at_hi = 0.0, beta_max, None
-    at_lo = last = perron(_damped(phi, a, lo))
+    at_lo = last = pressure.perron(_damped(phi, a, lo))
     if at_lo.log_rho + at_lo.enclosure < 0:
         return GapBracket(0.0, 0.0, at_lo)
     while not (at_hi is not None and hi - lo <= GAP_XTOL):
@@ -353,7 +364,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
             x = float(np.nextafter(x, lo))
         if not lo < x < hi:
             x = 0.5 * (lo + hi) if at_hi is not None else beta_max
-        last = perron(_damped(phi, a, x), start=last)
+        last = pressure.perron(_damped(phi, a, x), start=last)
         if last.log_rho + last.enclosure < 0:
             hi, at_hi = x, last
         elif x == beta_max and at_hi is None:

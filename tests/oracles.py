@@ -8,19 +8,27 @@ the log-space matrix products with
 their finiteness masks formed on every call, the damped-wave leapfrog written
 with np.roll, the cat-map cell classifier that decides every
 candidate cell exactly, and the words of a refinement decoded from its
-base-3 state codes.  None of this is on a library path; the library
-computes the same quantities from matrix powers and Perron vectors,
-steps the wave with slice stencils into preallocated arrays, and rules
-out far cells in floats before deciding the rest exactly."""
+base-3 state codes, and the damped pressure sweep taken one
+equilibrium state at a time.  None of this is on a library path; the
+library computes the same quantities from matrix powers and Perron
+vectors, steps the wave with slice stencils into preallocated arrays,
+rules out far cells in floats before deciding the rest exactly, and
+takes the sweep's statistics a block of points at a time."""
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from thermopress import sft
+from thermopress import pressure, sft
 from thermopress.catmap import _CELLS, GOLDEN, Qs5, _reduction_candidates
-from thermopress.errors import InvariantViolation, ThermopressError
-from thermopress.pressure import _UNDERFLOW
+from thermopress.errors import (ConvergenceError, InvariantViolation,
+                                ThermopressError)
+from thermopress.ergopt import minimize
+from thermopress.pressure import (_UNDERFLOW, EquilibriumState,
+                                  pressure_transfer)
 from thermopress.sft import CyclicWord, EdgePotential, TransitionGraph
+from thermopress.thermo import _LOG_FLOOR, ThermoCurve
 
 # Default cap on n_states**T for explicit word enumeration.
 ENUMERATION_CAP = 10_000_000
@@ -270,3 +278,77 @@ def log_matvec_masked(A, x):
         total = np.where(np.isfinite(S), T, 0.0).sum(axis=1)
         out[finite] = M[finite] + np.log(total[finite])
     return out
+
+
+def predicted_start(older, newer, t):
+    """thermo_curve's Perron start for the next point from two solved
+    points, each log vector taken afresh from the solved vectors."""
+    vectors = []
+    for x2, x1 in ((older.right, newer.right), (older.left, newer.left)):
+        log_x1 = np.log(x1)
+        log_x = log_x1 + t * (log_x1 - np.log(x2))
+        vectors.append(np.exp(np.maximum(log_x - log_x.max(), _LOG_FLOOR)))
+    return SimpleNamespace(right=vectors[0], left=vectors[1])
+
+
+def equilibrium_by_formulas(graph, f, data):
+    """(edge mass, transitions) of the equilibrium state of f from its
+    Perron solve, each step written out from its formula: P_ij = e^{f_ij}
+    r_j / (lambda r_i) with its row-defect check, the edge mass
+    p_i P_ij / rowsum_i with p = l r, then MarkovMeasure's checks on that
+    mass and its transitions mass_ij / p_i."""
+    n, src, dst = graph.n_states, graph.src, graph.dst
+    logr = np.log(data.right)
+    P = np.exp(f.values + logr[dst] - logr[src] - data.log_rho)
+    rowsums = np.bincount(src, weights=P, minlength=n)
+    defect = np.abs(rowsums - 1.0).max()
+    if not defect <= 1e-10:
+        raise ConvergenceError(f"equilibrium rows off stochastic by "
+                               f"{defect:.3e} (> 1e-10)")
+    p = data.left * data.right
+    mass = (p / (p.sum() * rowsums))[src] * P
+    if not ((mass >= 0).all() and abs(mass.sum() - 1.0) <= sft.STOCHASTIC_TOL):
+        raise ValueError("edge mass is not a probability")
+    stationary = np.bincount(src, weights=mass, minlength=n)
+    drift = np.bincount(dst, weights=mass, minlength=n) - stationary
+    if np.abs(drift).max() > sft.STATIONARY_TOL:
+        raise ValueError("edge mass fails p P = p: marginals differ")
+    return mass, np.divide(mass, stationary[src], out=np.zeros_like(mass),
+                           where=stationary[src] > 0)
+
+
+def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
+                           states=None):
+    """thermo_curve one point at a time: the same Perron starts and
+    pressure.perron solves, then equilibrium_by_formulas, the averages of
+    a and phi against the edge mass and its entropy -sum mass log P.  Each
+    point's EquilibriumState is appended to the list `states` if given;
+    otherwise only the last two points' Perron vectors are kept."""
+    betas = np.array([float(b) for b in betas])
+    if minimization is None:
+        minimization = minimize(graph, a, phi)
+    a0 = minimization.value
+    pressure_phi, rows, solved = None, [], []  # solved: last two points
+    for k, beta in enumerate(betas):
+        start = solved[-1] if solved else None
+        if len(solved) == 2:
+            t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
+            start = predicted_start(*solved, t)
+        f = EdgePotential(graph, phi.values - beta * a.values)
+        data = pressure.perron(f, start=start)
+        mass, T = equilibrium_by_formulas(graph, f, data)
+        h = -float(mass @ np.log(T, out=np.zeros_like(T), where=T > 0))
+        if beta == 0:
+            pressure_phi = data.log_rho
+        rows.append((data.log_rho + beta * a0, float(a.values @ mass),
+                     max(h, 0.0), float(phi.values @ mass)))
+        if states is not None:
+            states.append(EquilibriumState(sft.MarkovMeasure(graph, mass),
+                                           data.log_rho, data.right,
+                                           data.left))
+        solved = [*solved[-1:], data]
+        del f, mass, T
+    if pressure_phi is None:
+        pressure_phi = pressure_transfer(graph, phi).value
+    return ThermoCurve(betas, *map(np.array, zip(*rows)),
+                       minimization.restricted_pressure, pressure_phi, a0)

@@ -756,14 +756,8 @@ def test_report_core_matches_the_refinement(point, monkeypatch):
         orbit_edges = sorted({(index[u], index[v]) for u, v in
                               zip(windows, windows[1:] + windows[:1])})
         critical = edge_pairs(ref.graph, result.critical_edges)
-        isolated = list(critical) == orbit_edges
-        if isolated and result.restricted_pressure >= 0:
-            # the orbit repeats a window, so its edges close cycles besides
-            # its own; the verdict holds them isolated all the same, and
-            # the search finds no crossing
-            with pytest.raises(ValueError, match="is nonnegative"):
-                orbit_damping_report(2.0 ** -k, point=point, beta_max=1.0)
-            continue
+        # an orbit that repeats a window closes cycles besides its own
+        isolated = list(critical) == orbit_edges and len(set(windows)) == p
         enclosures.clear()
         rep = orbit_damping_report(2.0 ** -k, point=point, beta_max=1.0)
         tol += max(enclosures)

@@ -177,6 +177,23 @@ def test_catmap_above_threshold(tmp_path):
     assert len(rep["undamped_edges"]) == 8
 
 
+def test_catmap_orbit_with_a_repeated_window_is_above_threshold(tmp_path):
+    # (1/3, 5/9) has period 12 but only 3 distinct 1-symbol windows at
+    # --epsilon 1 (order 0): its critical edges close cycles besides the
+    # orbit, so no decay threshold is claimed; the verdict once held them
+    # isolated and the search then refused a nonnegative restricted pressure
+    r = run_cli("catmap", "--epsilon", "1", "--point", "1/3,5/9",
+                "--beta-max", "30", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[:2] == ["regime above-threshold",
+                                         "beta_star none"]
+    rep = json.loads((tmp_path / "catmap_report.json").read_text())
+    assert rep["orbit_period"] == 12 and rep["n_states"] == 3
+    assert rep["undamped_set_is_orbit"] is False and rep["decays"] is False
+    assert rep["pressure_on_undamped"] == pytest.approx(0.4812118250595978,
+                                                        abs=1e-12)
+
+
 def test_catmap_requires_beta_max(tmp_path):
     r = run_cli("catmap", "--refine", "4", "--out", str(tmp_path))
     assert r.returncode == 2

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
-from thermopress import cli, pressure, thermo
+from thermopress import cli, pressure
 from thermopress.errors import (
     ConvergenceError,
     NotIrreducibleError,
@@ -49,6 +49,7 @@ from .oracles import (
     log_matmul_masked,
     log_matvec_masked,
     mask_of_graph,
+    thermo_curve_by_points,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -774,11 +775,13 @@ def test_warm_and_cold_enclosures_intersect_on_tied_loops():
 
 @pytest.fixture(scope="module")
 def equilibrium_sweeps():
-    """thermo_curve's equilibrium states and Perron solves, one entry
-    ((g, a, phi), states, solves) per sweep: the seed-14 tied-loops
-    instances (n = 3, 10, 30, 120) and the two-loops path at beta =
-    0..30, and catmap_instance(6) and (8) at beta = 0..50, in steps of
-    1/2, squaring-stage points among them."""
+    """The equilibrium states and Perron solves of thermo_curve's sweeps,
+    one entry ((g, a, phi), states, solves) per sweep: the seed-14
+    tied-loops instances (n = 3, 10, 30, 120) and the two-loops path at
+    beta = 0..30, and catmap_instance(6) and (8) at beta = 0..50, in steps
+    of 1/2, squaring-stage points among them.  The states are those of the
+    per-point sweep, whose statistics thermo_curve's block pass gives bit
+    for bit (test_thermo.py)."""
     rng = np.random.default_rng(14)
     sweeps = [(_tied_loops_instance(rng, n), 30.0) for n in (3, 10, 30, 120)]
     sweeps += [(two_loops_path_instance(), 30.0), (catmap_instance(6), 50.0),
@@ -786,17 +789,11 @@ def equilibrium_sweeps():
     out = []
     with pytest.MonkeyPatch.context() as mp:
         solves, _ = _recording_perron(mp)
-        states, solve = [], thermo.equilibrium_state
-
-        def recording(*args, **kw):
-            states.append(solve(*args, **kw))
-            return states[-1]
-
-        mp.setattr(thermo, "equilibrium_state", recording)
         for instance, beta_max in sweeps:
-            thermo_curve(*instance, default_schedule(beta_max, 0.5))
-            out.append((instance, states[:], solves[:]))
-            states.clear()
+            states = []
+            thermo_curve_by_points(*instance, default_schedule(beta_max, 0.5),
+                                   states=states)
+            out.append((instance, states, solves[:]))
             solves.clear()
     return out
 

@@ -1,8 +1,10 @@
 """Damped pressure curves: bracketing, monotonicity, the limit, and the
 crossing strength."""
 
+import dataclasses
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from thermopress import catmap, cli, ergopt, pressure, thermo
 from thermopress.catmap import (damping_from_orbit, expansion_potential,
                                 periodic_itinerary, refine)
-from thermopress.errors import InvariantViolation
+from thermopress.errors import ConvergenceError, InvariantViolation
 from thermopress.ergopt import minimize, pressure_on_set, undamped_set
 from thermopress.instances import (
     catmap_instance,
@@ -33,6 +35,7 @@ from thermopress.thermo import (
     verify_limit,
 )
 
+from . import oracles
 from .oracles import graph_from_mask, mask_of_graph
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -171,7 +174,7 @@ def test_two_loops_path_limit():
 
 
 def _recording_sweep(mp):
-    """Patch pressure.perron (which equilibrium_state calls) to keep each
+    """Patch pressure.perron (which thermo_curve calls) to keep each
     (potential, start, PerronData); returns that list."""
     solves = []
     perron_ = pressure.perron
@@ -554,15 +557,15 @@ def test_find_gap_beta_brackets_dense_root(n, seed, share):
 
 @pytest.mark.parametrize("order", [4, 5, 6])
 def test_find_gap_beta_solve_count_on_catmap(order, monkeypatch):
-    # every Perron solve of find_gap_beta goes through thermo.perron
+    # every Perron solve of find_gap_beta goes through pressure.perron
     solves = []
-    perron_ = thermo.perron
+    perron_ = pressure.perron
 
     def counting(f, **kw):
         solves.append(perron_(f, **kw))
         return solves[-1]
 
-    monkeypatch.setattr(thermo, "perron", counting)
+    monkeypatch.setattr(pressure, "perron", counting)
     ref = refine(order)
     phi = expansion_potential(ref.graph)
     for point in ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
@@ -606,7 +609,7 @@ def _record_phases(monkeypatch):
         phases.append((frame.f_code.co_name, f))
         return cold(f, **kw)
 
-    for module in (pressure, thermo, ergopt):
+    for module in (pressure, ergopt):
         monkeypatch.setattr(module, "perron", counting)
     return phases
 
@@ -671,24 +674,149 @@ def test_refine_12_report_solves_on_the_automaton(monkeypatch):
 
 
 def test_sweep_sums_each_measure_once(monkeypatch):
-    # per point, one row_sums for equilibrium_state's row defect and one
-    # each for the measure's two marginals; integrate and ks_entropy are
-    # dot products with its edge mass.  (606 passes while the measure was
-    # stored as (transitions, stationary): a second row check in its
-    # validation and one row_sums per statistic.)
+    # per block of points, one offset bincount pass for the row defects of
+    # P and one each for the measures' two marginals, each over the whole
+    # block; the averages and entropies are dot products with the edge
+    # masses.  (303 passes when each point was summed alone, 606 while the
+    # measure was stored as (transitions, stationary).)
     g, a, phi = catmap_instance(6)
     result = minimize(g, a, phi)
     calls = []
     for name in ("row_sums", "column_sums"):
         def counting(self, x, _sums=getattr(TransitionGraph, name)):
-            calls.append(_sums)
+            calls.append((_sums, np.shape(x)))
             return _sums(self, x)
 
         monkeypatch.setattr(TransitionGraph, name, counting)
     curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
                          minimization=result)
-    assert len(curve) == 101
-    assert len(calls) <= 303
+    size = thermo.BLOCK_ENTRIES // g.n_edges  # 6 points of 2 584 edges
+    blocks = -(-len(curve) // size)
+    assert len(curve) == 101 and size == 6 and blocks == 17
+    assert len(calls) == 3 * blocks
+    rows = [shape[0] for _, shape in calls]
+    assert rows == [size] * (3 * blocks - 3) + [101 - size * (blocks - 1)] * 3
+    assert all(shape == (n, g.n_edges) for n, (_, shape) in zip(rows, calls))
+
+
+# ---------------------------------------------------------------------------
+# the block pass gives every statistic as the per-point sweep does
+
+
+def _sparse_random_instance(rng, n, extra):
+    """n states on a Hamiltonian cycle plus `extra` random successors
+    each, damping in [0.2, 1.2] but 0 on one self-loop, phi in [-1, 0.5]."""
+    A = np.zeros((n, n), dtype=bool)
+    perm = rng.permutation(n)
+    A[perm, np.roll(perm, -1)] = True
+    for i in range(n):
+        A[i, rng.choice(n, size=extra, replace=False)] = True
+    A[0, 0] = True
+    g = graph_from_mask(A)
+    a = rng.uniform(0.2, 1.2, g.n_edges)
+    a[g.edge_id(0, 0)] = 0.0
+    return g, EdgePotential(g, a), EdgePotential(
+        g, rng.uniform(-1.0, 0.5, g.n_edges))
+
+
+def _automaton(point):
+    graph, a, phi, _ = catmap.window_automaton(periodic_itinerary(point), 6)
+    return graph, a, phi
+
+
+def _random_200():
+    return _sparse_random_instance(np.random.default_rng(27), 200, 10)
+
+
+# (instance, schedule) per sweep: the four report automata at k = 6, the
+# builtins (two-loops-path reaches the squaring stage), a 200-state system
+# swept in 15 blocks of 7 points, and two schedules that start above 0
+SWEEPS = {
+    **{f"automaton-{x},{y}": (lambda p=(x, y): _automaton(p),
+                              default_schedule(50.0, 0.5))
+       for x, y in CATMAP_POINTS},
+    **{name: (lambda name=name: get_builtin(name), default_schedule(30.0, 0.5))
+       for name in ("full2", "golden-mean", "two-loops-path", "catmap")},
+    "random-200": (_random_200, default_schedule(50.0, 0.5)),
+    "random-200-from-0.3": (_random_200,
+                            np.cumsum([0.3] + [0.25, 0.5, 1.25] * 12)),
+    "automaton-1/3,0-from-0.25": (lambda: _automaton(CATMAP_POINTS[2]),
+                                  0.25 + 0.75 * np.arange(50)),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_block_sweep_is_the_point_sweep_bit_for_bit(name, monkeypatch):
+    # the same Perron solves, then each point's P, measure, averages and
+    # entropy in 2-d operations whose every entry and sum is the one the
+    # point alone gives: no curve array may move by a single bit
+    make, betas = SWEEPS[name]
+    g, a, phi = make()
+    result = minimize(g, a, phi)
+    solves = _recording_sweep(monkeypatch)
+    curve = thermo_curve(g, a, phi, betas, minimization=result)
+    blocks = -(-len(betas) // max(1, thermo.BLOCK_ENTRIES // g.n_edges))
+    monkeypatch.undo()
+    points = oracles.thermo_curve_by_points(g, a, phi, betas,
+                                            minimization=result)
+    for field in ("betas", "values", "eq_averages", "eq_entropies",
+                  "eq_phi_averages"):
+        assert np.array_equal(getattr(curve, field), getattr(points, field)), field
+    assert curve.pressure_phi == points.pressure_phi
+    if name == "two-loops-path":
+        assert any(d.stage == "squaring" for _, _, d in solves)
+    if name.startswith("random-200"):
+        # the predictor reaches across block edges
+        assert g.n_states == 200 and blocks >= 3, blocks
+
+
+def test_block_pass_rejects_a_zero_right_entry(monkeypatch, tmp_path):
+    # an exact 0 in one point's right Perron vector makes log r -inf and
+    # that row's defect inf or NaN: the block pass must raise ConvergenceError
+    # (exit 3), as equilibrium_state does, not the measure's ValueError
+    solve = pressure.perron
+    solved = []
+
+    def zeroed(f, **kw):
+        data = solve(f, **kw)
+        solved.append(data)
+        if len(solved) != 4:
+            return data
+        right = data.right.copy()
+        right[1] = 0.0
+        return dataclasses.replace(data, right=right)
+
+    monkeypatch.setattr(pressure, "perron", zeroed)
+    g, a, phi = _automaton(CATMAP_POINTS[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="off stochastic by inf"):
+            thermo_curve(g, a, phi, default_schedule(10.0, 0.5))
+        solved.clear()
+        assert cli.main(["thermo", "--builtin", "two-loops-path",
+                         "--beta-max", "4", "--out", str(tmp_path)]) == 3
+    # the check ran after the block's 9 solves, and nothing was written
+    assert len(solved) == 9 and not any(tmp_path.iterdir())
+
+
+def test_block_sweep_memory_stays_per_point_on_refine_8():
+    # refine(8) has 17 711 edges, more than a block holds, so each block
+    # is one point and the sweep holds what the per-point sweep holds; a
+    # block of all 101 points would hold 14 MB in each of its B x E arrays
+    g, a, phi = catmap_instance(8)
+    result = minimize(g, a, phi)
+    betas = default_schedule(50.0, 0.5)
+    assert g.n_edges == 17_711
+
+    def peak(sweep):
+        tracemalloc.start()
+        try:
+            sweep(g, a, phi, betas, minimization=result)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(thermo_curve)  # the graph's cached arrays are built outside both
+    assert peak(thermo_curve) <= 1.1 * peak(oracles.thermo_curve_by_points)
 
 
 @pytest.mark.parametrize("beta_max", [math.inf, math.nan])
