@@ -51,7 +51,8 @@ def _lse(values):
 
 
 def _log_matmul(A, B):
-    """Log-space matrix product out_ij = lse_k(A_ik + B_kj) in O(n^2) memory.
+    """Log-space product out_ij = lse_k(A_ik + B_kj) in O(n^2) memory, also
+    of each matrix of the stacks A (..., n, k) and B (..., k, m).
 
     Computed as the scaled BLAS product log(exp(A - r) @ exp(B - c)) + r + c,
     with r the row maxima of A and c the column maxima of B.  Only if a
@@ -59,8 +60,8 @@ def _log_matmul(A, B):
     -inf, read off the product of the finiteness masks, and the others
     that underflow are recomputed exactly, one row at a time.
     """
-    r = A.max(axis=1, keepdims=True)
-    c = B.max(axis=0, keepdims=True)
+    r = A.max(axis=-1, keepdims=True)
+    c = B.max(axis=-2, keepdims=True)
     r[~np.isfinite(r)] = 0.0
     c[~np.isfinite(c)] = 0.0
     P = np.exp(A - r) @ np.exp(B - c)
@@ -70,21 +71,21 @@ def _log_matmul(A, B):
     reach = (np.isfinite(A).astype(float) @ np.isfinite(B).astype(float)) > 0
     with np.errstate(divide="ignore"):
         out = np.where(resolved & reach, np.log(P) + r + c, -np.inf)
-    for i in np.flatnonzero((reach & ~resolved).any(axis=1)):
-        out[i] = _log_matvec(B.T, A[i])
+    for *b, i in zip(*np.nonzero((reach & ~resolved).any(axis=-1))):
+        out[(*b, i)] = _log_matvec(B[tuple(b)].T, A[(*b, i)])
     return out
 
 
 def _log_matvec(A, x):
-    """Log-space matrix-vector product: out_i = lse_j(A_ij + x_j)."""
-    S = A + x[None, :]
-    M = S.max(axis=1)
+    """Log-space product out_i = lse_j(A_ij + x_j), also of stacks A, x."""
+    S = A + x[..., None, :]
+    M = S.max(axis=-1)
     out = np.full(M.shape, -np.inf)
     finite = np.isfinite(M)
     if finite.any():
         # exp(-inf) = 0 on rows with a finite maximum; the rest are dropped
         with np.errstate(invalid="ignore"):
-            total = np.exp(S - M[:, None]).sum(axis=1)
+            total = np.exp(S - M[..., None]).sum(axis=-1)
         out[finite] = M[finite] + np.log(total[finite])
     return out
 
@@ -99,7 +100,7 @@ class PerronData:
     left: np.ndarray
     enclosure: float  # final Collatz-Wielandt bracket on log rho, + rounding
     iterations: int
-    stage: str  # "power" or "squaring": the stage whose result this is
+    stage: str  # "power", "squaring" or "stalled" (see _power_solve)
 
 
 def _steps_to(target, width, earlier, window):
@@ -194,52 +195,109 @@ def _log_start(v):
     return log_v if np.isfinite(log_v).all() else np.zeros(len(v))
 
 
-def _squared_power_stage(H, x, z):
-    """Exact log-space repeated squaring of H = log(W + I), interleaved with
-    Collatz-Wielandt sweeps from the right and left log-vectors x and z.
-    Handles spectra where the second eigenvalue nearly ties the Perron
-    root, and roots too small for the +I shift to resolve: squaring
-    amplifies the gap geometrically.  Each square is centered on its
-    largest entry, so the log eigenvectors carry rounding relative to O(1)
-    entries rather than to 2^k log(rho(W)+1).  Every power of H has H's
-    Perron vectors, so they carry across squarings, and each squaring
-    doubles their log contraction per sweep.  Once two sweeps of a power
-    project the sweeps left to TRANSFER_TOL, the stage sweeps on if they
-    are at most SQUARING_BREAK_EVEN, else squares ceil(log2(projection /
-    SQUARING_BREAK_EVEN)) times in a row (once when there is no
-    projection) and sweeps again.  All squarings count to MAX_SQUARINGS.
-
-    Returns (log rho(W+I), right log-vector, left log-vector, relative
-    enclosure width, squarings)."""
-    squarings, shift = 0, 0.0  # the uncentered log power is H + shift
-    width = np.inf
-    while True:
-        yx, yz = _log_matvec(H, x), _log_matvec(H.T, z)
-        dx, dz = yx - x, yz - z
-        x, z = yx - yx.max(), yz - yz.max()
-        lo, hi = max(dx.min(), dz.min()), min(dx.max(), dz.max())
-        previous, width = width, max(np.ptp(dx), np.ptp(dz))
-        mid = 0.5 * (lo + hi) + shift
-        # mid approximates 2^squarings log(rho(W)+1) >= 0; relative criterion
-        if mid > 0 and width <= TRANSFER_TOL * mid:
-            return (mid / 2**squarings, x, z, width / max(mid, 1e-300),
-                    squarings)
-        if previous == np.inf:
-            continue  # the first sweep of a power projects nothing
-        need = (_steps_to(TRANSFER_TOL * mid, width, previous, 1)
-                if mid > 0 else np.inf)
-        if need <= SQUARING_BREAK_EVEN:
+def _squared_power_stage(H, v):
+    """Exact log-space repeated squaring of each H = log(W + I) of the
+    stack H (b x n x n), interleaved with Collatz-Wielandt sweeps from its
+    right and left log-vectors v[k] (b x 2 x n; H and v are overwritten).
+    Squaring amplifies the gap geometrically: it handles a second
+    eigenvalue that nearly ties the Perron root, and roots too small for
+    the +I shift to resolve.  Each square is centered on its largest
+    entry, so the log vectors carry rounding relative to O(1) entries, not
+    to 2^k log(rho(W)+1).  Every power of H has H's Perron vectors, and
+    each squaring doubles their log contraction per sweep.  Once two
+    sweeps of a power project the sweeps left to TRANSFER_TOL, the stage
+    sweeps on if they are at most SQUARING_BREAK_EVEN, else squares
+    ceil(log2(projection / SQUARING_BREAK_EVEN)) times in a row (once with
+    no projection), at most MAX_SQUARINGS in all.  Each matrix keeps its
+    own schedule, shift and count, so its result is bit for bit its result
+    alone.  Returns log rho(W+I), relative width and squarings, and v."""
+    squarings, run = np.zeros((2, len(H)), int)  # run: squarings to go
+    shift, width = np.zeros(len(H)), np.full(len(H), np.inf)
+    result, live = np.empty((2, len(H))), list(range(len(H)))
+    while live:
+        rows = [k for k in live if run[k]]  # one squaring of each run
+        if rows:
+            at = slice(None) if len(rows) == len(H) else rows  # view if all
+            P = _log_matmul(H[at], H[at])
+            top = P.max(axis=(1, 2))
+            H[at], shift[at] = P - top[:, None, None], 2 * shift[at] + top
+            squarings[at], run[at] = squarings[at] + 1, run[at] - 1
+        rows = [k for k in live if not run[k]]  # one sweep of each power
+        if not rows:
             continue
-        if squarings == MAX_SQUARINGS:
-            raise ConvergenceError(f"Perron solver failed to converge "
-                                   f"after {MAX_SQUARINGS} squarings")
-        run = (int(np.ceil(np.log2(need / SQUARING_BREAK_EVEN)))
-               if need < np.inf else 1)
-        for _ in range(min(run, MAX_SQUARINGS - squarings)):
-            H = _log_matmul(H, H)
-            top = H.max()
-            H, shift, squarings = H - top, 2.0 * shift + top, squarings + 1
-        width = np.inf
+        at = slice(None) if len(rows) == len(H) else rows
+        y = np.stack((_log_matvec(H[at], v[at, 0]),
+                      _log_matvec(H[at].swapaxes(1, 2), v[at, 1])), axis=1)
+        d, v[at] = y - v[at], y - y.max(axis=2, keepdims=True)
+        lo, hi = d.min(axis=2).max(axis=1), d.max(axis=2).min(axis=1)
+        previous, width[at] = width[at].tolist(), np.ptp(d, axis=2).max(axis=1)
+        # mid approximates 2^squarings log(rho(W)+1) >= 0; relative criterion
+        for k, mid, last in zip(rows, (lo + hi) / 2 + shift[at], previous):
+            if mid > 0 and width[k] <= TRANSFER_TOL * mid:
+                result[:, k] = (mid / 2 ** squarings[k],
+                                width[k] / max(mid, 1e-300))
+                live.remove(k)
+            elif last < np.inf:  # a power's first sweep projects nothing
+                need = (_steps_to(TRANSFER_TOL * mid, width[k], last, 1)
+                        if mid > 0 else np.inf)
+                if need <= SQUARING_BREAK_EVEN:
+                    continue
+                if squarings[k] == MAX_SQUARINGS:
+                    raise ConvergenceError(f"Perron solver failed to converge "
+                                           f"after {MAX_SQUARINGS} squarings")
+                run[k] = min(MAX_SQUARINGS - squarings[k], int(np.ceil(np.log2(
+                    need / SQUARING_BREAK_EVEN))) if need < np.inf else 1)
+                width[k] = np.inf
+    return (*result, squarings, v)
+
+
+def _power_solve(f, start=None):
+    """perron's plain stage; a "stalled" PerronData keeps its last vectors."""
+    graph = f.graph
+    fmax = f.max()
+    # diag(W, W^T) on the graph's index arrays, as W and W.T.tocsr()
+    ids = graph.two_sided
+    data = np.exp(f.values - fmax)[ids.data]
+    x = z = np.ones(graph.n_states)
+    if start is not None and all(
+            v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
+            for v in (start.right, start.left)):
+        x, z = start.right, start.left
+    ok, lo, hi, sigma, x, z, it = _plain_power_stage(ids, data, x, z)
+    rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
+    if not (ok and rho_s >= MIN_PLAIN_ROOT):
+        return PerronData(np.nan, x, z, np.inf, it, "stalled")
+    log_sigma = np.log(sigma)
+    log_rho = fmax + log_sigma + np.log(rho_s)
+    # the measured bracket [lo - 1, hi - 1] on rho(W) / sigma in log form,
+    # plus the rounding of its ratios (each sums a row of W or W^T: at most
+    # `terms` products), of W / sigma, of log sigma and of log_rho itself
+    terms = np.diff(ids.indptr).max() + 1
+    rounding = np.finfo(float).eps * (
+        (terms + 2) * hi / (lo - 1.0) + 2.0 + fmax - f.min()
+        + abs(fmax) + abs(log_sigma) + abs(log_rho))
+    return PerronData(log_rho, x / x.sum(), z / z.sum(),
+                      np.log((hi - 1.0) / (lo - 1.0)) + rounding, it, "power")
+
+
+def _squared_solves(fs, stalled):
+    """perron's squaring stage for fs (one graph), in one call from stalled."""
+    H = np.stack([f.log_matrix() - f.max() for f in fs])
+    d = np.arange(H.shape[1])
+    H[:, d, d] = np.logaddexp(H[:, d, d], 0.0)
+    log_shifted, relw, squarings, v = _squared_power_stage(H, np.array(
+        [(_log_start(s.right), _log_start(s.left)) for s in stalled]))
+    rho_w = np.expm1(log_shifted)
+    if not (rho_w > 0).all():
+        raise ConvergenceError("spectral radius underflowed to zero")
+    v = np.exp(v - v.max(axis=2, keepdims=True))
+    # the bracket on log rho(W + I) plus a few ulps per squaring's n-term
+    # sums, carried to log rho(W) by the factor (1 + rho(W)) / rho(W)
+    error = (relw * log_shifted + 2 * (len(d) + 2) * np.finfo(float).eps
+             ) * (1.0 + rho_w) / rho_w + TRANSFER_TOL
+    return [PerronData(f.max() + np.log(r), x / x.sum(), z / z.sum(), e,
+                       s.iterations + q, "squaring") for f, s, r, (x, z), e, q
+            in zip(fs, stalled, rho_w, v, error, squarings.tolist())]
 
 
 def perron(f: EdgePotential, *, start=None) -> PerronData:
@@ -260,51 +318,10 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     the shift swamps its digits -- exact log-space squaring of the dense
     log(W + I), from the power stage's vectors, reaches TRANSFER_TOL
     whatever the gap: it squares in runs, each sized to leave
-    SQUARING_BREAK_EVEN sweeps.
+    SQUARING_BREAK_EVEN sweeps (perron squares a stack of one point).
     """
-    graph = f.graph
-    fmax = f.max()
-    # diag(W, W^T) on the graph's index arrays, as W and W.T.tocsr()
-    ids = graph.two_sided
-    data = np.exp(f.values - fmax)[ids.data]
-    x = z = np.ones(graph.n_states)
-    if start is not None and all(
-            v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
-            for v in (start.right, start.left)):
-        x, z = start.right, start.left
-    ok, lo, hi, sigma, x, z, it = _plain_power_stage(ids, data, x, z)
-    rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
-    if ok and rho_s >= MIN_PLAIN_ROOT:
-        log_sigma = np.log(sigma)
-        log_rho = fmax + log_sigma + np.log(rho_s)
-        # the measured bracket [lo - 1, hi - 1] on rho(W) / sigma in log
-        # form, plus the rounding of its ratios (each sums at most `terms`
-        # products), of W / sigma, of log sigma and of log_rho itself
-        terms = np.diff(graph.indptr).max() + 1
-        rounding = np.finfo(float).eps * (
-            (terms + 2) * hi / (lo - 1.0) + 2.0 + fmax - f.min()
-            + abs(fmax) + abs(log_sigma) + abs(log_rho))
-        return PerronData(log_rho, x / x.sum(), z / z.sum(),
-                          np.log((hi - 1.0) / (lo - 1.0)) + rounding, it,
-                          "power")
-
-    # exact fallback: square log(W + I) until the gap is overwhelming
-    H = f.log_matrix() - fmax
-    d = np.arange(graph.n_states)
-    H[d, d] = np.logaddexp(H[d, d], 0.0)
-    log_shifted, x_log, z_log, relw, squarings = _squared_power_stage(
-        H, _log_start(x), _log_start(z))
-    rho_w = np.expm1(log_shifted)
-    if rho_w <= 0:
-        raise ConvergenceError("spectral radius underflowed to zero")
-    right = np.exp(x_log - x_log.max())
-    left = np.exp(z_log - z_log.max())
-    # the bracket on log rho(W + I) plus a few ulps per squaring's n-term
-    # sums, carried to log rho(W) by the factor (1 + rho(W)) / rho(W)
-    error = relw * log_shifted + 2 * (graph.n_states + 2) * np.finfo(float).eps
-    return PerronData(fmax + np.log(rho_w), right / right.sum(),
-                      left / left.sum(), error * (1.0 + rho_w) / rho_w
-                      + TRANSFER_TOL, it + squarings, "squaring")
+    data = _power_solve(f, start)
+    return data if data.stage == "power" else _squared_solves([f], [data])[0]
 
 
 @dataclass(frozen=True)

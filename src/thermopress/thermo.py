@@ -155,11 +155,14 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     extrapolation through the two points before it (_predicted_start),
     since log of the Perron vectors becomes linear in beta as beta grows.
     The brackets enclose the root from any positive start, so the start
-    changes only the step count.  Each block of solved points (at most
-    BLOCK_ENTRIES edge entries, else one point) then gets the measures and
-    statistics of equilibrium_state, integrate and ks_entropy in 2-d array
-    operations.  When the schedule starts at 0, that point's solve also
-    gives pressure_phi.
+    changes only the step count.  A point whose plain power stage stalls
+    (see perron) waits, its plain-stage vectors predicting the next
+    points, until the stalled points fill BLOCK_ENTRIES dense entries
+    (else one point) or their block is solved, for one squaring-stage
+    call.  Each block of points (at most BLOCK_ENTRIES edge entries, else
+    one point) then gets the measures and statistics of equilibrium_state,
+    integrate and ks_entropy in 2-d array operations.  When the schedule
+    starts at 0, that point's solve also gives pressure_phi.
 
     minimization supplies a0 and the limit target: the value and
     restricted_pressure of minimize(graph, a, phi), for a caller that
@@ -175,16 +178,26 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     for f in (a, phi):
         _require_irreducible(graph, f)
     size = max(1, BLOCK_ENTRIES // graph.n_edges)
+    stack = max(1, BLOCK_ENTRIES // graph.n_states**2)  # dense log matrices
     rows, start, logs = [], None, []  # logs: log (right, left) per point
     for first in range(0, len(betas), size):
         fs = [_damped(phi, a, beta) for beta in betas[first:first + size]]
-        solves, logs = [], logs[-2:]
+        solves, logs, stalled = [], logs[-2:], []
         for k, f in enumerate(fs, first):
             if k >= 2:
                 t = (betas[k] - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
                 start = _predicted_start(*logs[-2:], t)
-            solves.append(start := pressure.perron(f, start=start))
+            solves.append(start := pressure._power_solve(f, start))
             logs.append(np.log((start.right, start.left)))
+            if start.stage == "stalled":
+                stalled.append(len(solves) - 1)
+            if stalled and (len(stalled) == stack or len(solves) == len(fs)):
+                squared = pressure._squared_solves([fs[j] for j in stalled],
+                                                   [solves[j] for j in stalled])
+                for j, d in zip(stalled, squared):
+                    solves[j] = d
+                    logs[j - len(solves)] = np.log((d.right, d.left))
+                start, stalled = solves[-1], []
         mass = _equilibrium_rows(graph, np.array([f.values for f in fs]), solves)
         rows += zip([d.log_rho + b * a0 for d, b in zip(solves, betas[first:])],
                     [a.values @ m for m in mass],

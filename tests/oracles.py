@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from thermopress import pressure, sft
+from thermopress import pressure, sft, thermo
 from thermopress.catmap import _CELLS, GOLDEN, Qs5, _reduction_candidates
 from thermopress.errors import (ConvergenceError, InvariantViolation,
                                 ThermopressError)
@@ -317,25 +317,61 @@ def equilibrium_by_formulas(graph, f, data):
                            where=stationary[src] > 0)
 
 
+def record_solves(mp, with_inputs=False):
+    """Patch perron's two stages, through which perron and thermo_curve's
+    sweep solve every point, to keep each point's PerronData, or its
+    (potential, start, PerronData) with_inputs, in the order the points
+    enter the plain stage; a stalled point's entry takes the squaring
+    stage's result once that runs.  Returns that list."""
+    solves = []
+    power, squared = pressure._power_solve, pressure._squared_solves
+
+    def entry(f, start=None):
+        data = power(f, start)
+        solves.append((f, start, data) if with_inputs else data)
+        return data
+
+    def finish(fs, stalled):
+        out = squared(fs, stalled)
+        for old, new in zip(stalled, out):
+            k = next(k for k, e in enumerate(solves)
+                     if (e[2] if with_inputs else e) is old)
+            solves[k] = (*solves[k][:2], new) if with_inputs else new
+        return out
+
+    mp.setattr(pressure, "_power_solve", entry)
+    mp.setattr(pressure, "_squared_solves", finish)
+    return solves
+
+
 def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
                            states=None):
-    """thermo_curve one point at a time: the same Perron starts and
-    pressure.perron solves, then equilibrium_by_formulas, the averages of
-    a and phi against the edge mass and its entropy -sum mass log P.  Each
-    point's EquilibriumState is appended to the list `states` if given;
-    otherwise only the last two points' Perron vectors are kept."""
+    """thermo_curve one point at a time: the same Perron starts and plain
+    stages, a stalled point squared alone, then equilibrium_by_formulas,
+    the averages of a and phi against the edge mass and its entropy -sum
+    mass log P.  As in the sweep, a stalled point's plain-stage vectors
+    predict the next starts until the sweep would square it: once `stack`
+    stalled points wait, or the block of `size` points they are in ends.
+    Each point's EquilibriumState is appended to the list `states` if
+    given; otherwise only the last two points' vectors are kept, and the
+    squared results of the points that wait."""
     betas = np.array([float(b) for b in betas])
     if minimization is None:
         minimization = minimize(graph, a, phi)
     a0 = minimization.value
-    pressure_phi, rows, solved = None, [], []  # solved: last two points
+    size = max(1, thermo.BLOCK_ENTRIES // graph.n_edges)
+    stack = max(1, thermo.BLOCK_ENTRIES // graph.n_states ** 2)
+    pressure_phi, rows = None, []
+    solved, waiting = [], {}  # the last two (k, vectors); k -> squared
     for k, beta in enumerate(betas):
-        start = solved[-1] if solved else None
+        start = solved[-1][1] if solved else None
         if len(solved) == 2:
             t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
-            start = predicted_start(*solved, t)
+            start = predicted_start(solved[0][1], solved[1][1], t)
         f = EdgePotential(graph, phi.values - beta * a.values)
-        data = pressure.perron(f, start=start)
+        plain = data = pressure._power_solve(f, start)
+        if data.stage == "stalled":
+            data = waiting[k] = pressure._squared_solves([f], [data])[0]
         mass, T = equilibrium_by_formulas(graph, f, data)
         h = -float(mass @ np.log(T, out=np.zeros_like(T), where=T > 0))
         if beta == 0:
@@ -346,7 +382,11 @@ def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
             states.append(EquilibriumState(sft.MarkovMeasure(graph, mass),
                                            data.log_rho, data.right,
                                            data.left))
-        solved = [*solved[-1:], data]
+        solved = [*solved[-1:], (k, plain)]
+        if waiting and (len(waiting) == stack or (k + 1) % size == 0
+                        or k + 1 == len(betas)):
+            solved = [(j, waiting.get(j, v)) for j, v in solved]
+            waiting.clear()
         del f, mass, T
     if pressure_phi is None:
         pressure_phi = pressure_transfer(graph, phi).value

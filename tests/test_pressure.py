@@ -49,6 +49,7 @@ from .oracles import (
     log_matmul_masked,
     log_matvec_masked,
     mask_of_graph,
+    record_solves,
     thermo_curve_by_points,
 )
 
@@ -300,6 +301,71 @@ def test_log_kernels_bit_identical_to_masked_formulas(monkeypatch):
         assert bool(matvecs) == (kind == "underflow"), kind
 
 
+def _kernel_stacks(rng, b):
+    """Stacks of b operand pairs of one shape for each kind of
+    _kernel_inputs (all finite, with -inf entries, underflowing rows), each
+    matrix shifted by its own offset, so that a maximum taken across the
+    stack instead of per matrix moves every result."""
+    stacks = {"finite": [], "masked": [], "underflow": []}
+    for _ in range(6):
+        n, k, m = (int(x) for x in rng.integers(2, 12, size=3))
+        scale = float(10.0 ** rng.uniform(-1, 2))
+        pairs = {kind: [] for kind in stacks}
+        for j in range(b):
+            shift = 37.0 * j - 50.0
+            pairs["finite"].append((rng.uniform(-scale, scale, (n, k)) + shift,
+                                    rng.uniform(-scale, scale, (k, m))))
+            A = _random_log_matrix(rng, (n, k), scale, 0.5) + shift
+            A[rng.integers(n)] = -np.inf
+            pairs["masked"].append(
+                (A, _random_log_matrix(rng, (k, m), scale, 0.5) - shift))
+            A = rng.uniform(-1.0, 1.0, (n, k)) + shift
+            B = rng.uniform(-1.0, 1.0, (k, m))
+            if j % 2:  # row 0 of every other A underflows against B
+                A[0, 0], A[0, 1:], B[0, :] = shift, shift - 1e3, -1e3
+            pairs["underflow"].append((A, B))
+        for kind, operands in pairs.items():
+            stacks[kind].append(tuple(map(np.array, zip(*operands))))
+    return stacks
+
+
+def test_stacked_log_kernels_are_the_2d_kernels_bit_for_bit(monkeypatch):
+    # the squaring stage calls the kernels on stacks of matrices: each
+    # matrix of a stack (3-d, and 4-d as 2 x 3) gives bit for bit the 2-d
+    # kernel's result, -inf entries and the underflowing rows recomputed
+    # exactly included
+    rng = np.random.default_rng(2828)
+    matvecs, matvec = [], pressure._log_matvec
+
+    def counting(A, x):
+        matvecs.append(A.ndim)
+        return matvec(A, x)
+
+    for kind, stacks in _kernel_stacks(rng, 6).items():
+        for A, B in stacks:
+            monkeypatch.setattr(pressure, "_log_matvec", counting)
+            del matvecs[:]
+            got = _log_matmul(A, B)
+            recomputed = len(matvecs)
+            four = _log_matmul(A.reshape(2, 3, *A.shape[1:]),
+                               B.reshape(2, 3, *B.shape[1:]))
+            monkeypatch.undo()
+            assert np.array_equal(four.reshape(got.shape), got), kind
+            # only underflowing rows take the per-row fallback, one call each
+            assert bool(recomputed) == (kind == "underflow"), kind
+            for j in range(len(A)):
+                assert np.array_equal(got[j], _log_matmul(A[j], B[j])), kind
+            x = B[:, :, 0].copy()
+            out = matvec(A, x)
+            assert np.array_equal(
+                matvec(A.reshape(2, 3, *A.shape[1:]),
+                       x.reshape(2, 3, -1)).reshape(out.shape), out), kind
+            for j in range(len(A)):
+                assert np.array_equal(out[j], matvec(A[j], x[j])), kind
+                assert np.array_equal(out[j], log_matvec_masked(A[j], x[j]))
+            assert np.isneginf(got).any() == (kind == "masked"), kind
+
+
 @pytest.mark.parametrize("name, t_max", [("full2", 20), ("golden-mean", 30),
                                          ("two-loops-path", 12)])
 def test_builtin_traces_bit_identical_to_masked_formulas(
@@ -382,24 +448,49 @@ def test_perron_enclosure_covers_high_precision_error():
         assert abs(mpmath.mpf(rep.value) - exact) <= rep.tolerance, (F, rep)
 
 
-def _recording_perron(monkeypatch):
-    """Patch pressure.perron to keep every PerronData it returns, and
-    _plain_power_stage to count its steps; returns (solves, steps)."""
-    solves, steps = [], []
-    perron_, plain = pressure.perron, pressure._plain_power_stage
+def test_rounding_term_counts_the_longest_sum_of_either_side(monkeypatch):
+    # the power stage's ratios for the right vector sum rows of W, those for
+    # the left vector rows of W^T: the rounding term sizes both by the
+    # longest row of two_sided.  A graph and its reverse then get the same
+    # enclosure from the same bracket, though here the in-degree is 21 and
+    # the out-degree at most 2
+    n = 22
+    A = np.zeros((n, n), dtype=bool)
+    A[np.arange(n), (np.arange(n) + 1) % n] = True
+    A[1:, 0] = True  # state 0 has in-degree 21
+    rng = np.random.default_rng(21)
+    F = np.where(A, rng.uniform(-1.0, 1.0, (n, n)), -np.inf)
+    forward = EdgePotential(graph_from_mask(A), F[A])
+    backward = EdgePotential(graph_from_mask(A.T), F.T[A.T])
+    assert np.diff(forward.graph.indptr).max() == 2
+    assert np.diff(backward.graph.indptr).max() == 21
 
-    def recording(f, *args, **kw):
-        solves.append(perron_(f, *args, **kw))
-        return solves[-1]
+    def bracket(ids, data, x, z):
+        return True, 1.25, 1.25 * (1 + 1e-14), 0.75, x, z, 7
+
+    monkeypatch.setattr(pressure, "_plain_power_stage", bracket)
+    one, other = perron(forward), perron(backward)
+    assert one.stage == other.stage == "power"
+    assert one.log_rho == other.log_rho
+    assert one.enclosure == other.enclosure
+    # the rounding of a ratio summing 21 products, plus its own, at least
+    eps = np.finfo(float).eps
+    assert one.enclosure - math.log1p(1e-14 * 1.25 / 0.25) >= 23 * eps * 5
+
+
+def _recording_perron(monkeypatch):
+    """Keep every point's PerronData, whether perron or thermo_curve's
+    sweep solves it (record_solves), and patch _plain_power_stage to count
+    its steps; returns (solves, steps)."""
+    steps, plain = [], pressure._plain_power_stage
 
     def counting(*args):
         out = plain(*args)
         steps.append(out[-1])
         return out
 
-    monkeypatch.setattr(pressure, "perron", recording)
     monkeypatch.setattr(pressure, "_plain_power_stage", counting)
-    return solves, steps
+    return record_solves(monkeypatch), steps
 
 
 def _damping_sweep(graph, a, phi):
@@ -487,8 +578,10 @@ def test_tied_loops_sweeps_across_sizes(monkeypatch):
     solves, steps = _recording_perron(monkeypatch)
     for n in (3, 10, 30, 120):
         g, a, phi = _tied_loops_instance(rng, n)
+        result = minimize(g, a, phi)
         del solves[:]
-        thermo_curve(g, a, phi, default_schedule(30.0, 0.5))
+        thermo_curve(g, a, phi, default_schedule(30.0, 0.5),
+                     minimization=result)
         assert len(solves) == 61
         assert any(data.stage == "squaring" for data in solves), n
         for beta, data in zip(default_schedule(30.0, 0.5), solves):
@@ -503,10 +596,11 @@ def test_two_loops_path_squaring_roots_inside_their_brackets(monkeypatch):
     # the warm sweep hands every point from beta = 6 on to the squaring
     # stage; each root lies inside its enclosure of the 40-digit
     # Collatz-Wielandt bracket of the vectors it returns
-    solves, _ = _recording_perron(monkeypatch)
     g, a, phi = two_loops_path_instance()
+    result = minimize(g, a, phi)
+    solves, _ = _recording_perron(monkeypatch)
     betas = default_schedule(30.0, 0.5)
-    thermo_curve(g, a, phi, betas)
+    thermo_curve(g, a, phi, betas, minimization=result)
     squared = [(beta, data) for beta, data in zip(betas, solves)
                if data.stage == "squaring"]
     assert len(squared) == 49
@@ -520,13 +614,6 @@ def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
     # the power stage forms its bracket only on some steps, and returns
     # only on one of them: the exact Collatz-Wielandt bracket of the
     # vectors it returns lies inside the reported enclosure, with no slack
-    solves, perron_ = [], pressure.perron
-
-    def recording(f, *args, **kw):
-        solves.append((f, perron_(f, *args, **kw)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(pressure, "perron", recording)
     rng = np.random.default_rng(14)
     sweeps = [(_tied_loops_instance(rng, n), 30.0, 0.5)
               for n in (3, 10, 30, 120)]
@@ -536,9 +623,12 @@ def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
     # returned (the 3-state tied sweep's beta = 15 point goes to squaring),
     # so the order-3 cat-map sweep adds 51 solves that stay in this stage
     sweeps.append((catmap_instance(3), 50.0, 1.0))
-    for (g, a, phi), beta_max, step in sweeps:
-        thermo_curve(g, a, phi, default_schedule(beta_max, step))
-    power = [(f, data) for f, data in solves if data.stage == "power"]
+    results = [minimize(*instance) for instance, _, _ in sweeps]
+    solves = record_solves(monkeypatch, with_inputs=True)
+    for ((g, a, phi), beta_max, step), result in zip(sweeps, results):
+        thermo_curve(g, a, phi, default_schedule(beta_max, step),
+                     minimization=result)
+    power = [(f, data) for f, _, data in solves if data.stage == "power"]
     assert len(power) > 230
     for f, data in power:
         lo, hi = _mp_collatz_wielandt(f, data)
@@ -659,6 +749,49 @@ def test_squaring_runs_count_towards_the_cap(monkeypatch):
     with pytest.raises(ConvergenceError, match="after 4 squarings"):
         perron(f)
     assert "".join(events) == "....SSSS...."
+
+
+def _stalled_points(instance, betas):
+    """(potentials, stalled plain stages) of the cold solves that stall."""
+    g, a, phi = instance
+    fs = [_damped(phi, a, beta) for beta in betas]
+    points = [(f, pressure._power_solve(f)) for f in fs]
+    return [(f, s) for f, s in points if s.stage == "stalled"]
+
+
+def _stage_inputs(points):
+    """The squaring stage's stack and start of the stalled points, as
+    _squared_solves builds them."""
+    H = np.stack([f.log_matrix() - f.max() for f, _ in points])
+    d = np.arange(H.shape[1])
+    H[:, d, d] = np.logaddexp(H[:, d, d], 0.0)
+    v = np.array([(pressure._log_start(s.right), pressure._log_start(s.left))
+                  for _, s in points])
+    return H, v
+
+
+def test_stacked_squaring_rows_are_the_solo_stage_bit_for_bit():
+    # each matrix of a stacked squaring-stage call keeps its own schedule:
+    # its root, width, squaring count and log-vectors are bit for bit those
+    # of the stage run on it alone from the same start.  The cold plain
+    # stage stalls at 52 points of the two-loops path (beta >= 4.5) and at
+    # 57, 32 and 60 of the seed-14 tied loops at n = 3, 10 and 30
+    rng = np.random.default_rng(14)
+    instances = [two_loops_path_instance()]
+    instances += [_tied_loops_instance(rng, n) for n in (3, 10, 30)]
+    counts = []
+    for instance in instances:
+        points = _stalled_points(instance, default_schedule(30.0, 0.5))
+        counts.append(len(points))
+        H, v = _stage_inputs(points)
+        *stacked, v_stacked = pressure._squared_power_stage(H.copy(), v.copy())
+        assert len(set(stacked[2])) > 1  # the rows square different counts
+        for k in range(len(points)):
+            *solo, v_solo = pressure._squared_power_stage(H[k:k + 1].copy(),
+                                                          v[k:k + 1].copy())
+            assert [x[k] for x in stacked] == [x[0] for x in solo], k
+            assert np.array_equal(v_stacked[k], v_solo[0]), k
+    assert counts == [52, 57, 32, 60]
 
 
 def test_catmap_plateau_stays_in_power_stage(monkeypatch):
@@ -786,13 +919,13 @@ def equilibrium_sweeps():
     sweeps = [(_tied_loops_instance(rng, n), 30.0) for n in (3, 10, 30, 120)]
     sweeps += [(two_loops_path_instance(), 30.0), (catmap_instance(6), 50.0),
                (catmap_instance(8), 50.0)]
-    out = []
+    out, results = [], [minimize(*instance) for instance, _ in sweeps]
     with pytest.MonkeyPatch.context() as mp:
         solves, _ = _recording_perron(mp)
-        for instance, beta_max in sweeps:
+        for (instance, beta_max), result in zip(sweeps, results):
             states = []
             thermo_curve_by_points(*instance, default_schedule(beta_max, 0.5),
-                                   states=states)
+                                   minimization=result, states=states)
             out.append((instance, states, solves[:]))
             solves.clear()
     return out

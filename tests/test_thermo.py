@@ -36,6 +36,7 @@ from thermopress.thermo import (
 )
 
 from . import oracles
+from .test_pressure import _tied_loops_instance
 from .oracles import graph_from_mask, mask_of_graph
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -174,17 +175,10 @@ def test_two_loops_path_limit():
 
 
 def _recording_sweep(mp):
-    """Patch pressure.perron (which thermo_curve calls) to keep each
-    (potential, start, PerronData); returns that list."""
-    solves = []
-    perron_ = pressure.perron
-
-    def recording(f, *, start=None):
-        solves.append((f, start, perron_(f, start=start)))
-        return solves[-1][2]
-
-    mp.setattr(pressure, "perron", recording)
-    return solves
+    """Keep each point's (potential, start, PerronData) at thermo_curve's
+    per-point entry, pressure._power_solve, a stalled point's data being
+    its squaring stage's result; returns that list."""
+    return oracles.record_solves(mp, with_inputs=True)
 
 
 CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
@@ -249,9 +243,10 @@ def test_predicted_sweep_matches_cold_solves(n, seed, first, steps):
     # point's root must lie within its own plus a cold solve's enclosure
     g, a, phi = _random_damped_instance(np.random.default_rng(seed), n)
     betas = np.cumsum([first, *steps])
+    result = minimize(g, a, phi)
     with pytest.MonkeyPatch.context() as mp:
         solves = _recording_sweep(mp)
-        curve = thermo_curve(g, a, phi, betas)
+        curve = thermo_curve(g, a, phi, betas, minimization=result)
     # a schedule not starting at 0 takes Pr(phi) from one more solve, last
     assert len(solves) == len(curve) + (first != 0.0)
     for f, start, warm in solves[:len(curve)]:
@@ -281,8 +276,9 @@ def test_predicted_start_that_would_underflow_stays_positive(monkeypatch):
     g = graph_from_mask(A)
     a = EdgePotential.from_edges(g, {e: v[0] for e, v in edges.items()})
     phi = EdgePotential.from_edges(g, {e: v[1] for e, v in edges.items()})
+    result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
-    thermo_curve(g, a, phi, (0.0, 0.5, 1.0, 80.0))
+    thermo_curve(g, a, phi, (0.0, 0.5, 1.0, 80.0), minimization=result)
     (_, _, older), (_, _, newer), (f, start, last) = solves[1:]
     t = (80.0 - 1.0) / (1.0 - 0.5)
     for side in ("right", "left"):
@@ -328,6 +324,8 @@ def test_thermo_curve_checks_schedule_before_solving(monkeypatch, betas,
         return wrapped
 
     monkeypatch.setattr(pressure, "perron", counting("perron", pressure.perron))
+    monkeypatch.setattr(pressure, "_power_solve",
+                        counting("_power_solve", pressure._power_solve))
     monkeypatch.setattr(ergopt, "perron", counting("perron", ergopt.perron))
     monkeypatch.setattr(thermo, "minimize", counting("minimize", thermo.minimize))
     with pytest.raises(ValueError, match=message):
@@ -596,21 +594,22 @@ def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
 
 
 def _record_phases(monkeypatch):
-    """Record (caller, potential) for every Perron solve, the caller being
-    the report stage that asked for it."""
-    cold, phases = pressure.perron, []
+    """Record (caller, potential) for every Perron solve of a report stage,
+    the caller being the stage that asked for it, at the solves' one
+    per-point entry, pressure._power_solve (perron and the sweep call it)."""
+    power, phases = pressure._power_solve, []
     names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
              "find_gap_beta")
 
-    def counting(f, **kw):
+    def counting(f, start=None):
         frame = sys._getframe(1)
-        while frame.f_code.co_name not in names:
+        while frame is not None and frame.f_code.co_name not in names:
             frame = frame.f_back
-        phases.append((frame.f_code.co_name, f))
-        return cold(f, **kw)
+        if frame is not None:
+            phases.append((frame.f_code.co_name, f))
+        return power(f, start)
 
-    for module in (pressure, ergopt):
-        monkeypatch.setattr(module, "perron", counting)
+    monkeypatch.setattr(pressure, "_power_solve", counting)
     return phases
 
 
@@ -728,9 +727,15 @@ def _random_200():
     return _sparse_random_instance(np.random.default_rng(27), 200, 10)
 
 
+def _tied_loops(n):
+    return _tied_loops_instance(np.random.default_rng(n), n)
+
+
 # (instance, schedule) per sweep: the four report automata at k = 6, the
 # builtins (two-loops-path reaches the squaring stage), a 200-state system
-# swept in 15 blocks of 7 points, and two schedules that start above 0
+# swept in 15 blocks of 7 points, two schedules that start above 0, and
+# tied loops whose stalled points fill a stack of 18 points before the
+# block ends (30 states) or are squared one by one (200 states)
 SWEEPS = {
     **{f"automaton-{x},{y}": (lambda p=(x, y): _automaton(p),
                               default_schedule(50.0, 0.5))
@@ -742,6 +747,8 @@ SWEEPS = {
                             np.cumsum([0.3] + [0.25, 0.5, 1.25] * 12)),
     "automaton-1/3,0-from-0.25": (lambda: _automaton(CATMAP_POINTS[2]),
                                   0.25 + 0.75 * np.arange(50)),
+    "tied-loops-30": (lambda: _tied_loops(30), default_schedule(30.0, 0.5)),
+    "tied-loops-200": (lambda: _tied_loops(200), (0.0, 5.0, 10.0, 15.0)),
 }
 
 
@@ -770,15 +777,53 @@ def test_block_sweep_is_the_point_sweep_bit_for_bit(name, monkeypatch):
         assert g.n_states == 200 and blocks >= 3, blocks
 
 
+def _recording_stacks(mp):
+    """Patch the squaring stage to keep the number of matrices of each of
+    its calls; returns that list."""
+    rows, stage = [], pressure._squared_power_stage
+
+    def recording(H, v):
+        rows.append(len(H))
+        return stage(H, v)
+
+    mp.setattr(pressure, "_squared_power_stage", recording)
+    return rows
+
+
+def test_sweep_squares_its_stalled_points_in_stacks(monkeypatch):
+    # the two-loops path stalls at 49 of its 61 points, all in one block of
+    # 3-state points: one call squares them all.  Each refine-6 report
+    # automaton (8 to 31 states) stalls at beta = 1 alone, a stack of one.
+    # A 200-state dense log matrix alone holds more than BLOCK_ENTRIES
+    # entries, so each stalled point there is squared alone, as it stalls.
+    # On 30 states a stack holds 18: it is squared once full, and from its
+    # vectors the later points converge in the plain stage
+    cases = [(two_loops_path_instance(), default_schedule(30.0, 0.5), [49])]
+    cases += [(_automaton(point), default_schedule(50.0, 0.5), [1])
+              for point in CATMAP_POINTS]
+    cases += [(_tied_loops(30), default_schedule(30.0, 0.5), [18]),
+              (_tied_loops(200), (0.0, 5.0, 10.0, 15.0), [1, 1])]
+    results = [minimize(*instance) for instance, _, _ in cases]
+    rows = _recording_stacks(monkeypatch)
+    for (instance, betas, stacks), result in zip(cases, results):
+        del rows[:]
+        thermo_curve(*instance, betas, minimization=result)
+        assert rows == stacks, instance[0]
+    assert thermo.BLOCK_ENTRIES // 30**2 == 18
+    assert thermo.BLOCK_ENTRIES // 200**2 == 0
+
+
 def test_block_pass_rejects_a_zero_right_entry(monkeypatch, tmp_path):
     # an exact 0 in one point's right Perron vector makes log r -inf and
     # that row's defect inf or NaN: the block pass must raise ConvergenceError
     # (exit 3), as equilibrium_state does, not the measure's ValueError
-    solve = pressure.perron
+    solve = pressure._power_solve
     solved = []
 
-    def zeroed(f, **kw):
-        data = solve(f, **kw)
+    def zeroed(f, start=None):
+        data = solve(f, start)
+        if sys._getframe(1).f_code.co_name != "thermo_curve":
+            return data  # minimize's solves, through perron
         solved.append(data)
         if len(solved) != 4:
             return data
@@ -786,7 +831,7 @@ def test_block_pass_rejects_a_zero_right_entry(monkeypatch, tmp_path):
         right[1] = 0.0
         return dataclasses.replace(data, right=right)
 
-    monkeypatch.setattr(pressure, "perron", zeroed)
+    monkeypatch.setattr(pressure, "_power_solve", zeroed)
     g, a, phi = _automaton(CATMAP_POINTS[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError, match="off stochastic by inf"):
