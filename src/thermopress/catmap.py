@@ -476,7 +476,8 @@ def orbit_damping_report(epsilon: float, strength: float = 1.0,
     # bracketing and monotonicity checks signal an actual bug
     if not ok and diag["failed_check"] != "limit-gap":
         raise InvariantViolation(f"pressure curve failed audit: {diag}")
-    gap = find_gap_beta(graph, a, phi, beta_max=beta_max, minimization=result)
+    gap = find_gap_beta(graph, a, phi, beta_max=beta_max, minimization=result,
+                        at_zero=curve.at_zero)
     found = gap.hi is not None
     report["regime"] = "below-threshold"
     report["limit_verified"] = bool(ok)

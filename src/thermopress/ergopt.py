@@ -136,8 +136,8 @@ def _critical(graph, a):
     """The one min-mean-cycle solve behind undamped_set and minimize: the
     optimal average a0, the ascending ids of the critical edges (the
     cyclic part of the edges that are tight for the bias, between states
-    whose cycle mean is within tol of a0) and a witness cycle of the final
-    policy, checked to attain a0."""
+    whose cycle mean is within tol of a0), a witness cycle of the final
+    policy, checked to attain a0, and the bias h."""
     eta, h, policy, tol = _howard(graph, a)
     src, dst, a0 = graph.src, graph.dst, eta.min()
     tight = ((eta[src] <= a0 + tol) & (eta[dst] <= a0 + tol)
@@ -153,7 +153,7 @@ def _critical(graph, a):
         raise InvariantViolation(
             f"witness mean {wmean!r} deviates from optimum {a0!r}")
     return (float(a0), _cyclic_edges(graph, np.flatnonzero(tight))[0],
-            CyclicWord(graph, tuple(cycle)))
+            CyclicWord(graph, tuple(cycle)), h)
 
 
 def undamped_set(graph: TransitionGraph, a: EdgePotential) -> np.ndarray:
@@ -239,12 +239,13 @@ def pressure_on_set(graph: TransitionGraph, phi: EdgePotential,
 class MinimizationResult:
     """Everything the minimization yields, compared by identity: the
     optimal average, a witness cycle attaining it, the critical edge set
-    as ascending edge ids, and optionally the pressure of a second
-    potential on the critical set."""
+    as ascending edge ids, Howard's bias h (h_i = min_j a_ij + h_j - a0),
+    and optionally the pressure of a second potential on the critical set."""
 
     value: float
     witness_cycle: CyclicWord
     critical_edges: np.ndarray
+    bias: np.ndarray
     restricted_pressure: float | None = None
 
 
@@ -252,8 +253,8 @@ def minimize(graph: TransitionGraph, a: EdgePotential,
              phi: EdgePotential | None = None) -> MinimizationResult:
     """Full minimization report for the weight a; if phi is given, also
     the pressure of phi restricted to the critical edge set."""
-    a0, critical, witness = _critical(graph, a)
+    a0, critical, witness, h = _critical(graph, a)
     return MinimizationResult(
-        a0, witness, critical,
+        a0, witness, critical, h,
         None if phi is None else pressure_on_set(graph, phi, critical))
 

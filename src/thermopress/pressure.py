@@ -16,6 +16,7 @@ potentials (e.g. beta * a with beta in the tens) cannot overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class PerronData:
     left: np.ndarray
     enclosure: float  # final Collatz-Wielandt bracket on log rho, + rounding
     iterations: int
-    stage: str  # "power", "squaring" or "stalled" (see _power_solve)
+    stage: str  # "power", "squaring" or "stalled" (see _power_solves)
 
 
 def _steps_to(target, width, earlier, window):
@@ -109,8 +110,8 @@ def _steps_to(target, width, earlier, window):
     `target`; inf when it did not narrow."""
     if width >= earlier:
         return np.inf
-    rate = np.log(width / earlier) / window  # log contraction per step
-    return np.log(target / width) / rate
+    rate = math.log(width / earlier) / window  # log contraction per step
+    return math.log(target / width) / rate
 
 
 def _plain_budget(n):
@@ -120,71 +121,84 @@ def _plain_budget(n):
     return min(PLAIN_BUDGET, 100 + n * n // 10)
 
 
-def _plain_power_stage(ids, data, x, z):
+def _plain_power_stage(ids, data, v):
     """Shifted power iteration on W / sigma + I with Collatz-Wielandt
-    brackets, from positive right and left vectors x and z; ids holds the
-    index arrays of diag(W, W^T) and data its entries, divided in place by
-    sigma, so a step is one kernel call that allocates nothing.  sigma, a
-    quarter of the smaller upper bracket end of x and z on rho(W), comes
-    from the first kernel call, which also makes the first step; a real
-    subdominant eigenvalue mu then contracts at (sigma + mu) / (sigma + rho).
-
-    Returns (converged, lo, hi, sigma, x, z, iterations), lo <= rho(W) /
-    sigma + 1 <= hi measured at the returned step, which made x and z.
-    Only check steps bracket and normalize, and the stage ends on one:
-    steps 1 and 2, then the step halfway to the convergence the last two
-    brackets project, at most CHECK_SPACING on (a step never shrinks an
-    entry, and none overflows in so few steps).  It takes at most
-    _plain_budget(len(x)) steps, and stops early, unconverged, once the
-    bracket shows rho(W) / sigma < MIN_PLAIN_ROOT, or is narrower than
-    STALL_GUARD and its contraction over at least CHECK_SPACING steps
-    projects past the budget.  Wider brackets can sit on a plateau
-    before they collapse: they are never handed on.
+    brackets for a stack of W on one graph, from positive right and left
+    vectors v[k] = (x, z); ids holds the index arrays of diag(W, W^T) and
+    data[k] (C order) the k-th W's entries, divided in place by its sigma,
+    a quarter of the smaller upper bracket end of x and z on rho(W) from
+    the first step.  A step is one kernel call on the block diagonal of the
+    live rows.  Returns per row (converged, lo, hi, sigma, x, z,
+    iterations), lo <= rho(W) / sigma + 1 <= hi measured at the step that
+    made x and z.  A row's check steps bracket and normalize it: steps 1
+    and 2, then the step halfway to the convergence its last two brackets
+    project, at most CHECK_SPACING on.  It stops on one, converged, or
+    after _plain_budget(n) steps, or once rho(W) / sigma < MIN_PLAIN_ROOT,
+    or once its bracket is narrower than STALL_GUARD and its contraction
+    over at least CHECK_SPACING steps projects past the budget (wider
+    brackets can sit on a plateau before they collapse).  Each row keeps
+    its own sigma, schedule and step count: it gives bit for bit its
+    result alone, and leaves the stack when it stops.
     """
-    n = len(x)
-    budget = _plain_budget(n)
-    v = np.concatenate((x, z))  # rows x and z
-    y = np.zeros(2 * n)  # each step writes the next v here, then swaps
-    ratios = np.empty((2, n))
-    top, low, high = np.empty((2, 1)), np.empty(2), np.empty(2)
-    csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
-    sigma = min(np.divide(y, v, out=ratios.ravel()).reshape(2, n).max(1)) / 4
-    data /= sigma
-    v, y = np.add(v, np.divide(y, sigma, out=y), out=y), v
-    check, last, best = 1, 0, np.inf  # best relative width by the last check
+    rows, n = len(v), v.shape[-1]
+    budget, nnz, size = _plain_budget(n), ids.nnz, v.size
+    at = np.arange(rows)[:, None]  # row k's block, shifted by 2nk
+    indptr = np.append(0, ids.indptr[1:] + nnz * at)
+    indices = (ids.indices + 2 * n * at).ravel()
+    flat, v, y = data.reshape(-1), v.reshape(-1).copy(), np.zeros(size)
+    csr_matvec(size, size, indptr, indices, flat, v, y)
+    sigma = (y / v).reshape(rows, 2, n).max(2).min(1) / 4
+    data /= sigma[:, None]
+    v, y = np.add(v, np.divide(y, np.repeat(sigma, 2 * n), out=y), out=y), v
+    live, out, due_at = list(range(rows)), [None] * rows, 1  # y: the next v
+    check, last, best = [1] * rows, [0] * rows, [np.inf] * rows
     for it in range(1, budget + 1):
         if it > 1:
             np.copyto(y, v)
-            csr_matvec(2 * n, 2 * n, ids.indptr, ids.indices, data, v, y)
+            csr_matvec(size, size, indptr, indices, flat, v, y)
             v, y = y, v
-        if it < check:
+        if it < due_at:
             continue
-        rows, vectors = v.reshape(2, n), y.reshape(2, n)
-        np.divide(rows, vectors, out=ratios)
-        np.maximum.reduce(rows, axis=1, keepdims=True, out=top)
-        np.divide(rows, top, out=rows)
-        np.minimum.reduce(ratios, axis=1, out=low)
-        np.maximum.reduce(ratios, axis=1, out=high)
-        (rx_lo, rz_lo), (rx_hi, rz_hi) = low.tolist(), high.tolist()
-        # brackets from both sides enclose rho(W) / sigma + 1
-        lo = max(rx_lo, rz_lo)
-        hi = min(rx_hi, rz_hi)
-        width = rx_hi - rx_lo + rz_hi - rz_lo
-        if width <= TRANSFER_TOL * hi:
-            return True, lo, hi, sigma, rows[0], rows[1], it
-        if hi < 1.0 + MIN_PLAIN_ROOT:
-            break
-        relative = min(width / hi, best)
-        need = (0.0 if last == 0 else
-                _steps_to(TRANSFER_TOL, relative, best, it - last))
-        if need <= budget - it:
-            gap = min(max(1, int(need / 2)), CHECK_SPACING)
-        elif relative < STALL_GUARD and it - last >= CHECK_SPACING:
-            break
-        else:
-            gap = CHECK_SPACING
-        check, last, best = min(it + gap, budget), it, relative
-    return False, lo, hi, sigma, rows[0], rows[1], it
+        due = [j for j, c in enumerate(check) if c == it]
+        now, old = v.reshape(-1, 2, n), y.reshape(-1, 2, n)
+        if len(due) < len(live):  # the due rows only, written back below
+            now, old = now[due], old[due]
+        ratios = now / old
+        now /= now.max(2, keepdims=True)
+        stop = []
+        for k, (j, (x_lo, z_lo), (x_hi, z_hi)) in enumerate(zip(
+                due, ratios.min(2).tolist(), ratios.max(2).tolist())):
+            # brackets from both sides enclose rho(W) / sigma + 1
+            lo, hi = max(x_lo, z_lo), min(x_hi, z_hi)
+            width = x_hi - x_lo + z_hi - z_lo
+            done = width <= TRANSFER_TOL * hi
+            relative = min(width / hi, best[j])
+            need = (0.0 if done or last[j] == 0 else
+                    _steps_to(TRANSFER_TOL, relative, best[j], it - last[j]))
+            if need <= budget - it:
+                gap = min(max(1, int(need / 2)), CHECK_SPACING)
+            elif relative < STALL_GUARD and it - last[j] >= CHECK_SPACING:
+                gap = 0  # stalled: wider brackets may sit on a plateau
+            else:
+                gap = CHECK_SPACING
+            if done or hi < 1.0 + MIN_PLAIN_ROOT or not gap or it == budget:
+                out[live[j]] = (done, lo, hi, sigma[j], *now[k], it)
+                stop.append(j)
+            check[j], last[j], best[j] = min(it + gap, budget), it, relative
+        if len(due) < len(live):
+            v.reshape(-1, 2, n)[due] = now
+        if stop:
+            keep = [j for j in range(len(live)) if j not in stop]
+            if not keep:
+                return out
+            live, check, last, best = ([x[j] for j in keep]
+                                       for x in (live, check, last, best))
+            sigma, data = sigma[keep], data[keep]
+            v = v.reshape(-1, 2, n)[keep].reshape(-1)
+            flat, size, y = data.reshape(-1), v.size, np.empty(v.size)
+            indptr, indices = indptr[:size + 1], indices[:nnz * len(live)]
+        due_at = min(check)
+    return out
 
 
 def _log_start(v):
@@ -234,7 +248,7 @@ def _squared_power_stage(H, v):
         # mid approximates 2^squarings log(rho(W)+1) >= 0; relative criterion
         for k, mid, last in zip(rows, (lo + hi) / 2 + shift[at], previous):
             if mid > 0 and width[k] <= TRANSFER_TOL * mid:
-                result[:, k] = (mid / 2 ** squarings[k],
+                result[:, k] = (mid / 2.0 ** squarings[k],
                                 width[k] / max(mid, 1e-300))
                 live.remove(k)
             elif last < np.inf:  # a power's first sweep projects nothing
@@ -251,33 +265,34 @@ def _squared_power_stage(H, v):
     return (*result, squarings, v)
 
 
-def _power_solve(f, start=None):
-    """perron's plain stage; a "stalled" PerronData keeps its last vectors."""
-    graph = f.graph
-    fmax = f.max()
-    # diag(W, W^T) on the graph's index arrays, as W and W.T.tocsr()
+def _power_solves(graph, F, starts):
+    """perron's plain stage for the potentials F[k] (k x edges) on graph,
+    in one stack, from the positive start vectors starts[k] = (right,
+    left); a "stalled" PerronData keeps its last vectors."""
     ids = graph.two_sided
-    data = np.exp(f.values - fmax)[ids.data]
-    x = z = np.ones(graph.n_states)
-    if start is not None and all(
-            v.shape == x.shape and np.isfinite(v).all() and (v > 0).all()
-            for v in (start.right, start.left)):
-        x, z = start.right, start.left
-    ok, lo, hi, sigma, x, z, it = _plain_power_stage(ids, data, x, z)
-    rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
-    if not (ok and rho_s >= MIN_PLAIN_ROOT):
-        return PerronData(np.nan, x, z, np.inf, it, "stalled")
-    log_sigma = np.log(sigma)
-    log_rho = fmax + log_sigma + np.log(rho_s)
-    # the measured bracket [lo - 1, hi - 1] on rho(W) / sigma in log form,
-    # plus the rounding of its ratios (each sums a row of W or W^T: at most
-    # `terms` products), of W / sigma, of log sigma and of log_rho itself
+    fmax, fmin = F.max(axis=1), F.min(axis=1)
+    # diag(W, W^T) per point, as W and W.T.tocsr(), in C order (take)
+    data = np.exp(F - fmax[:, None]).take(ids.data, axis=1)
     terms = np.diff(ids.indptr).max() + 1
-    rounding = np.finfo(float).eps * (
-        (terms + 2) * hi / (lo - 1.0) + 2.0 + fmax - f.min()
-        + abs(fmax) + abs(log_sigma) + abs(log_rho))
-    return PerronData(log_rho, x / x.sum(), z / z.sum(),
-                      np.log((hi - 1.0) / (lo - 1.0)) + rounding, it, "power")
+    solves = []
+    for (ok, lo, hi, sigma, x, z, it), top, bottom in zip(
+            _plain_power_stage(ids, data, starts), fmax, fmin):
+        rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
+        if not (ok and rho_s >= MIN_PLAIN_ROOT):
+            solves.append(PerronData(np.nan, x, z, np.inf, it, "stalled"))
+            continue
+        log_sigma = np.log(sigma)
+        log_rho = top + log_sigma + np.log(rho_s)
+        # the bracket [lo - 1, hi - 1] on rho(W) / sigma in log form, plus
+        # the rounding of its ratios (each sums a row of W or W^T: at most
+        # `terms` products), of W / sigma, log sigma and log_rho itself
+        rounding = np.finfo(float).eps * (
+            (terms + 2) * hi / (lo - 1.0) + 2.0 + top - bottom
+            + abs(top) + abs(log_sigma) + abs(log_rho))
+        solves.append(PerronData(log_rho, x / x.sum(), z / z.sum(),
+                                 np.log((hi - 1.0) / (lo - 1.0)) + rounding,
+                                 it, "power"))
+    return solves
 
 
 def _squared_solves(fs, stalled):
@@ -318,9 +333,14 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
     the shift swamps its digits -- exact log-space squaring of the dense
     log(W + I), from the power stage's vectors, reaches TRANSFER_TOL
     whatever the gap: it squares in runs, each sized to leave
-    SQUARING_BREAK_EVEN sweeps (perron squares a stack of one point).
+    SQUARING_BREAK_EVEN sweeps (perron runs both stages on a stack of one).
     """
-    data = _power_solve(f, start)
+    v = np.ones((1, 2, f.graph.n_states))
+    if start is not None and all(
+            s.shape == v.shape[2:] and np.isfinite(s).all() and (s > 0).all()
+            for s in (start.right, start.left)):
+        v[0] = start.right, start.left
+    data = _power_solves(f.graph, f.values[None], v)[0]
     return data if data.stage == "power" else _squared_solves([f], [data])[0]
 
 

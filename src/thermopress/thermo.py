@@ -12,12 +12,11 @@ crosses zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pressure
+from . import ergopt, pressure
 from .errors import ConvergenceError, InvariantViolation
 from .ergopt import MinimizationResult, minimize
 from .pressure import (PerronData, _equilibrium_rows, _require_irreducible,
@@ -88,6 +87,8 @@ class ThermoCurve:
     limit_target: float
     pressure_phi: float
     a0: float
+    # the Perron solve of phi, the beta = 0 point's, when the schedule has it
+    at_zero: PerronData | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arrays = {}
@@ -112,10 +113,9 @@ class ThermoCurve:
         return len(self.betas)
 
 
-def _minimum_and_limit(graph, a, phi, minimization):
-    """The optimal average a0 and the pressure of phi on the critical edge
-    set, read off the given minimization or computed by
-    minimize(graph, a, phi)."""
+def _minimization(graph, a, phi, minimization):
+    """The given minimization, else minimize(graph, a, phi); either must
+    carry the restricted pressure of phi."""
     if minimization is None:
         minimization = minimize(graph, a, phi)
     if minimization.restricted_pressure is None:
@@ -123,7 +123,7 @@ def _minimum_and_limit(graph, a, phi, minimization):
             "minimization carries no restricted pressure: pass "
             "minimize(graph, a, phi)"
         )
-    return minimization.value, minimization.restricted_pressure
+    return minimization
 
 
 def _damped(phi, a, beta):
@@ -131,42 +131,39 @@ def _damped(phi, a, beta):
     return EdgePotential(phi.graph, phi.values - beta * a.values)
 
 
-def _predicted_start(older, newer, t):
-    """Perron start vectors for the next point of a sweep: the log vectors
-    (rows right, left) of two solved points extrapolated linearly, newer +
-    t * (newer - older), t being the next step over the last one.  The max
-    is subtracted before exp and the logs are floored at _LOG_FLOOR, so
-    entries that exp would flush to 0 stay positive.  A zero entry in a
-    solved vector can make the start non-finite; perron then starts cold."""
-    log_x = newer + t * (newer - older)
-    x = np.exp(np.maximum(log_x - log_x.max(axis=1, keepdims=True),
-                          _LOG_FLOOR))
-    return SimpleNamespace(right=x[0], left=x[1])
+def _predicted_start(logs, bias, steps):
+    """Perron start vectors (rows right, left) of the points steps beyond a
+    solved point with log vectors logs: the tangent logs - steps * bias,
+    less its max and floored at _LOG_FLOOR, so no entry exp flushes to 0."""
+    log_x = logs - steps[:, None, None] * bias
+    return np.exp(np.maximum(log_x - log_x.max(axis=2, keepdims=True),
+                             _LOG_FLOOR))
 
 
 def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                  phi: EdgePotential, betas=None, *,
                  minimization: MinimizationResult | None = None) -> ThermoCurve:
     """Compute the damped pressure curve over the schedule (default
-    0..40 in steps of 1/2), one equilibrium state per point, in schedule
-    order.  The schedule is checked before anything is solved.  The first
-    point is solved cold and the second starts from the first's Perron
-    vectors; every later point starts from their log-linear
-    extrapolation through the two points before it (_predicted_start),
-    since log of the Perron vectors becomes linear in beta as beta grows.
-    The brackets enclose the root from any positive start, so the start
-    changes only the step count.  A point whose plain power stage stalls
-    (see perron) waits, its plain-stage vectors predicting the next
-    points, until the stalled points fill BLOCK_ENTRIES dense entries
-    (else one point) or their block is solved, for one squaring-stage
-    call.  Each block of points (at most BLOCK_ENTRIES edge entries, else
-    one point) then gets the measures and statistics of equilibrium_state,
-    integrate and ks_entropy in 2-d array operations.  When the schedule
-    starts at 0, that point's solve also gives pressure_phi.
+    0..40 in steps of 1/2), one equilibrium state per point, in blocks of
+    at most BLOCK_ENTRIES edge entries (else one point).  The schedule is
+    checked before anything is solved.  A block's points run perron's
+    plain power stage in stacks whose kernel calls hold at most
+    BLOCK_ENTRIES entries of diag(W, W^T), one call per step for a whole
+    stack.  Every point of a stack starts from the tangent at the last
+    point solved before it, beta_0 (before the first: beta_0 = 0, all-ones
+    vectors), log r(beta_0) - (beta - beta_0) h and likewise for log l with
+    h': log of the Perron vectors falls like -beta (h, h') as beta grows
+    (Akian, Bapat and Gaubert, C. R. Acad. Sci. Paris 327, 1998), h being
+    Howard's bias of a and h' the bias on the reversed graph; the start
+    changes only the step count.  A stack's stalled points (see perron)
+    are squared in stacks of BLOCK_ENTRIES dense entries (else one point).
+    Each block then gets the statistics of equilibrium_state, integrate
+    and ks_entropy in 2-d array operations.  When the schedule starts at
+    0, that point's solve also gives pressure_phi and at_zero.
 
-    minimization supplies a0 and the limit target: the value and
-    restricted_pressure of minimize(graph, a, phi), for a caller that
-    has already made that call.  When omitted, it is made here.
+    minimization supplies a0, the limit target and h: the value,
+    restricted_pressure and bias of minimize(graph, a, phi), for a caller
+    that has already made that call.  When omitted, it is made here.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
@@ -174,42 +171,48 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
         betas = default_schedule()
     betas = np.array([float(b) for b in betas])
     _check_schedule(betas)
-    a0, limit_target = _minimum_and_limit(graph, a, phi, minimization)
+    minimization = _minimization(graph, a, phi, minimization)
     for f in (a, phi):
         _require_irreducible(graph, f)
+    back = graph.two_sided.data[graph.n_edges:]  # the reversed edges, in order
+    reverse = TransitionGraph(graph.n_states, graph.dst[back], graph.src[back])
+    bias = np.array((minimization.bias, ergopt._howard(
+        reverse, EdgePotential(reverse, a.values[back]))[1]))
     size = max(1, BLOCK_ENTRIES // graph.n_edges)
+    depth = max(1, BLOCK_ENTRIES // (2 * graph.n_edges))  # plain stack
     stack = max(1, BLOCK_ENTRIES // graph.n_states**2)  # dense log matrices
-    rows, start, logs = [], None, []  # logs: log (right, left) per point
+    rows, beta0, logs = [], 0.0, np.zeros((2, graph.n_states))
     for first in range(0, len(betas), size):
-        fs = [_damped(phi, a, beta) for beta in betas[first:first + size]]
-        solves, logs, stalled = [], logs[-2:], []
-        for k, f in enumerate(fs, first):
-            if k >= 2:
-                t = (betas[k] - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
-                start = _predicted_start(*logs[-2:], t)
-            solves.append(start := pressure._power_solve(f, start))
-            logs.append(np.log((start.right, start.left)))
-            if start.stage == "stalled":
-                stalled.append(len(solves) - 1)
-            if stalled and (len(stalled) == stack or len(solves) == len(fs)):
-                squared = pressure._squared_solves([fs[j] for j in stalled],
-                                                   [solves[j] for j in stalled])
-                for j, d in zip(stalled, squared):
-                    solves[j] = d
-                    logs[j - len(solves)] = np.log((d.right, d.left))
-                start, stalled = solves[-1], []
-        mass = _equilibrium_rows(graph, np.array([f.values for f in fs]), solves)
-        rows += zip([d.log_rho + b * a0 for d, b in zip(solves, betas[first:])],
+        block = betas[first:first + size]
+        F = phi.values - block[:, None] * a.values  # phi - beta a per point
+        solves = []
+        for k in range(0, len(block), depth):
+            part = block[k:k + depth]
+            solves += pressure._power_solves(graph, F[k:k + depth], (
+                _predicted_start(logs, bias, part - beta0)))
+            stalled = [j for j, d in enumerate(solves) if d.stage == "stalled"]
+            for j in range(0, len(stalled), stack):
+                at = stalled[j:j + stack]
+                for i, d in zip(at, pressure._squared_solves(
+                        [EdgePotential(graph, F[i]) for i in at],
+                        [solves[i] for i in at])):
+                    solves[i] = d
+            beta0, logs = part[-1], np.log((solves[-1].right, solves[-1].left))
+        at_zero = solves[0] if first == 0 else at_zero
+        mass = _equilibrium_rows(graph, F, solves)
+        rows += zip([d.log_rho + b * minimization.value
+                     for d, b in zip(solves, block)],
                     [a.values @ m for m in mass],
                     _entropy_rows(mass, _markov_rows(graph, mass)[1]),
                     [phi.values @ m for m in mass])
-        del fs, f, mass  # before the next block takes its own
+        del F, mass, solves  # before the next block takes its own
     values, avgs, ents, phis = map(np.array, zip(*rows))
-    # the cold solve of phi itself, when the schedule starts at 0
-    pressure_phi = (values[0] if betas[0] == 0
+    at_zero = at_zero if betas[0] == 0 else None  # phi's cold solve
+    pressure_phi = (values[0] if at_zero
                     else pressure_transfer(graph, phi).value)
     return ThermoCurve(betas, values, avgs, ents, phis,
-                       limit_target, pressure_phi, a0)
+                       minimization.restricted_pressure, pressure_phi,
+                       minimization.value, at_zero)
 
 
 def _check_tol(tol):
@@ -322,7 +325,8 @@ class GapBracket:
 
 def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
                   phi: EdgePotential, beta_max: float = 80.0, *,
-                  minimization: MinimizationResult | None = None) -> GapBracket:
+                  minimization: MinimizationResult | None = None,
+                  at_zero: PerronData | None = None) -> GapBracket:
     """Least damping strength at which the raw pressure Pr(phi - beta a)
     turns negative, located by warm-started Newton steps with certified
     signs: a point is negative only when Pr + enclosure < 0 and
@@ -345,7 +349,8 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
 
     minimization supplies the restricted pressure of minimize(graph, a,
     phi), for a caller that has already made that call; when omitted, it
-    is made here.
+    is made here.  at_zero likewise supplies perron(phi), the solve at lo
+    = 0, as thermo_curve's at_zero.
     """
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
@@ -353,7 +358,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
         raise ValueError(f"beta_max must be finite, got {beta_max!r}")
     if beta_max < 0:
         raise ValueError("beta_max must be nonnegative")
-    _, target = _minimum_and_limit(graph, a, phi, minimization)
+    target = _minimization(graph, a, phi, minimization).restricted_pressure
     if target >= 0:
         raise ValueError(
             f"restricted pressure {target!r} is nonnegative: the damped "
@@ -363,7 +368,7 @@ def find_gap_beta(graph: TransitionGraph, a: EdgePotential,
     _require_irreducible(graph, phi)
 
     lo, hi, at_hi = 0.0, beta_max, None
-    at_lo = last = pressure.perron(_damped(phi, a, lo))
+    at_lo = last = at_zero or pressure.perron(_damped(phi, a, lo))
     if at_lo.log_rho + at_lo.enclosure < 0:
         return GapBracket(0.0, 0.0, at_lo)
     while not (at_hi is not None and hi - lo <= GAP_XTOL):

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from thermopress import pressure, sft, thermo
+from thermopress import ergopt, pressure, sft, thermo
 from thermopress.catmap import _CELLS, GOLDEN, Qs5, _reduction_candidates
 from thermopress.errors import (ConvergenceError, InvariantViolation,
                                 ThermopressError)
@@ -280,15 +280,26 @@ def log_matvec_masked(A, x):
     return out
 
 
-def predicted_start(older, newer, t):
-    """thermo_curve's Perron start for the next point from two solved
-    points, each log vector taken afresh from the solved vectors."""
+def tangent_start(solved, bias, step):
+    """thermo_curve's Perron start for a point `step` beyond a solved one
+    (None: all-ones vectors), each log vector taken afresh from the solved
+    vectors and moved along -step * bias (rows h, h')."""
     vectors = []
-    for x2, x1 in ((older.right, newer.right), (older.left, newer.left)):
-        log_x1 = np.log(x1)
-        log_x = log_x1 + t * (log_x1 - np.log(x2))
+    for k, side in enumerate(("right", "left")):
+        log_x = (0.0 if solved is None else np.log(getattr(solved, side))
+                 ) - step * bias[k]
         vectors.append(np.exp(np.maximum(log_x - log_x.max(), _LOG_FLOOR)))
-    return SimpleNamespace(right=vectors[0], left=vectors[1])
+    return np.array(vectors)
+
+
+def reverse_bias(graph, a):
+    """Howard's bias of a on the reversed graph, built from the transposed
+    adjacency matrix."""
+    A = mask_of_graph(graph)
+    W = np.zeros(A.shape)
+    W[graph.src, graph.dst] = a.values
+    back = graph_from_mask(A.T)
+    return ergopt._howard(back, EdgePotential(back, W.T[A.T]))[1]
 
 
 def equilibrium_by_formulas(graph, f, data):
@@ -324,12 +335,14 @@ def record_solves(mp, with_inputs=False):
     enter the plain stage; a stalled point's entry takes the squaring
     stage's result once that runs.  Returns that list."""
     solves = []
-    power, squared = pressure._power_solve, pressure._squared_solves
+    power, squared = pressure._power_solves, pressure._squared_solves
 
-    def entry(f, start=None):
-        data = power(f, start)
-        solves.append((f, start, data) if with_inputs else data)
-        return data
+    def entry(graph, F, starts):
+        out = power(graph, F, starts)
+        for f, start, data in zip(F, starts, out):
+            solves.append((EdgePotential(graph, f), SimpleNamespace(
+                right=start[0], left=start[1]), data) if with_inputs else data)
+        return out
 
     def finish(fs, stalled):
         out = squared(fs, stalled)
@@ -339,7 +352,7 @@ def record_solves(mp, with_inputs=False):
             solves[k] = (*solves[k][:2], new) if with_inputs else new
         return out
 
-    mp.setattr(pressure, "_power_solve", entry)
+    mp.setattr(pressure, "_power_solves", entry)
     mp.setattr(pressure, "_squared_solves", finish)
     return solves
 
@@ -349,29 +362,28 @@ def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
     """thermo_curve one point at a time: the same Perron starts and plain
     stages, a stalled point squared alone, then equilibrium_by_formulas,
     the averages of a and phi against the edge mass and its entropy -sum
-    mass log P.  As in the sweep, a stalled point's plain-stage vectors
-    predict the next starts until the sweep would square it: once `stack`
-    stalled points wait, or the block of `size` points they are in ends.
-    Each point's EquilibriumState is appended to the list `states` if
-    given; otherwise only the last two points' vectors are kept, and the
-    squared results of the points that wait."""
+    mass log P.  As in the sweep, the points go in stacks of `depth`
+    within blocks of `size`, and each point starts from the tangent at the
+    last point of the stack before its own (tangent_start; the biases are
+    minimization.bias and reverse_bias).  Each point's EquilibriumState is
+    appended to the list `states` if given."""
     betas = np.array([float(b) for b in betas])
     if minimization is None:
         minimization = minimize(graph, a, phi)
     a0 = minimization.value
+    bias = np.array((minimization.bias, reverse_bias(graph, a)))
     size = max(1, thermo.BLOCK_ENTRIES // graph.n_edges)
-    stack = max(1, thermo.BLOCK_ENTRIES // graph.n_states ** 2)
+    depth = max(1, thermo.BLOCK_ENTRIES // (2 * graph.n_edges))
     pressure_phi, rows = None, []
-    solved, waiting = [], {}  # the last two (k, vectors); k -> squared
+    anchor, beta0, solved = None, 0.0, None
     for k, beta in enumerate(betas):
-        start = solved[-1][1] if solved else None
-        if len(solved) == 2:
-            t = (beta - betas[k - 1]) / (betas[k - 1] - betas[k - 2])
-            start = predicted_start(solved[0][1], solved[1][1], t)
+        if k % size % depth == 0:  # a new stack starts from the last point
+            anchor, beta0 = solved, (betas[k - 1] if k else 0.0)
+        start = tangent_start(anchor, bias, beta - beta0)
         f = EdgePotential(graph, phi.values - beta * a.values)
-        plain = data = pressure._power_solve(f, start)
+        data = pressure._power_solves(graph, f.values[None], start[None])[0]
         if data.stage == "stalled":
-            data = waiting[k] = pressure._squared_solves([f], [data])[0]
+            data = pressure._squared_solves([f], [data])[0]
         mass, T = equilibrium_by_formulas(graph, f, data)
         h = -float(mass @ np.log(T, out=np.zeros_like(T), where=T > 0))
         if beta == 0:
@@ -382,11 +394,7 @@ def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
             states.append(EquilibriumState(sft.MarkovMeasure(graph, mass),
                                            data.log_rho, data.right,
                                            data.left))
-        solved = [*solved[-1:], (k, plain)]
-        if waiting and (len(waiting) == stack or (k + 1) % size == 0
-                        or k + 1 == len(betas)):
-            solved = [(j, waiting.get(j, v)) for j, v in solved]
-            waiting.clear()
+        solved = data
         del f, mass, T
     if pressure_phi is None:
         pressure_phi = pressure_transfer(graph, phi).value

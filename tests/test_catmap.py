@@ -462,7 +462,12 @@ def test_report_solves_min_mean_cycle_once(monkeypatch):
     monkeypatch.setattr(ergopt, "_howard", counting)
     rep = orbit_damping_report(2.0 ** -3, beta_max=10.0)
     assert rep["regime"] == "below-threshold"
-    assert len(calls) == 1
+    # one min-mean-cycle solve on the automaton; the sweep's tangent starts
+    # take one more Howard solve, for the bias on the reversed graph
+    (graph, a), (back, a_back) = calls
+    assert back.n_states == graph.n_states and back.n_edges == graph.n_edges
+    assert sorted(zip(back.dst.tolist(), back.src.tolist(), a_back.values)) \
+        == sorted(zip(graph.src.tolist(), graph.dst.tolist(), a.values))
 
 
 @pytest.mark.parametrize("order", [2, 6])

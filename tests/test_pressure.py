@@ -465,8 +465,8 @@ def test_rounding_term_counts_the_longest_sum_of_either_side(monkeypatch):
     assert np.diff(forward.graph.indptr).max() == 2
     assert np.diff(backward.graph.indptr).max() == 21
 
-    def bracket(ids, data, x, z):
-        return True, 1.25, 1.25 * (1 + 1e-14), 0.75, x, z, 7
+    def bracket(ids, data, v):
+        return [(True, 1.25, 1.25 * (1 + 1e-14), 0.75, *v[0], 7)]
 
     monkeypatch.setattr(pressure, "_plain_power_stage", bracket)
     one, other = perron(forward), perron(backward)
@@ -486,7 +486,7 @@ def _recording_perron(monkeypatch):
 
     def counting(*args):
         out = plain(*args)
-        steps.append(out[-1])
+        steps.extend(row[-1] for row in out)
         return out
 
     monkeypatch.setattr(pressure, "_plain_power_stage", counting)
@@ -589,11 +589,14 @@ def test_tied_loops_sweeps_across_sizes(monkeypatch):
             assert hi - lo <= 1e-12, (n, beta)
             assert lo - data.enclosure <= data.log_rho, (n, beta)
             assert data.log_rho <= hi + data.enclosure, (n, beta)
+    # 6 389 row-steps when each point started from the points before it,
+    # 14 343 from the tangent starts: a start whose split between the two
+    # tied loops is off stalls, most after its whole plain budget
     assert sum(steps) < 15_000
 
 
 def test_two_loops_path_squaring_roots_inside_their_brackets(monkeypatch):
-    # the warm sweep hands every point from beta = 6 on to the squaring
+    # the warm sweep hands 52 points, from beta = 4.5 on, to the squaring
     # stage; each root lies inside its enclosure of the 40-digit
     # Collatz-Wielandt bracket of the vectors it returns
     g, a, phi = two_loops_path_instance()
@@ -603,7 +606,7 @@ def test_two_loops_path_squaring_roots_inside_their_brackets(monkeypatch):
     thermo_curve(g, a, phi, betas, minimization=result)
     squared = [(beta, data) for beta, data in zip(betas, solves)
                if data.stage == "squaring"]
-    assert len(squared) == 49
+    assert len(squared) == 52
     for beta, data in squared:
         lo, hi = _mp_collatz_wielandt(_damped(phi, a, beta), data)
         assert hi - lo <= 1e-12, beta
@@ -621,8 +624,9 @@ def test_power_enclosure_is_measured_at_the_returned_step(monkeypatch):
                (catmap_instance(6), 50.0, 1.0)]
     # a warm point's stage depends on the vectors the point before it
     # returned (the 3-state tied sweep's beta = 15 point goes to squaring),
-    # so the order-3 cat-map sweep adds 51 solves that stay in this stage
-    sweeps.append((catmap_instance(3), 50.0, 1.0))
+    # so the order-3 and order-4 cat-map sweeps add 102 solves that stay in
+    # this stage (the tangent starts send more tied points to squaring)
+    sweeps += [(catmap_instance(k), 50.0, 1.0) for k in (3, 4)]
     results = [minimize(*instance) for instance, _, _ in sweeps]
     solves = record_solves(monkeypatch, with_inputs=True)
     for ((g, a, phi), beta_max, step), result in zip(sweeps, results):
@@ -755,7 +759,8 @@ def _stalled_points(instance, betas):
     """(potentials, stalled plain stages) of the cold solves that stall."""
     g, a, phi = instance
     fs = [_damped(phi, a, beta) for beta in betas]
-    points = [(f, pressure._power_solve(f)) for f in fs]
+    points = [(f, pressure._power_solves(f.graph, f.values[None], np.ones(
+        (1, 2, f.graph.n_states)))[0]) for f in fs]
     return [(f, s) for f, s in points if s.stage == "stalled"]
 
 

@@ -2,16 +2,19 @@
 crossing strength."""
 
 import dataclasses
+import importlib.util
 import math
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermopress import catmap, cli, ergopt, pressure, thermo
+from thermopress import catmap, cli, ergopt, load_system, pressure, thermo
 from thermopress.catmap import (damping_from_orbit, expansion_potential,
                                 periodic_itinerary, refine)
 from thermopress.errors import ConvergenceError, InvariantViolation
@@ -176,9 +179,29 @@ def test_two_loops_path_limit():
 
 def _recording_sweep(mp):
     """Keep each point's (potential, start, PerronData) at thermo_curve's
-    per-point entry, pressure._power_solve, a stalled point's data being
+    per-stack entry, pressure._power_solves, a stalled point's data being
     its squaring stage's result; returns that list."""
     return oracles.record_solves(mp, with_inputs=True)
+
+
+def _counting_kernel(mp):
+    """Count the plain stage's kernel calls (csr_matvec) and its row-steps
+    (the iterations of every row); returns (calls, steps), two lists."""
+    calls, steps = [], []
+    kernel, plain = pressure.csr_matvec, pressure._plain_power_stage
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def stage(*args):
+        out = plain(*args)
+        steps.extend(row[-1] for row in out)
+        return out
+
+    mp.setattr(pressure, "csr_matvec", counting)
+    mp.setattr(pressure, "_plain_power_stage", stage)
+    return calls, steps
 
 
 CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
@@ -187,51 +210,43 @@ CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
 
 @pytest.mark.parametrize("point", CATMAP_POINTS)
 def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
-    # the refine-6 sweep over 0, 0.5, ..., 50 took about 7 400 plain steps
-    # with each point started from the previous point's vectors; the
-    # predictor brings it to about 2 200, with 1-3 steps per point from
-    # beta = 30 on, where the log vectors are nearly linear in beta
-    ref = refine(6)
-    phi = expansion_potential(ref.graph)
-    orbit = periodic_itinerary(point)
-    a = damping_from_orbit(ref, orbit)
-    result = minimize(ref.graph, a, phi)
+    # the refine-6 report sweeps its orbit-window automaton (8 to 23
+    # states) over 0, 0.5, ..., 50.  Each point started from the two points
+    # before it took one kernel call per plain step, 1 376-1 635 per sweep;
+    # the stack takes one call per step for all 101 points, 83-92 in all,
+    # though the tangent starts take 2 385-3 464 row-steps
+    g, a, phi = _automaton(point)
+    result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
-    curve = thermo_curve(ref.graph, a, phi, default_schedule(50.0, 0.5),
+    calls, steps = _counting_kernel(monkeypatch)
+    curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
                          minimization=result)
     # one solve per point: Pr(phi) is the beta = 0 point's
     assert len(solves) == len(curve) == 101
     assert curve.pressure_phi == solves[0][2].log_rho
-    assert all(d.stage == "power" for _, _, d in solves)
-    assert sum(d.iterations for _, _, d in solves) < 3500, point
-    assert max(d.iterations for _, _, d in solves[60:]) <= 3, point
+    assert sum(d.stage == "squaring" for _, _, d in solves) <= 1
+    assert len(calls) <= 200, point
+    assert sum(steps) <= 3_600, point
 
 
 def test_refine_8_report_plain_step_count(monkeypatch):
-    # the refine-8 report's sweep and find_gap_beta at (1/2, 0), solved on
-    # the refined graph itself, take about 1 900 plain power steps, and no
-    # solve reaches the squaring stage
-    ref = refine(8)
-    phi = expansion_potential(ref.graph)
-    a = damping_from_orbit(ref, periodic_itinerary((Fraction(1, 2), 0)))
-    result = minimize(ref.graph, a, phi)
-    steps, plain = [], pressure._plain_power_stage
-
-    def counting(*args):
-        out = plain(*args)
-        steps.append(out[-1])
-        return out
-
-    def squaring(*args):
-        raise AssertionError("a refine-8 solve reached the squaring stage")
-
-    monkeypatch.setattr(pressure, "_plain_power_stage", counting)
-    monkeypatch.setattr(pressure, "_squared_power_stage", squaring)
-    thermo_curve(ref.graph, a, phi, default_schedule(50.0, 0.5),
-                 minimization=result)
-    gap = find_gap_beta(ref.graph, a, phi, beta_max=50.0, minimization=result)
+    # the refine-8 report at (1/2, 0) sweeps its 24-state orbit-window
+    # automaton: 101 kernel calls and 3 645 row-steps (1 701 calls, one
+    # per row-step, when each point started from the two before it);
+    # find_gap_beta then brackets beta* with solves of its own
+    g, a, phi, _ = catmap.window_automaton(
+        periodic_itinerary((Fraction(1, 2), 0)), 8)
+    result = minimize(g, a, phi)
+    solves = _recording_sweep(monkeypatch)
+    calls, steps = _counting_kernel(monkeypatch)
+    thermo_curve(g, a, phi, default_schedule(50.0, 0.5), minimization=result)
+    assert len(calls) <= 200
+    assert sum(steps) <= 3_800
+    # the refinement's sweep squared no point; the automaton's squares
+    # its beta = 1 point alone, as at refine 6
+    assert sum(d.stage == "squaring" for _, _, d in solves) <= 1
+    gap = find_gap_beta(g, a, phi, beta_max=50.0, minimization=result)
     assert gap.hi is not None
-    assert sum(steps) <= 2_100
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -259,36 +274,23 @@ def test_predicted_sweep_matches_cold_solves(n, seed, first, steps):
 
 
 def test_predicted_start_that_would_underflow_stays_positive(monkeypatch):
-    # state 0 reaches the undamped hub loop by a chain of ten damped edges
-    # or by a shortcut of potential -30, and each chain state likewise, so
-    # near beta = 1 log r_0 falls with slope -10 and levels off at -30.  From
-    # 0.5 and 1 the extrapolation to 80 puts it near -800 below the hub,
-    # which exp would flush to 0, and perron would then discard the start
-    L = 10
-    hub = L
-    edges = {(k, k + 1): (1.0, 0.0) for k in range(L)}
-    edges.update({(k, hub): (0.0, -30.0) for k in range(L - 1)})
-    edges.update({(hub, k): (0.0, -30.0) for k in range(1, L)})
-    edges.update({(hub, 0): (1.0, 0.0), (hub, hub): (0.0, 0.0)})
-    A = np.zeros((L + 1, L + 1), dtype=bool)
-    for i, j in edges:
-        A[i, j] = True
-    g = graph_from_mask(A)
-    a = EdgePotential.from_edges(g, {e: v[0] for e, v in edges.items()})
-    phi = EdgePotential.from_edges(g, {e: v[1] for e, v in edges.items()})
+    # on the refine-12 automaton at (0, 0) Howard's bias spans 12 per unit
+    # of beta, so the tangent start -beta h spans 600 at beta = 50: its
+    # smallest entry, 1.7e-261, is far below what the chain's two-point
+    # extrapolation produced.  The start stays finite and positive, so
+    # perron keeps it, and the root agrees with a cold solve within both
+    # enclosures
+    g, a, phi, _ = catmap.window_automaton(periodic_itinerary((0, 0)), 12)
     result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
-    thermo_curve(g, a, phi, (0.0, 0.5, 1.0, 80.0), minimization=result)
-    (_, _, older), (_, _, newer), (f, start, last) = solves[1:]
-    t = (80.0 - 1.0) / (1.0 - 0.5)
-    for side in ("right", "left"):
-        log_x = np.log(getattr(newer, side))
-        log_x += t * (log_x - np.log(getattr(older, side)))
-        assert (np.exp(log_x - log_x.max()) == 0.0).any(), side
-        v = getattr(start, side)
-        assert np.isfinite(v).all() and (v > 0).all(), side
+    thermo_curve(g, a, phi, (0.0, 50.0), minimization=result)
+    assert np.ptp(result.bias) * 50.0 >= 600.0
+    (f, start, data), = solves[1:]
+    for v in (start.right, start.left):
+        assert np.isfinite(v).all() and (v > 0).all()
+    assert start.right.min() < 1e-250
     cold = pressure.perron(f)
-    assert abs(last.log_rho - cold.log_rho) <= last.enclosure + cold.enclosure
+    assert abs(data.log_rho - cold.log_rho) <= data.enclosure + cold.enclosure
 
 
 def test_thermo_curve_rejects_negative_damping():
@@ -324,8 +326,8 @@ def test_thermo_curve_checks_schedule_before_solving(monkeypatch, betas,
         return wrapped
 
     monkeypatch.setattr(pressure, "perron", counting("perron", pressure.perron))
-    monkeypatch.setattr(pressure, "_power_solve",
-                        counting("_power_solve", pressure._power_solve))
+    monkeypatch.setattr(pressure, "_power_solves",
+                        counting("_power_solves", pressure._power_solves))
     monkeypatch.setattr(ergopt, "perron", counting("perron", ergopt.perron))
     monkeypatch.setattr(thermo, "minimize", counting("minimize", thermo.minimize))
     with pytest.raises(ValueError, match=message):
@@ -596,20 +598,22 @@ def test_find_gap_beta_bracket_within_xtol_on_catmap(point):
 def _record_phases(monkeypatch):
     """Record (caller, potential) for every Perron solve of a report stage,
     the caller being the stage that asked for it, at the solves' one
-    per-point entry, pressure._power_solve (perron and the sweep call it)."""
-    power, phases = pressure._power_solve, []
+    entry, pressure._power_solves (perron and the sweep call it), one
+    record per point of a stack."""
+    power, phases = pressure._power_solves, []
     names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
              "find_gap_beta")
 
-    def counting(f, start=None):
+    def counting(graph, F, starts):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in names:
             frame = frame.f_back
         if frame is not None:
-            phases.append((frame.f_code.co_name, f))
-        return power(f, start)
+            phases.extend((frame.f_code.co_name, EdgePotential(graph, f))
+                          for f in F)
+        return power(graph, F, starts)
 
-    monkeypatch.setattr(pressure, "_power_solve", counting)
+    monkeypatch.setattr(pressure, "_power_solves", counting)
     return phases
 
 
@@ -621,9 +625,10 @@ def test_report_solves_each_potential_once(order, monkeypatch):
     # run on the orbit-window automaton
     cold = pressure.perron
     solves = _record_phases(monkeypatch)
-    gaps = []
+    gaps, handed = [], []
 
     def recording(*args, **kw):
+        handed.append(kw["at_zero"])
         gaps.append(find_gap_beta(*args, **kw))
         return gaps[-1]
 
@@ -633,6 +638,7 @@ def test_report_solves_each_potential_once(order, monkeypatch):
     for point in CATMAP_POINTS:
         solves.clear()
         gaps.clear()
+        handed.clear()
         rep = catmap.orbit_damping_report(2.0 ** -order, point=point,
                                           beta_max=50.0)
         phases = [name for name, _ in solves]
@@ -648,6 +654,18 @@ def test_report_solves_each_potential_once(order, monkeypatch):
         _, _, small_phi, _ = catmap.window_automaton(orbit, order)
         at_zero, refined = cold(small_phi), cold(phi)
         assert rep["pressure_undamped"] == at_zero.log_rho
+        # the sweep's beta = 0 solve is find_gap_beta's left end, field for
+        # field the cold perron(phi), so the search solves it no more
+        (given,) = handed
+        for field in dataclasses.fields(at_zero):
+            assert np.array_equal(getattr(given, field.name),
+                                  getattr(at_zero, field.name)), field.name
+        graph, small_a = catmap.window_automaton(orbit, order)[:2]
+        result = minimize(graph, small_a, small_phi)
+        before = len(solves)
+        find_gap_beta(graph, small_a, small_phi, beta_max=50.0,
+                      minimization=result)
+        assert len(solves) - before == steps + 1, point
         assert (abs(refined.log_rho - at_zero.log_rho)
                 <= refined.enclosure + at_zero.enclosure), point
         beta = rep["beta_star"]
@@ -773,8 +791,64 @@ def test_block_sweep_is_the_point_sweep_bit_for_bit(name, monkeypatch):
     if name == "two-loops-path":
         assert any(d.stage == "squaring" for _, _, d in solves)
     if name.startswith("random-200"):
-        # the predictor reaches across block edges
+        # the tangent starts anchor on the last point of the block before
         assert g.n_states == 200 and blocks >= 3, blocks
+
+
+def _seed_1_system():
+    """The 190-210-state system file that perfbench's system-files workload
+    writes for seed 1 (perfbench/jobs.py), loaded as (graph, a, phi)."""
+    path = Path(__file__).parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = sys.modules.setdefault(spec.name,
+                                  importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(jobs)  # its dataclasses look their module up
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs.make_jobs("system-files", 1, Path(tmp))
+        return load_system(Path(tmp) / "system.txt")
+
+
+STACKS = {
+    **{f"automaton-{x},{y}": (lambda p=(x, y): _automaton(p),
+                              default_schedule(50.0, 0.5))
+       for x, y in CATMAP_POINTS},
+    **{name: (lambda name=name: get_builtin(name), default_schedule(30.0, 0.5))
+       for name in ("full2", "golden-mean", "two-loops-path")},
+    "seed-1-file": (_seed_1_system, default_schedule(6.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_plain_stage_stack_rows_are_solo_runs_bit_for_bit(name):
+    # the points of a sweep, from the sweep's tangent starts at beta_0 = 0,
+    # in stacks of one, seven and all of them, in shuffled order: every row
+    # keeps its own sigma, checks, stop and stall rules and step count, so
+    # its bracket, vectors and steps are bit for bit those of its solo run
+    make, betas = STACKS[name]
+    g, a, phi = make()
+    bias = np.array((minimize(g, a, phi).bias, oracles.reverse_bias(g, a)))
+    betas = np.array(betas)
+    F = phi.values - betas[:, None] * a.values
+    starts = thermo._predicted_start(np.zeros((2, g.n_states)), bias, betas)
+    ids = g.two_sided
+
+    def stage(at):
+        W = np.exp(F[at] - F[at].max(axis=1)[:, None])
+        return pressure._plain_power_stage(ids, W.take(ids.data, axis=1),
+                                           starts[at])
+
+    solo = [stage([k])[0] for k in range(len(betas))]
+    order = np.random.default_rng(29).permutation(len(betas))
+    for depth in (1, 7, len(betas)):
+        for first in range(0, len(betas), depth):
+            at = order[first:first + depth]
+            for k, row in zip(at, stage(at)):
+                (ok, lo, hi, sigma, x, z, it), alone = row, solo[k]
+                assert (ok, lo, hi, sigma, it) == (*alone[:4], alone[6]), k
+                assert np.array_equal(x, alone[4]), k
+                assert np.array_equal(z, alone[5]), k
+    if name == "two-loops-path":  # stalled rows leave the stack too
+        assert not all(row[0] for row in solo)
 
 
 def _recording_stacks(mp):
@@ -791,17 +865,17 @@ def _recording_stacks(mp):
 
 
 def test_sweep_squares_its_stalled_points_in_stacks(monkeypatch):
-    # the two-loops path stalls at 49 of its 61 points, all in one block of
+    # the two-loops path stalls at 52 of its 61 points, all in one stack of
     # 3-state points: one call squares them all.  Each refine-6 report
-    # automaton (8 to 31 states) stalls at beta = 1 alone, a stack of one.
+    # automaton (8 to 23 states) stalls at beta = 1 alone, a stack of one.
     # A 200-state dense log matrix alone holds more than BLOCK_ENTRIES
-    # entries, so each stalled point there is squared alone, as it stalls.
-    # On 30 states a stack holds 18: it is squared once full, and from its
-    # vectors the later points converge in the plain stage
-    cases = [(two_loops_path_instance(), default_schedule(30.0, 0.5), [49])]
+    # entries, so each stalled point there is squared alone.  On 30 states
+    # a squaring stack holds 18: the 23 stalled points of the one plain
+    # stack are squared in a full stack and one of 5
+    cases = [(two_loops_path_instance(), default_schedule(30.0, 0.5), [52])]
     cases += [(_automaton(point), default_schedule(50.0, 0.5), [1])
               for point in CATMAP_POINTS]
-    cases += [(_tied_loops(30), default_schedule(30.0, 0.5), [18]),
+    cases += [(_tied_loops(30), default_schedule(30.0, 0.5), [18, 5]),
               (_tied_loops(200), (0.0, 5.0, 10.0, 15.0), [1, 1])]
     results = [minimize(*instance) for instance, _, _ in cases]
     rows = _recording_stacks(monkeypatch)
@@ -817,21 +891,22 @@ def test_block_pass_rejects_a_zero_right_entry(monkeypatch, tmp_path):
     # an exact 0 in one point's right Perron vector makes log r -inf and
     # that row's defect inf or NaN: the block pass must raise ConvergenceError
     # (exit 3), as equilibrium_state does, not the measure's ValueError
-    solve = pressure._power_solve
+    solve = pressure._power_solves
     solved = []
 
-    def zeroed(f, start=None):
-        data = solve(f, start)
+    def zeroed(graph, F, starts):
+        out = solve(graph, F, starts)
         if sys._getframe(1).f_code.co_name != "thermo_curve":
-            return data  # minimize's solves, through perron
-        solved.append(data)
-        if len(solved) != 4:
-            return data
-        right = data.right.copy()
-        right[1] = 0.0
-        return dataclasses.replace(data, right=right)
+            return out  # minimize's solves, through perron
+        for k, data in enumerate(out):
+            solved.append(data)
+            if len(solved) == 4:
+                right = data.right.copy()
+                right[1] = 0.0
+                out[k] = dataclasses.replace(data, right=right)
+        return out
 
-    monkeypatch.setattr(pressure, "_power_solve", zeroed)
+    monkeypatch.setattr(pressure, "_power_solves", zeroed)
     g, a, phi = _automaton(CATMAP_POINTS[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError, match="off stochastic by inf"):
