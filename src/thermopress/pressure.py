@@ -121,24 +121,25 @@ def _plain_budget(n):
     return min(PLAIN_BUDGET, 100 + n * n // 10)
 
 
-def _plain_power_stage(ids, data, v):
+def _plain_power_stage(ids, data, v, group):
     """Shifted power iteration on W / sigma + I with Collatz-Wielandt
     brackets for a stack of W on one graph, from positive right and left
     vectors v[k] = (x, z); ids holds the index arrays of diag(W, W^T) and
     data[k] (C order) the k-th W's entries, divided in place by its sigma,
-    a quarter of the smaller upper bracket end of x and z on rho(W) from
-    the first step.  A step is one kernel call on the block diagonal of the
-    live rows.  Returns per row (converged, lo, hi, sigma, x, z,
-    iterations), lo <= rho(W) / sigma + 1 <= hi measured at the step that
-    made x and z.  A row's check steps bracket and normalize it: steps 1
-    and 2, then the step halfway to the convergence its last two brackets
-    project, at most CHECK_SPACING on.  It stops on one, converged, or
-    after _plain_budget(n) steps, or once rho(W) / sigma < MIN_PLAIN_ROOT,
-    or once its bracket is narrower than STALL_GUARD and its contraction
-    over at least CHECK_SPACING steps projects past the budget (wider
-    brackets can sit on a plateau before they collapse).  Each row keeps
-    its own sigma, schedule and step count: it gives bit for bit its
-    result alone, and leaves the stack when it stops.
+    a quarter of the first step's smaller upper bracket end on rho(W).  A
+    step is one kernel call on the live rows' block diagonal.  Returns per
+    row (converged, lo, hi, sigma, x, z, iterations), lo <= rho(W) / sigma
+    + 1 <= hi measured at the step that made x and z.  A row's check steps
+    bracket and normalize it: steps 1 and 2, then the step halfway to the
+    convergence its last two brackets project, at most CHECK_SPACING on.
+    It stops on one, converged with rho(W) / sigma >= MIN_PLAIN_ROOT, or
+    not: after _plain_budget(n) steps, once rho(W) / sigma <
+    MIN_PLAIN_ROOT, or once its bracket is narrower than STALL_GUARD and
+    its contraction over CHECK_SPACING steps or more projects past the
+    budget (wider brackets can sit on a plateau).  Each row keeps its own
+    sigma, schedule and step count, so it gives bit for bit its result
+    alone, and leaves the stack when it stops; once `group` rows stopped
+    unconverged, the rows after the group-th go unreturned.
     """
     rows, n = len(v), v.shape[-1]
     budget, nnz, size = _plain_budget(n), ids.nnz, v.size
@@ -150,7 +151,7 @@ def _plain_power_stage(ids, data, v):
     sigma = (y / v).reshape(rows, 2, n).max(2).min(1) / 4
     data /= sigma[:, None]
     v, y = np.add(v, np.divide(y, np.repeat(sigma, 2 * n), out=y), out=y), v
-    live, out, due_at = list(range(rows)), [None] * rows, 1  # y: the next v
+    live, out, due_at, end = list(range(rows)), [None] * rows, 1, rows
     check, last, best = [1] * rows, [0] * rows, [np.inf] * rows
     for it in range(1, budget + 1):
         if it > 1:
@@ -182,15 +183,18 @@ def _plain_power_stage(ids, data, v):
             else:
                 gap = CHECK_SPACING
             if done or hi < 1.0 + MIN_PLAIN_ROOT or not gap or it == budget:
+                done = done and 0.5 * (lo + hi) - 1.0 >= MIN_PLAIN_ROOT
                 out[live[j]] = (done, lo, hi, sigma[j], *now[k], it)
                 stop.append(j)
             check[j], last[j], best[j] = min(it + gap, budget), it, relative
         if len(due) < len(live):
             v.reshape(-1, 2, n)[due] = now
         if stop:
-            keep = [j for j in range(len(live)) if j not in stop]
+            failed = [r for r, row in enumerate(out) if row and not row[0]]
+            end = failed[group - 1] + 1 if len(failed) >= group else end
+            keep = [j for j, r in enumerate(live) if j not in stop and r < end]
             if not keep:
-                return out
+                return out[:end]
             live, check, last, best = ([x[j] for j in keep]
                                        for x in (live, check, last, best))
             sigma, data = sigma[keep], data[keep]
@@ -198,7 +202,7 @@ def _plain_power_stage(ids, data, v):
             flat, size, y = data.reshape(-1), v.size, np.empty(v.size)
             indptr, indices = indptr[:size + 1], indices[:nnz * len(live)]
         due_at = min(check)
-    return out
+    return out[:end]
 
 
 def _log_start(v):
@@ -265,10 +269,10 @@ def _squared_power_stage(H, v):
     return (*result, squarings, v)
 
 
-def _power_solves(graph, F, starts):
+def _power_solves(graph, F, starts, group):
     """perron's plain stage for the potentials F[k] (k x edges) on graph,
-    in one stack, from the positive start vectors starts[k] = (right,
-    left); a "stalled" PerronData keeps its last vectors."""
+    in one stack from the positive starts[k] = (right, left), through the
+    group-th "stalled" point if so many stall; those keep their vectors."""
     ids = graph.two_sided
     fmax, fmin = F.max(axis=1), F.min(axis=1)
     # diag(W, W^T) per point, as W and W.T.tocsr(), in C order (take)
@@ -276,9 +280,9 @@ def _power_solves(graph, F, starts):
     terms = np.diff(ids.indptr).max() + 1
     solves = []
     for (ok, lo, hi, sigma, x, z, it), top, bottom in zip(
-            _plain_power_stage(ids, data, starts), fmax, fmin):
+            _plain_power_stage(ids, data, starts, group), fmax, fmin):
         rho_s = 0.5 * (lo + hi) - 1.0  # rho(W) / sigma
-        if not (ok and rho_s >= MIN_PLAIN_ROOT):
+        if not ok:
             solves.append(PerronData(np.nan, x, z, np.inf, it, "stalled"))
             continue
         log_sigma = np.log(sigma)
@@ -340,7 +344,7 @@ def perron(f: EdgePotential, *, start=None) -> PerronData:
             s.shape == v.shape[2:] and np.isfinite(s).all() and (s > 0).all()
             for s in (start.right, start.left)):
         v[0] = start.right, start.left
-    data = _power_solves(f.graph, f.values[None], v)[0]
+    data = _power_solves(f.graph, f.values[None], v, 1)[0]
     return data if data.stage == "power" else _squared_solves([f], [data])[0]
 
 

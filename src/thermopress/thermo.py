@@ -33,9 +33,9 @@ MAX_SCHEDULE_POINTS = 10**6
 # a normal float, and the first power step's ratios (W x + x) / x, at most
 # (out-degree + 1) / 2^-990, stay below the largest float, 2^1024
 _LOG_FLOOR = -990 * np.log(2.0)
-# most edge entries in a block of thermo_curve's points: a numpy call costs
-# about what 10^3 entries of its work do, so the overhead stays a few percent,
-# and the ten or so B x E arrays of a block stay near 1 MB
+# most entries of diag(W, W^T) over a block of thermo_curve's points, B x 2E:
+# a numpy call costs about what 10^3 entries of its work do, so the overhead
+# stays a few percent, and the ten or so B x E arrays of a block near 0.5 MB
 BLOCK_ENTRIES = 2**14
 
 
@@ -131,11 +131,11 @@ def _damped(phi, a, beta):
     return EdgePotential(phi.graph, phi.values - beta * a.values)
 
 
-def _predicted_start(logs, bias, steps):
+def _predicted_start(logs, slope, steps):
     """Perron start vectors (rows right, left) of the points steps beyond a
-    solved point with log vectors logs: the tangent logs - steps * bias,
-    less its max and floored at _LOG_FLOOR, so no entry exp flushes to 0."""
-    log_x = logs - steps[:, None, None] * bias
+    solved point with log vectors logs: logs - steps * slope, less its max
+    and floored at _LOG_FLOOR, so no entry exp flushes to 0."""
+    log_x = logs - steps[:, None, None] * slope
     return np.exp(np.maximum(log_x - log_x.max(axis=2, keepdims=True),
                              _LOG_FLOOR))
 
@@ -145,26 +145,24 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                  minimization: MinimizationResult | None = None) -> ThermoCurve:
     """Compute the damped pressure curve over the schedule (default
     0..40 in steps of 1/2), one equilibrium state per point, in blocks of
-    at most BLOCK_ENTRIES edge entries (else one point).  The schedule is
-    checked before anything is solved.  A block's points run perron's
-    plain power stage in stacks whose kernel calls hold at most
-    BLOCK_ENTRIES entries of diag(W, W^T), one call per step for a whole
-    stack.  Every point of a stack starts from the tangent at the last
-    point solved before it, beta_0 (before the first: beta_0 = 0, all-ones
-    vectors), log r(beta_0) - (beta - beta_0) h and likewise for log l with
-    h': log of the Perron vectors falls like -beta (h, h') as beta grows
-    (Akian, Bapat and Gaubert, C. R. Acad. Sci. Paris 327, 1998), h being
-    Howard's bias of a and h' the bias on the reversed graph; the start
-    changes only the step count.  A stack's stalled points (see perron)
-    are squared in stacks of BLOCK_ENTRIES dense entries (else one point).
-    Each block then gets the statistics of equilibrium_state, integrate
-    and ks_entropy in 2-d array operations.  When the schedule starts at
-    0, that point's solve also gives pressure_phi and at_zero.
+    at most BLOCK_ENTRIES entries of diag(W, W^T) (else one point); the
+    schedule is checked before anything is solved.  A block's points run
+    perron's plain power stage as one stack, one kernel call per step, from
+    the tangent at the last point solved before them, beta_0 (else 0 and
+    all-ones vectors): log r(beta_0) - (beta - beta_0) h, and log l with
+    h'.  Log Perron vectors fall like -beta (h, h') (Akian, Bapat and
+    Gaubert, C. R. Acad. Sci. Paris 327, 1998), h being Howard's bias of a
+    and h' that of the reversed graph.  The stack ends at its g-th stalled
+    point (see perron), g = BLOCK_ENTRIES // n^2 or 1: those are squared
+    in one call, and twice as many points as it kept go on, from the
+    secant through the block's last two points (near a tie the slope is
+    far from -h); a start changes only the step count.  Each block then
+    gets the statistics of equilibrium_state, integrate and ks_entropy in
+    2-d array operations; a beta = 0 solve also gives pressure_phi, at_zero.
 
-    minimization supplies a0, the limit target and h: the value,
-    restricted_pressure and bias of minimize(graph, a, phi), for a caller
-    that has already made that call.  When omitted, it is made here.
-    """
+    minimization supplies a0, the limit target and h (the value,
+    restricted_pressure and bias of minimize(graph, a, phi)) for a caller
+    that has made that call; else it is made here."""
     if a.min() < 0:
         raise ValueError("damping must be nonnegative")
     if betas is None:
@@ -178,27 +176,29 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
     reverse = TransitionGraph(graph.n_states, graph.dst[back], graph.src[back])
     bias = np.array((minimization.bias, ergopt._howard(
         reverse, EdgePotential(reverse, a.values[back]))[1]))
-    size = max(1, BLOCK_ENTRIES // graph.n_edges)
-    depth = max(1, BLOCK_ENTRIES // (2 * graph.n_edges))  # plain stack
-    stack = max(1, BLOCK_ENTRIES // graph.n_states**2)  # dense log matrices
-    rows, beta0, logs = [], 0.0, np.zeros((2, graph.n_states))
+    size = max(1, BLOCK_ENTRIES // (2 * graph.n_edges))  # diag(W, W^T)
+    group = max(1, BLOCK_ENTRIES // graph.n_states**2)  # dense log matrices
+    rows, beta0, logs, at_zero = [], 0.0, np.zeros((2, graph.n_states)), None
     for first in range(0, len(betas), size):
         block = betas[first:first + size]
         F = phi.values - block[:, None] * a.values  # phi - beta a per point
-        solves = []
-        for k in range(0, len(block), depth):
-            part = block[k:k + depth]
-            solves += pressure._power_solves(graph, F[k:k + depth], (
-                _predicted_start(logs, bias, part - beta0)))
-            stalled = [j for j, d in enumerate(solves) if d.stage == "stalled"]
-            for j in range(0, len(stalled), stack):
-                at = stalled[j:j + stack]
-                for i, d in zip(at, pressure._squared_solves(
-                        [EdgePotential(graph, F[i]) for i in at],
-                        [solves[i] for i in at])):
-                    solves[i] = d
-            beta0, logs = part[-1], np.log((solves[-1].right, solves[-1].left))
-        at_zero = solves[0] if first == 0 else at_zero
+        solves, k, span, slope = [], 0, len(block), bias
+        while k < len(block):
+            out = pressure._power_solves(graph, F[k:k + span], _predicted_start(
+                logs, slope, block[k:k + span] - beta0), group)
+            at = [j for j, d in enumerate(out) if d.stage == "stalled"]
+            solves += out
+            if at:  # squared in one call; the points after go again
+                for j, d in zip(at, pressure._squared_solves(
+                        [EdgePotential(graph, F[k + j]) for j in at],
+                        [out[j] for j in at])):
+                    solves[k + j] = d
+            k, span = k + len(out), 2 * len(out)
+            tail = np.log([(d.right, d.left) for d in solves[-2:]])
+            beta0, logs = block[k - 1], tail[-1]
+            if k > 1:  # the secant through the block's last two points
+                slope = (tail[0] - logs) / (beta0 - block[k - 2])
+        at_zero = solves[0] if first == 0 == block[0] else at_zero
         mass = _equilibrium_rows(graph, F, solves)
         rows += zip([d.log_rho + b * minimization.value
                      for d, b in zip(solves, block)],
@@ -207,7 +207,6 @@ def thermo_curve(graph: TransitionGraph, a: EdgePotential,
                     [phi.values @ m for m in mass])
         del F, mass, solves  # before the next block takes its own
     values, avgs, ents, phis = map(np.array, zip(*rows))
-    at_zero = at_zero if betas[0] == 0 else None  # phi's cold solve
     pressure_phi = (values[0] if at_zero
                     else pressure_transfer(graph, phi).value)
     return ThermoCurve(betas, values, avgs, ents, phis,

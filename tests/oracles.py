@@ -331,14 +331,15 @@ def equilibrium_by_formulas(graph, f, data):
 def record_solves(mp, with_inputs=False):
     """Patch perron's two stages, through which perron and thermo_curve's
     sweep solve every point, to keep each point's PerronData, or its
-    (potential, start, PerronData) with_inputs, in the order the points
-    enter the plain stage; a stalled point's entry takes the squaring
-    stage's result once that runs.  Returns that list."""
+    (potential, start, PerronData) with_inputs, in the order the plain
+    stage returns them (a point a stack dropped enters once it returns);
+    a stalled point's entry takes the squaring stage's result once that
+    runs.  Returns that list."""
     solves = []
     power, squared = pressure._power_solves, pressure._squared_solves
 
-    def entry(graph, F, starts):
-        out = power(graph, F, starts)
+    def entry(graph, F, starts, group):
+        out = power(graph, F, starts, group)
         for f, start, data in zip(F, starts, out):
             solves.append((EdgePotential(graph, f), SimpleNamespace(
                 right=start[0], left=start[1]), data) if with_inputs else data)
@@ -360,42 +361,57 @@ def record_solves(mp, with_inputs=False):
 def thermo_curve_by_points(graph, a, phi, betas, *, minimization=None,
                            states=None):
     """thermo_curve one point at a time: the same Perron starts and plain
-    stages, a stalled point squared alone, then equilibrium_by_formulas,
+    stages, each stalled point squared alone, then equilibrium_by_formulas,
     the averages of a and phi against the edge mass and its entropy -sum
-    mass log P.  As in the sweep, the points go in stacks of `depth`
-    within blocks of `size`, and each point starts from the tangent at the
-    last point of the stack before its own (tangent_start; the biases are
-    minimization.bias and reverse_bias).  Each point's EquilibriumState is
-    appended to the list `states` if given."""
+    mass log P.  As in the sweep, the points go in blocks of `size`, in
+    rounds: a round's points start from the tangent at the last point
+    solved before it (tangent_start; the biases are minimization.bias and
+    reverse_bias), or from the secant through the block's last two solved
+    points once it has two, and the round ends at its `group`-th stalled
+    point; the next takes twice as many points as it kept.  Each point's
+    EquilibriumState is appended to the list `states` if given."""
     betas = np.array([float(b) for b in betas])
     if minimization is None:
         minimization = minimize(graph, a, phi)
     a0 = minimization.value
     bias = np.array((minimization.bias, reverse_bias(graph, a)))
-    size = max(1, thermo.BLOCK_ENTRIES // graph.n_edges)
-    depth = max(1, thermo.BLOCK_ENTRIES // (2 * graph.n_edges))
-    pressure_phi, rows = None, []
-    anchor, beta0, solved = None, 0.0, None
-    for k, beta in enumerate(betas):
-        if k % size % depth == 0:  # a new stack starts from the last point
-            anchor, beta0 = solved, (betas[k - 1] if k else 0.0)
-        start = tangent_start(anchor, bias, beta - beta0)
-        f = EdgePotential(graph, phi.values - beta * a.values)
-        data = pressure._power_solves(graph, f.values[None], start[None])[0]
-        if data.stage == "stalled":
-            data = pressure._squared_solves([f], [data])[0]
-        mass, T = equilibrium_by_formulas(graph, f, data)
-        h = -float(mass @ np.log(T, out=np.zeros_like(T), where=T > 0))
-        if beta == 0:
-            pressure_phi = data.log_rho
-        rows.append((data.log_rho + beta * a0, float(a.values @ mass),
-                     max(h, 0.0), float(phi.values @ mass)))
-        if states is not None:
-            states.append(EquilibriumState(sft.MarkovMeasure(graph, mass),
-                                           data.log_rho, data.right,
-                                           data.left))
-        solved = data
-        del f, mass, T
+    size = max(1, thermo.BLOCK_ENTRIES // (2 * graph.n_edges))
+    group = max(1, thermo.BLOCK_ENTRIES // graph.n_states**2)
+    pressure_phi, rows, solved, beta0 = None, [], None, 0.0
+    for first in range(0, len(betas), size):
+        block, k, slope, done = betas[first:first + size], 0, bias, []
+        span = len(block)
+        while k < len(block):
+            kept, stalled = [], 0
+            for beta in block[k:k + span]:
+                f = EdgePotential(graph, phi.values - beta * a.values)
+                start = tangent_start(solved, slope, beta - beta0)
+                data = pressure._power_solves(graph, f.values[None],
+                                              start[None], 1)[0]
+                if data.stage == "stalled":
+                    data = pressure._squared_solves([f], [data])[0]
+                    stalled += 1
+                kept.append((f, data))
+                if stalled == group:
+                    break
+            done += kept
+            k, span = k + len(kept), 2 * len(kept)
+            solved, beta0 = done[-1][1], block[k - 1]
+            if k > 1:  # the secant through the block's last two points
+                logs = [np.log((d.right, d.left)) for _, d in done[-2:]]
+                slope = (logs[0] - logs[1]) / (beta0 - block[k - 2])
+        for beta, (f, data) in zip(block, done):
+            mass, T = equilibrium_by_formulas(graph, f, data)
+            h = -float(mass @ np.log(T, out=np.zeros_like(T), where=T > 0))
+            if beta == 0:
+                pressure_phi = data.log_rho
+            rows.append((data.log_rho + beta * a0, float(a.values @ mass),
+                         max(h, 0.0), float(phi.values @ mass)))
+            if states is not None:
+                states.append(EquilibriumState(sft.MarkovMeasure(graph, mass),
+                                               data.log_rho, data.right,
+                                               data.left))
+            del mass, T
     if pressure_phi is None:
         pressure_phi = pressure_transfer(graph, phi).value
     return ThermoCurve(betas, *map(np.array, zip(*rows)),

@@ -208,13 +208,24 @@ CATMAP_POINTS = ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), 0),
                  (Fraction(1, 5), Fraction(2, 5)))
 
 
+def _refined_sweep(order, point):
+    """The refine-`order` graph damped along the orbit of point, phi and
+    minimize's result: the graph the report coded before it swept on the
+    orbit-window automaton."""
+    ref = refine(order)
+    phi = expansion_potential(ref.graph)
+    a = damping_from_orbit(ref, periodic_itinerary(point))
+    return ref.graph, a, phi, minimize(ref.graph, a, phi)
+
+
 @pytest.mark.parametrize("point", CATMAP_POINTS)
 def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
     # the refine-6 report sweeps its orbit-window automaton (8 to 23
     # states) over 0, 0.5, ..., 50.  Each point started from the two points
     # before it took one kernel call per plain step, 1 376-1 635 per sweep;
     # the stack takes one call per step for all 101 points, 83-92 in all,
-    # though the tangent starts take 2 385-3 464 row-steps
+    # though the tangent starts take 2 385-3 464 row-steps and up to 20-32
+    # per point from beta = 30 on (1-3 from the two points before)
     g, a, phi = _automaton(point)
     result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
@@ -227,26 +238,51 @@ def test_predicted_sweep_step_count_on_catmap(point, monkeypatch):
     assert sum(d.stage == "squaring" for _, _, d in solves) <= 1
     assert len(calls) <= 200, point
     assert sum(steps) <= 3_600, point
+    assert max(d.iterations for _, _, d in solves[60:]) <= 32, point
+    # the 987-state refinement, in blocks of 3 points, each started from
+    # the tangent at the block before: 1 251-1 844 steps, no squaring, and
+    # 2-5 per point from beta = 30 on
+    g, a, phi, result = _refined_sweep(6, point)
+    del solves[:], steps[:]
+    thermo_curve(g, a, phi, default_schedule(50.0, 0.5), minimization=result)
+    assert all(d.stage == "power" for _, _, d in solves)
+    assert sum(steps) < 3_500, point
+    assert max(d.iterations for _, _, d in solves[60:]) <= 5, point
 
 
 def test_refine_8_report_plain_step_count(monkeypatch):
     # the refine-8 report at (1/2, 0) sweeps its 24-state orbit-window
     # automaton: 101 kernel calls and 3 645 row-steps (1 701 calls, one
     # per row-step, when each point started from the two before it);
-    # find_gap_beta then brackets beta* with solves of its own
+    # find_gap_beta, from the sweep's beta = 0 solve, then brackets beta*
+    # in 187 steps.  On the refined graph itself, in blocks of one point,
+    # the sweep and the search take 1 843 steps with no squaring
     g, a, phi, _ = catmap.window_automaton(
         periodic_itinerary((Fraction(1, 2), 0)), 8)
     result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
     calls, steps = _counting_kernel(monkeypatch)
-    thermo_curve(g, a, phi, default_schedule(50.0, 0.5), minimization=result)
+    curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
+                         minimization=result)
     assert len(calls) <= 200
     assert sum(steps) <= 3_800
-    # the refinement's sweep squared no point; the automaton's squares
+    # the refinement's sweep squares no point; the automaton's squares
     # its beta = 1 point alone, as at refine 6
     assert sum(d.stage == "squaring" for _, _, d in solves) <= 1
-    gap = find_gap_beta(g, a, phi, beta_max=50.0, minimization=result)
+    del steps[:]
+    gap = find_gap_beta(g, a, phi, beta_max=50.0, minimization=result,
+                        at_zero=curve.at_zero)
     assert gap.hi is not None
+    assert sum(steps) <= 200
+    g, a, phi, result = _refined_sweep(8, (Fraction(1, 2), 0))
+    del solves[:], steps[:]
+    curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
+                         minimization=result)
+    gap = find_gap_beta(g, a, phi, beta_max=50.0, minimization=result,
+                        at_zero=curve.at_zero)
+    assert gap.hi is not None
+    assert all(d.stage == "power" for _, _, d in solves)
+    assert sum(steps) <= 2_100
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -275,20 +311,28 @@ def test_predicted_sweep_matches_cold_solves(n, seed, first, steps):
 
 def test_predicted_start_that_would_underflow_stays_positive(monkeypatch):
     # on the refine-12 automaton at (0, 0) Howard's bias spans 12 per unit
-    # of beta, so the tangent start -beta h spans 600 at beta = 50: its
-    # smallest entry, 1.7e-261, is far below what the chain's two-point
-    # extrapolation produced.  The start stays finite and positive, so
-    # perron keeps it, and the root agrees with a cold solve within both
-    # enclosures
+    # of beta and the reversed graph's 11, so the tangent start -80 (h, h')
+    # from beta_0 = 0 spans 960 and 880, past the floor's 990 ln 2 = 686:
+    # unfloored, exp flushes its smallest entries to 0 and perron would
+    # discard the start.  Floored, it stays finite and positive, perron
+    # keeps it, and the root agrees with a cold solve within both
+    # enclosures.  (A sweep to this point stops after its solves: the
+    # Perron vectors themselves span more than a float holds.)
     g, a, phi, _ = catmap.window_automaton(periodic_itinerary((0, 0)), 12)
-    result = minimize(g, a, phi)
+    bias = np.array((minimize(g, a, phi).bias, oracles.reverse_bias(g, a)))
+    start, = thermo._predicted_start(np.zeros((2, g.n_states)), bias,
+                                     np.array([80.0]))
+    for side, h, v in zip(("right", "left"), bias, start):
+        log_x = -80.0 * h  # the tangent, unfloored
+        assert (np.exp(log_x - log_x.max()) == 0.0).any(), side
+        assert np.isfinite(v).all() and (v > 0).all(), side
+    f = EdgePotential(g, phi.values - 80.0 * a.values)
     solves = _recording_sweep(monkeypatch)
-    thermo_curve(g, a, phi, (0.0, 50.0), minimization=result)
-    assert np.ptp(result.bias) * 50.0 >= 600.0
-    (f, start, data), = solves[1:]
-    for v in (start.right, start.left):
-        assert np.isfinite(v).all() and (v > 0).all()
-    assert start.right.min() < 1e-250
+    data = pressure.perron(f, start=pressure.PerronData(
+        np.nan, start[0], start[1], np.inf, 0, "stalled"))
+    (_, kept, _), = solves
+    assert np.array_equal(kept.right, start[0])
+    assert np.array_equal(kept.left, start[1])
     cold = pressure.perron(f)
     assert abs(data.log_rho - cold.log_rho) <= data.enclosure + cold.enclosure
 
@@ -604,14 +648,14 @@ def _record_phases(monkeypatch):
     names = ("pressure_transfer", "pressure_on_set", "thermo_curve",
              "find_gap_beta")
 
-    def counting(graph, F, starts):
+    def counting(graph, F, starts, group):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in names:
             frame = frame.f_back
         if frame is not None:
             phases.extend((frame.f_code.co_name, EdgePotential(graph, f))
                           for f in F)
-        return power(graph, F, starts)
+        return power(graph, F, starts, group)
 
     monkeypatch.setattr(pressure, "_power_solves", counting)
     return phases
@@ -707,9 +751,10 @@ def test_sweep_sums_each_measure_once(monkeypatch):
         monkeypatch.setattr(TransitionGraph, name, counting)
     curve = thermo_curve(g, a, phi, default_schedule(50.0, 0.5),
                          minimization=result)
-    size = thermo.BLOCK_ENTRIES // g.n_edges  # 6 points of 2 584 edges
+    # 3 points of 2 584 edges, one plain stack of diag(W, W^T) entries
+    size = thermo.BLOCK_ENTRIES // (2 * g.n_edges)
     blocks = -(-len(curve) // size)
-    assert len(curve) == 101 and size == 6 and blocks == 17
+    assert len(curve) == 101 and size == 3 and blocks == 34
     assert len(calls) == 3 * blocks
     rows = [shape[0] for _, shape in calls]
     assert rows == [size] * (3 * blocks - 3) + [101 - size * (blocks - 1)] * 3
@@ -751,9 +796,10 @@ def _tied_loops(n):
 
 # (instance, schedule) per sweep: the four report automata at k = 6, the
 # builtins (two-loops-path reaches the squaring stage), a 200-state system
-# swept in 15 blocks of 7 points, two schedules that start above 0, and
-# tied loops whose stalled points fill a stack of 18 points before the
-# block ends (30 states) or are squared one by one (200 states)
+# swept in 34 blocks of 3 points, two schedules that start above 0, and
+# tied loops whose stack ends at its 18th stalled point, the points after
+# it starting again from the secant (30 states), or at each stalled point
+# (200 states)
 SWEEPS = {
     **{f"automaton-{x},{y}": (lambda p=(x, y): _automaton(p),
                               default_schedule(50.0, 0.5))
@@ -780,7 +826,8 @@ def test_block_sweep_is_the_point_sweep_bit_for_bit(name, monkeypatch):
     result = minimize(g, a, phi)
     solves = _recording_sweep(monkeypatch)
     curve = thermo_curve(g, a, phi, betas, minimization=result)
-    blocks = -(-len(betas) // max(1, thermo.BLOCK_ENTRIES // g.n_edges))
+    size = max(1, thermo.BLOCK_ENTRIES // (2 * g.n_edges))
+    blocks = -(-len(betas) // size)
     monkeypatch.undo()
     points = oracles.thermo_curve_by_points(g, a, phi, betas,
                                             minimization=result)
@@ -832,10 +879,10 @@ def test_plain_stage_stack_rows_are_solo_runs_bit_for_bit(name):
     starts = thermo._predicted_start(np.zeros((2, g.n_states)), bias, betas)
     ids = g.two_sided
 
-    def stage(at):
+    def stage(at, group=None):
         W = np.exp(F[at] - F[at].max(axis=1)[:, None])
         return pressure._plain_power_stage(ids, W.take(ids.data, axis=1),
-                                           starts[at])
+                                           starts[at], group or len(at))
 
     solo = [stage([k])[0] for k in range(len(betas))]
     order = np.random.default_rng(29).permutation(len(betas))
@@ -847,8 +894,19 @@ def test_plain_stage_stack_rows_are_solo_runs_bit_for_bit(name):
                 assert (ok, lo, hi, sigma, it) == (*alone[:4], alone[6]), k
                 assert np.array_equal(x, alone[4]), k
                 assert np.array_equal(z, alone[5]), k
+    # with a group, the stack ends at its group-th unconverged row, and
+    # the rows before it are still their solo runs
+    for group in (1, 3):
+        out = stage(order, group)
+        failed = [j for j, row in enumerate(out) if not row[0]]
+        assert len(out) == (failed[group - 1] + 1 if len(failed) >= group
+                            else len(betas))
+        for k, (ok, lo, hi, sigma, x, z, it) in zip(order, out):
+            assert (ok, lo, hi, sigma, it) == (*solo[k][:4], solo[k][6]), k
+            assert np.array_equal(x, solo[k][4]), k
     if name == "two-loops-path":  # stalled rows leave the stack too
         assert not all(row[0] for row in solo)
+        assert len(stage(order, 1)) < len(betas)
 
 
 def _recording_stacks(mp):
@@ -870,12 +928,13 @@ def test_sweep_squares_its_stalled_points_in_stacks(monkeypatch):
     # automaton (8 to 23 states) stalls at beta = 1 alone, a stack of one.
     # A 200-state dense log matrix alone holds more than BLOCK_ENTRIES
     # entries, so each stalled point there is squared alone.  On 30 states
-    # a squaring stack holds 18: the 23 stalled points of the one plain
-    # stack are squared in a full stack and one of 5
+    # a squaring stack holds 18: the plain stack ends at its 18th stalled
+    # point, those 18 are squared in one call, and the points after them,
+    # started again from there, converge without squaring
     cases = [(two_loops_path_instance(), default_schedule(30.0, 0.5), [52])]
     cases += [(_automaton(point), default_schedule(50.0, 0.5), [1])
               for point in CATMAP_POINTS]
-    cases += [(_tied_loops(30), default_schedule(30.0, 0.5), [18, 5]),
+    cases += [(_tied_loops(30), default_schedule(30.0, 0.5), [18]),
               (_tied_loops(200), (0.0, 5.0, 10.0, 15.0), [1, 1])]
     results = [minimize(*instance) for instance, _, _ in cases]
     rows = _recording_stacks(monkeypatch)
@@ -894,8 +953,8 @@ def test_block_pass_rejects_a_zero_right_entry(monkeypatch, tmp_path):
     solve = pressure._power_solves
     solved = []
 
-    def zeroed(graph, F, starts):
-        out = solve(graph, F, starts)
+    def zeroed(graph, F, starts, group):
+        out = solve(graph, F, starts, group)
         if sys._getframe(1).f_code.co_name != "thermo_curve":
             return out  # minimize's solves, through perron
         for k, data in enumerate(out):
